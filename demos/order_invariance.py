@@ -17,7 +17,7 @@ early = OpticalBench(d_prism_b=0.25)
 late = OpticalBench(d_prism_b=1.0)
 
 for name, bench in (("early", early), ("late", late)):
-    order = " -> ".join(ev.event.name for ev in build_timeline(bench).events)
+    order = " -> ".join(ev.event.name for ev in build_timeline(bench))
     print(f"{name} bench event order: {order}")
 
 for model in ("qm", "naive", "lhv-sign"):

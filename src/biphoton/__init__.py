@@ -5,139 +5,55 @@ collapses it under projective measurement; two local contrast models (a
 photon with no polarization until measured, and a deterministic hidden
 angle) run the same benches.  Ensembles are seeded, counter-based, and
 exactly reproducible at any parallelism.
+
+The top level exports the names the README and the demos use; everything
+else is imported from its submodule (``biphoton.engine``, ``.local``,
+``.quantum``, ``.rng``).
 """
 
 from .engine import (
     CHUNK,
     MODEL_NAMES,
-    SPEED_OF_LIGHT,
-    BenchEvent,
-    EnsembleStats,
-    EventTimeline,
     OpticalBench,
-    OrderInvarianceReport,
-    TimedEvent,
-    TrialRecord,
     analytic_E,
     analytic_chsh,
-    analytic_joint_table,
     build_timeline,
     chsh_experiment,
-    detect_b_before_plate,
     order_invariance_report,
     run_ensemble,
-    run_trial,
-    simulate_outcomes,
-    write_trials_csv,
 )
-from .local import (
-    CANONICAL_CHSH_ANGLES,
-    ChshAngles,
-    ChshReport,
-    HiddenState,
-    LocalTrialState,
-    chsh_S,
-    fold_distance,
-    lhv_outcome,
-    lhv_pair,
-    lhv_sample,
-    lhv_sign_correlator,
-    naive_measure,
-    naive_plate_action,
-)
+from .local import CANONICAL_CHSH_ANGLES
 from .quantum import (
-    ATOL,
-    XX,
-    XY,
-    YX,
-    YY,
     AnalyzerSetting,
     Channel,
-    JonesMatrix,
-    MeasurementResult,
-    PolAxis,
-    ProbTable,
-    TwoPhotonState,
-    analyzer_basis,
     apply_element,
-    as_setting,
-    correlation_E,
     hwp_jones,
     joint_probabilities,
     make_anticorrelated_pair,
-    marginal,
     measure_channel,
-    product_state,
-    reduce_mod_pi,
-    states_equal_up_to_phase,
 )
-from .rng import TrialStream, derive_seed, draw_u64, draw_uniform, splitmix, uniform_array
+from .rng import derive_seed
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ATOL",
     "CANONICAL_CHSH_ANGLES",
     "CHUNK",
     "MODEL_NAMES",
-    "SPEED_OF_LIGHT",
-    "XX",
-    "XY",
-    "YX",
-    "YY",
     "AnalyzerSetting",
-    "BenchEvent",
     "Channel",
-    "ChshAngles",
-    "ChshReport",
-    "EnsembleStats",
-    "EventTimeline",
-    "HiddenState",
-    "JonesMatrix",
-    "LocalTrialState",
-    "MeasurementResult",
     "OpticalBench",
-    "OrderInvarianceReport",
-    "PolAxis",
-    "ProbTable",
-    "TimedEvent",
-    "TrialRecord",
-    "TrialStream",
-    "TwoPhotonState",
+    "__version__",
     "analytic_E",
     "analytic_chsh",
-    "analytic_joint_table",
-    "analyzer_basis",
     "apply_element",
-    "as_setting",
     "build_timeline",
-    "chsh_S",
     "chsh_experiment",
-    "correlation_E",
     "derive_seed",
-    "detect_b_before_plate",
-    "draw_u64",
-    "draw_uniform",
-    "fold_distance",
     "hwp_jones",
     "joint_probabilities",
-    "lhv_outcome",
-    "lhv_pair",
-    "lhv_sample",
-    "lhv_sign_correlator",
     "make_anticorrelated_pair",
-    "marginal",
     "measure_channel",
-    "naive_measure",
-    "naive_plate_action",
     "order_invariance_report",
-    "product_state",
-    "reduce_mod_pi",
     "run_ensemble",
-    "run_trial",
-    "simulate_outcomes",
-    "splitmix",
-    "states_equal_up_to_phase",
-    "uniform_array",
-    "write_trials_csv",
 ]

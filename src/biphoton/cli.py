@@ -150,7 +150,7 @@ def _bench_lines(bench: OpticalBench) -> list:
         f"  plate_present   {'true' if cfg['plate_present'] else 'false'}",
         f"  plate_angle_deg {cfg['plate_angle_deg']:.6f}",
     ]
-    order = "  ->  ".join(f"{ev.event.name} @ {ev.time:.6e} s" for ev in build_timeline(bench).events)
+    order = "  ->  ".join(f"{ev.event.name} @ {ev.time:.6e} s" for ev in build_timeline(bench))
     lines.append(f"timeline: {order}")
     return lines
 

@@ -19,6 +19,7 @@ shared angle at emission).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import IntEnum
@@ -30,7 +31,6 @@ from .local import (
     ChshAngles,
     ChshReport,
     HiddenState,
-    LocalTrialState,
     chsh_S,
     lhv_outcome,
     lhv_pair,
@@ -174,46 +174,25 @@ def _config_number(key: str, value) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class EventTimeline:
-    """Bench events sorted by arrival time, ties broken by event precedence."""
-
-    events: tuple[TimedEvent, ...]
-
-    def order(self) -> tuple[BenchEvent, ...]:
-        return tuple(ev.event for ev in self.events)
-
-    def time_of(self, event: BenchEvent) -> float:
-        for ev in self.events:
-            if ev.event is event:
-                return ev.time
-        raise ValueError(f"{event.name} is not on this bench")
-
-    def detections(self) -> tuple[BenchEvent, ...]:
-        """The two detection events in the order they fire."""
-        return tuple(e for e in self.order() if e is not BenchEvent.PLATE_A)
-
-
-def build_timeline(bench: OpticalBench) -> EventTimeline:
-    """Event list of one trial, each at time distance / c."""
+def build_timeline(bench: OpticalBench) -> tuple[TimedEvent, ...]:
+    """Events of one trial at time distance / c, sorted by time, ties by event precedence."""
     events = [
         TimedEvent(bench.d_prism_b / SPEED_OF_LIGHT, BenchEvent.DETECT_B),
         TimedEvent(bench.d_prism_a / SPEED_OF_LIGHT, BenchEvent.DETECT_A),
     ]
     if bench.plate_present:
         events.append(TimedEvent(bench.d_plate_a / SPEED_OF_LIGHT, BenchEvent.PLATE_A))
-    return EventTimeline(tuple(sorted(events)))
+    return tuple(sorted(events))
 
 
 def detect_b_before_plate(bench: OpticalBench) -> bool:
     """Whether channel B's detection fires before the plate acts.
 
-    False when the plate is absent: there is nothing to beat.
+    False when the plate is absent: there is nothing to beat.  The plate
+    never acts after A's detection and wins ties, so B beats it exactly
+    when B's detection is the first event.
     """
-    if not bench.plate_present:
-        return False
-    order = build_timeline(bench).order()
-    return order.index(BenchEvent.DETECT_B) < order.index(BenchEvent.PLATE_A)
+    return bench.plate_present and build_timeline(bench)[0].event is BenchEvent.DETECT_B
 
 
 @dataclass(frozen=True)
@@ -304,7 +283,7 @@ def _check_model(model: str) -> str:
 def _qm_walk(bench, timeline, draw: Callable[[], float]):
     state = make_anticorrelated_pair()
     outcomes = {}
-    for _, event in timeline.events:
+    for _, event in timeline:
         if event is BenchEvent.PLATE_A:
             state = apply_element(state, Channel.A, hwp_jones(bench.plate_angle))
             continue
@@ -317,43 +296,46 @@ def _qm_walk(bench, timeline, draw: Callable[[], float]):
 
 
 def _naive_walk(bench, timeline, draw: Callable[[], float]):
-    trial = LocalTrialState(HiddenState.unpolarized(), HiddenState.unpolarized())
+    photon_a = photon_b = HiddenState.unpolarized()
     outcomes = {}
-    for _, event in timeline.events:
+    for _, event in timeline:
         if event is BenchEvent.PLATE_A:
-            trial.photon_a = naive_plate_action(trial.photon_a)
-            trial.mark_plate_passed()
+            photon_a = naive_plate_action(photon_a)
             continue
         channel = Channel.A if event is BenchEvent.DETECT_A else Channel.B
         setting = bench.alpha if channel is Channel.A else bench.beta
-        photon = trial.photon_a if channel is Channel.A else trial.photon_b
+        photon = photon_a if channel is Channel.A else photon_b
         # a definite photon answers deterministically: no randomness consumed
         u = draw() if not photon.is_definite else 0.0
         outcome, partner = naive_measure(photon, setting, u)
         outcomes[channel] = outcome
-        if channel is Channel.B:
-            trial.mark_b_measured()
         if partner is not None:
             if channel is Channel.A:
-                trial.photon_b = partner
+                photon_b = partner
             else:
-                trial.photon_a = partner
+                photon_a = partner
     return outcomes
+
+
+def _naive_branches(bench, timeline):
+    """Outcomes of the naive model's two equiprobable branches, first X then Y.
+
+    One draw decides a whole naive trial: the first detection answers X
+    iff it is below 1/2, so u = 0 and u = 0.5 walk the two branches.
+    """
+    return _naive_walk(bench, timeline, lambda: 0.0), _naive_walk(bench, timeline, lambda: 0.5)
 
 
 def _lhv_walk(bench, timeline, draw: Callable[[], float]):
     photon_a, photon_b = lhv_pair(lhv_sample(draw()))
-    trial = LocalTrialState(photon_a, photon_b)
     outcomes = {}
-    for _, event in timeline.events:
+    for _, event in timeline:
         if event is BenchEvent.PLATE_A:
-            trial.photon_a = naive_plate_action(trial.photon_a)
-            trial.mark_plate_passed()
+            photon_a = naive_plate_action(photon_a)
         elif event is BenchEvent.DETECT_A:
-            outcomes[Channel.A] = lhv_outcome(trial.photon_a.angle, bench.alpha)
+            outcomes[Channel.A] = lhv_outcome(photon_a.angle, bench.alpha)
         else:
-            outcomes[Channel.B] = lhv_outcome(trial.photon_b.angle, bench.beta)
-            trial.mark_b_measured()
+            outcomes[Channel.B] = lhv_outcome(photon_b.angle, bench.beta)
     return outcomes
 
 
@@ -392,17 +374,16 @@ def _qm_plan(bench, timeline):
     """
     plate = hwp_jones(bench.plate_angle)
     state = make_anticorrelated_pair()
-    events = list(timeline.events)
     i = 0
-    while events[i].event is BenchEvent.PLATE_A:
+    while timeline[i].event is BenchEvent.PLATE_A:
         state = apply_element(state, Channel.A, plate)
         i += 1
-    first_ch = Channel.A if events[i].event is BenchEvent.DETECT_A else Channel.B
+    first_ch = Channel.A if timeline[i].event is BenchEvent.DETECT_A else Channel.B
     second_ch = Channel.B if first_ch is Channel.A else Channel.A
     first_setting = bench.alpha if first_ch is Channel.A else bench.beta
     second_setting = bench.alpha if second_ch is Channel.A else bench.beta
     p1x = marginal(state, first_ch, first_setting)[0]
-    tail = events[i + 1 :]
+    tail = timeline[i + 1 :]
 
     def second_threshold(forcing_u: float) -> float:
         branch = measure_channel(state, first_ch, first_setting, forcing_u).collapsed
@@ -418,25 +399,31 @@ def _qm_plan(bench, timeline):
     return first_ch, p1x, p2x_given_x, p2x_given_y
 
 
-def _qm_outcomes(bench, timeline, master_seed, indices):
+def _qm_kernel(bench, timeline, master_seed):
     first_ch, p1x, p2x_given_x, p2x_given_y = _qm_plan(bench, timeline)
-    u0 = uniform_array(master_seed, indices, 0)
-    u1 = uniform_array(master_seed, indices, 1)
-    first_is_x = u0 < p1x
-    second_is_x = u1 < np.where(first_is_x, p2x_given_x, p2x_given_y)
-    if first_ch is Channel.A:
-        return first_is_x, second_is_x
-    return second_is_x, first_is_x
+
+    def outcomes(indices):
+        u0 = uniform_array(master_seed, indices, 0)
+        u1 = uniform_array(master_seed, indices, 1)
+        first_is_x = u0 < p1x
+        second_is_x = u1 < np.where(first_is_x, p2x_given_x, p2x_given_y)
+        if first_ch is Channel.A:
+            return first_is_x, second_is_x
+        return second_is_x, first_is_x
+
+    return outcomes
 
 
-def _naive_outcomes(bench, timeline, master_seed, indices):
-    # one draw decides the whole trial; enumerate both branches once
-    branch_x = _naive_walk(bench, timeline, lambda: 0.0)
-    branch_y = _naive_walk(bench, timeline, lambda: 0.5)
-    first_is_x = uniform_array(master_seed, indices, 0) < 0.5
-    a_is_x = np.where(first_is_x, branch_x[Channel.A] is PolAxis.X, branch_y[Channel.A] is PolAxis.X)
-    b_is_x = np.where(first_is_x, branch_x[Channel.B] is PolAxis.X, branch_y[Channel.B] is PolAxis.X)
-    return a_is_x, b_is_x
+def _naive_kernel(bench, timeline, master_seed):
+    branch_x, branch_y = _naive_branches(bench, timeline)
+    a_if_x, a_if_y = branch_x[Channel.A] is PolAxis.X, branch_y[Channel.A] is PolAxis.X
+    b_if_x, b_if_y = branch_x[Channel.B] is PolAxis.X, branch_y[Channel.B] is PolAxis.X
+
+    def outcomes(indices):
+        first_is_x = uniform_array(master_seed, indices, 0) < 0.5
+        return np.where(first_is_x, a_if_x, a_if_y), np.where(first_is_x, b_if_x, b_if_y)
+
+    return outcomes
 
 
 def _reduce_mod_pi_arr(x: np.ndarray) -> np.ndarray:
@@ -453,29 +440,50 @@ def _fold_is_x(delta: np.ndarray) -> np.ndarray:
     return d <= _QUARTER_PI
 
 
-def _lhv_outcomes(bench, timeline, master_seed, indices):
-    lam = uniform_array(master_seed, indices, 0) * math.pi
-    b_ang = _reduce_mod_pi_arr(lam + _HALF_PI)
-    # the plate turns A's hidden angle by pi/2, landing on B's expression
-    a_ang = b_ang if bench.plate_present else lam
-    a_is_x = _fold_is_x(bench.alpha.angle - a_ang)
-    b_is_x = _fold_is_x(bench.beta.angle - b_ang)
-    return a_is_x, b_is_x
+def _lhv_kernel(bench, timeline, master_seed):
+    def outcomes(indices):
+        lam = uniform_array(master_seed, indices, 0) * math.pi
+        b_ang = _reduce_mod_pi_arr(lam + _HALF_PI)
+        # the plate turns A's hidden angle by pi/2, landing on B's expression
+        a_ang = b_ang if bench.plate_present else lam
+        return _fold_is_x(bench.alpha.angle - a_ang), _fold_is_x(bench.beta.angle - b_ang)
+
+    return outcomes
 
 
-_VECTOR_PATHS = {"qm": _qm_outcomes, "naive": _naive_outcomes, "lhv-sign": _lhv_outcomes}
+#: per model, a builder that plans the bench once and returns the chunk
+#: kernel mapping trial indices to the outcome arrays (a_is_x, b_is_x)
+_KERNELS = {"qm": _qm_kernel, "naive": _naive_kernel, "lhv-sign": _lhv_kernel}
 
 
-def _chunk_outcomes(model, bench, timeline, master_seed, start, stop):
-    indices = np.arange(start, stop, dtype=np.uint64)
-    return _VECTOR_PATHS[model](bench, timeline, master_seed, indices)
-
-
-def _check_run_args(n_trials, workers):
+def _check_run_args(model, n_trials, workers):
+    _check_model(model)
     if isinstance(n_trials, bool) or not isinstance(n_trials, int) or n_trials < 1:
         raise ValueError(f"n_trials must be a positive integer, got {n_trials!r}")
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
+
+
+def _map_chunks(model, bench, n_trials, master_seed, workers, consume) -> list:
+    """``consume(start, a_is_x, b_is_x)`` on each CHUNK-sized run of trials.
+
+    The bench is planned once per call.  Results come back in chunk order.
+    Counter-based draws make each chunk independent of execution order, so
+    the results are the same for any thread count.  Threads are bounded by
+    the chunk count and the cores; with one, the chunks run serially.
+    """
+    kernel = _KERNELS[model](bench, build_timeline(bench), master_seed)
+
+    def task(start: int):
+        indices = np.arange(start, min(start + CHUNK, n_trials), dtype=np.uint64)
+        return consume(start, *kernel(indices))
+
+    starts = range(0, n_trials, CHUNK)
+    threads = min(workers, len(starts), os.cpu_count() or 1)
+    if threads == 1:
+        return [task(start) for start in starts]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(task, starts))
 
 
 def simulate_outcomes(
@@ -490,25 +498,15 @@ def simulate_outcomes(
     Work is split into fixed-size chunks writing disjoint slices, so the
     arrays are byte-identical for any worker count.
     """
-    _check_model(model)
-    _check_run_args(n_trials, workers)
-    timeline = build_timeline(bench)
+    _check_run_args(model, n_trials, workers)
     a_is_x = np.empty(n_trials, dtype=bool)
     b_is_x = np.empty(n_trials, dtype=bool)
 
-    def fill(start: int) -> None:
-        stop = min(start + CHUNK, n_trials)
-        a, b = _chunk_outcomes(model, bench, timeline, master_seed, start, stop)
-        a_is_x[start:stop] = a
-        b_is_x[start:stop] = b
+    def fill(start: int, a: np.ndarray, b: np.ndarray) -> None:
+        a_is_x[start : start + len(a)] = a
+        b_is_x[start : start + len(b)] = b
 
-    starts = range(0, n_trials, CHUNK)
-    if workers == 1:
-        for start in starts:
-            fill(start)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))
+    _map_chunks(model, bench, n_trials, master_seed, workers, fill)
     return a_is_x, b_is_x
 
 
@@ -524,29 +522,16 @@ def run_ensemble(
     Counter-based draws make each chunk independent of execution order, so
     multi-worker runs return exactly the serial counts.
     """
-    _check_model(model)
-    _check_run_args(n_trials, workers)
-    timeline = build_timeline(bench)
+    _check_run_args(model, n_trials, workers)
 
-    def count(start: int) -> tuple[int, int, int, int]:
-        stop = min(start + CHUNK, n_trials)
-        a, b = _chunk_outcomes(model, bench, timeline, master_seed, start, stop)
+    def count(start: int, a: np.ndarray, b: np.ndarray) -> tuple[int, int, int, int]:
         xx = int(np.count_nonzero(a & b))
         xy = int(np.count_nonzero(a & ~b))
         yx = int(np.count_nonzero(~a & b))
-        return xx, xy, yx, (stop - start) - xx - xy - yx
+        return xx, xy, yx, len(a) - xx - xy - yx
 
-    starts = range(0, n_trials, CHUNK)
-    if workers == 1:
-        parts = [count(start) for start in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(count, starts))
-    n_xx = sum(p[0] for p in parts)
-    n_xy = sum(p[1] for p in parts)
-    n_yx = sum(p[2] for p in parts)
-    n_yy = sum(p[3] for p in parts)
-    return EnsembleStats(n_xx, n_xy, n_yx, n_yy)
+    parts = _map_chunks(model, bench, n_trials, master_seed, workers, count)
+    return EnsembleStats(*(sum(cells) for cells in zip(*parts)))
 
 
 def write_trials_csv(f, bench: OpticalBench, a_is_x, b_is_x, start_index: int = 0) -> None:
@@ -566,6 +551,9 @@ def write_trials_csv(f, bench: OpticalBench, a_is_x, b_is_x, start_index: int = 
 # ---------------------------------------------------------------------------
 # analytic references
 
+#: (outcome_a, outcome_b) in ProbTable order: XX, XY, YX, YY
+_JOINT_CELLS = tuple((a, b) for a in (PolAxis.X, PolAxis.Y) for b in (PolAxis.X, PolAxis.Y))
+
 
 def analytic_joint_table(model: str, bench: OpticalBench) -> ProbTable:
     """Model-exact joint probabilities on a bench, no sampling.
@@ -575,10 +563,15 @@ def analytic_joint_table(model: str, bench: OpticalBench) -> ProbTable:
     comes from the sawtooth correlator with uniform marginals.
     """
     _check_model(model)
+    if model == "lhv-sign":
+        e = lhv_sign_correlator(bench.plate_present)(bench.alpha, bench.beta)
+        same = (1.0 + e) / 4.0
+        diff = (1.0 - e) / 4.0
+        return ProbTable([same, diff, diff, same])
     timeline = build_timeline(bench)
+    cells = dict.fromkeys(_JOINT_CELLS, 0.0)
     if model == "qm":
         first_ch, p1x, p2x_given_x, p2x_given_y = _qm_plan(bench, timeline)
-        cells = {}
         for first_out, p_first, p2x in (
             (PolAxis.X, p1x, p2x_given_x),
             (PolAxis.Y, 1.0 - p1x, p2x_given_y),
@@ -586,33 +579,10 @@ def analytic_joint_table(model: str, bench: OpticalBench) -> ProbTable:
             for second_out, p_second in ((PolAxis.X, p2x), (PolAxis.Y, 1.0 - p2x)):
                 key = (first_out, second_out) if first_ch is Channel.A else (second_out, first_out)
                 cells[key] = p_first * p_second
-        return ProbTable(
-            [
-                cells[(PolAxis.X, PolAxis.X)],
-                cells[(PolAxis.X, PolAxis.Y)],
-                cells[(PolAxis.Y, PolAxis.X)],
-                cells[(PolAxis.Y, PolAxis.Y)],
-            ]
-        )
-    if model == "naive":
-        cells = dict.fromkeys(
-            [(a, b) for a in (PolAxis.X, PolAxis.Y) for b in (PolAxis.X, PolAxis.Y)], 0.0
-        )
-        for u in (0.0, 0.5):  # the two first-outcome branches, each probability 1/2
-            out = _naive_walk(bench, timeline, lambda u=u: u)
+    else:
+        for out in _naive_branches(bench, timeline):  # each with probability 1/2
             cells[(out[Channel.A], out[Channel.B])] += 0.5
-        return ProbTable(
-            [
-                cells[(PolAxis.X, PolAxis.X)],
-                cells[(PolAxis.X, PolAxis.Y)],
-                cells[(PolAxis.Y, PolAxis.X)],
-                cells[(PolAxis.Y, PolAxis.Y)],
-            ]
-        )
-    e = lhv_sign_correlator(bench.plate_present)(bench.alpha, bench.beta)
-    same = (1.0 + e) / 4.0
-    diff = (1.0 - e) / 4.0
-    return ProbTable([same, diff, diff, same])
+    return ProbTable([cells[key] for key in _JOINT_CELLS])
 
 
 def analytic_E(model: str, bench: OpticalBench) -> float:

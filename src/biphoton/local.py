@@ -57,26 +57,6 @@ class HiddenState:
         return self.angle is not None
 
 
-@dataclass
-class LocalTrialState:
-    """Mutable in-flight record of one local-model pair.
-
-    The flags only ever turn on; within a trial an event that happened
-    cannot unhappen.
-    """
-
-    photon_a: HiddenState
-    photon_b: HiddenState
-    a_passed_plate: bool = False
-    b_measured: bool = False
-
-    def mark_plate_passed(self) -> None:
-        self.a_passed_plate = True
-
-    def mark_b_measured(self) -> None:
-        self.b_measured = True
-
-
 def fold_distance(delta: float) -> float:
     """Angular distance of ``delta`` from 0 mod pi, folded into [0, pi/2]."""
     d = reduce_mod_pi(delta)

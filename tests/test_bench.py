@@ -6,14 +6,30 @@ import math
 import pytest
 
 from biphoton.engine import (
+    MODEL_NAMES,
     SPEED_OF_LIGHT,
     BenchEvent,
     OpticalBench,
     build_timeline,
     detect_b_before_plate,
+    run_trial,
 )
 
 ORDER = {e: i for i, e in enumerate([BenchEvent.PLATE_A, BenchEvent.DETECT_B, BenchEvent.DETECT_A])}
+
+
+def order(bench):
+    return tuple(ev.event for ev in build_timeline(bench))
+
+
+def time_of(bench, event):
+    (t,) = [ev.time for ev in build_timeline(bench) if ev.event is event]
+    return t
+
+
+def trial_flags(bench):
+    """The ordering flag of a replayed trial under every model."""
+    return {run_trial(model, bench, 0, 0).b_before_plate for model in MODEL_NAMES}
 
 
 def test_speed_of_light_is_exact():
@@ -22,58 +38,67 @@ def test_speed_of_light_is_exact():
 
 def test_one_meter_flight_time():
     bench = OpticalBench(d_prism_b=1.0)
-    tl = build_timeline(bench)
-    assert tl.time_of(BenchEvent.DETECT_B) == 3.3356409519815204e-9
+    assert time_of(bench, BenchEvent.DETECT_B) == 3.3356409519815204e-9
 
 
 def test_order_plate_before_detect_b():
     bench = OpticalBench(d_plate_a=1.0, d_prism_a=3.0, d_prism_b=2.0)
-    assert build_timeline(bench).order() == (
+    assert order(bench) == (
         BenchEvent.PLATE_A,
         BenchEvent.DETECT_B,
         BenchEvent.DETECT_A,
     )
     assert not detect_b_before_plate(bench)
+    assert trial_flags(bench) == {False}
 
 
 def test_order_detect_b_before_plate():
     bench = OpticalBench(d_plate_a=2.0, d_prism_a=3.0, d_prism_b=1.0)
-    assert build_timeline(bench).order() == (
+    assert order(bench) == (
         BenchEvent.DETECT_B,
         BenchEvent.PLATE_A,
         BenchEvent.DETECT_A,
     )
     assert detect_b_before_plate(bench)
+    assert trial_flags(bench) == {True}
 
 
 def test_times_are_distance_over_c():
     bench = OpticalBench(d_plate_a=0.5, d_prism_a=1.5, d_prism_b=0.25)
-    tl = build_timeline(bench)
-    assert tl.time_of(BenchEvent.PLATE_A) == 0.5 / SPEED_OF_LIGHT
-    assert tl.time_of(BenchEvent.DETECT_A) == 1.5 / SPEED_OF_LIGHT
-    assert tl.time_of(BenchEvent.DETECT_B) == 0.25 / SPEED_OF_LIGHT
-    times = [t for t, _ in tl.events]
+    assert time_of(bench, BenchEvent.PLATE_A) == 0.5 / SPEED_OF_LIGHT
+    assert time_of(bench, BenchEvent.DETECT_A) == 1.5 / SPEED_OF_LIGHT
+    assert time_of(bench, BenchEvent.DETECT_B) == 0.25 / SPEED_OF_LIGHT
+    times = [t for t, _ in build_timeline(bench)]
     assert times == sorted(times)
 
 
 def test_tie_break_uses_fixed_event_order():
     bench = OpticalBench(d_plate_a=1.0, d_prism_a=1.0, d_prism_b=1.0)
-    order = build_timeline(bench).order()
-    assert order == (BenchEvent.PLATE_A, BenchEvent.DETECT_B, BenchEvent.DETECT_A)
-    assert [ORDER[e] for e in order] == sorted(ORDER[e] for e in order)
+    events = order(bench)
+    assert events == (BenchEvent.PLATE_A, BenchEvent.DETECT_B, BenchEvent.DETECT_A)
+    assert [ORDER[e] for e in events] == sorted(ORDER[e] for e in events)
+    # the plate wins its tie with B, so B is not before the plate
+    assert not detect_b_before_plate(bench)
+    assert trial_flags(bench) == {False}
+    # B tied with the plate alone, A's prism farther out
+    bench = OpticalBench(d_plate_a=1.0, d_prism_a=2.0, d_prism_b=1.0)
+    assert order(bench) == (BenchEvent.PLATE_A, BenchEvent.DETECT_B, BenchEvent.DETECT_A)
+    assert not detect_b_before_plate(bench)
+    assert trial_flags(bench) == {False}
 
 
 def test_no_plate_bench_has_two_events():
     bench = OpticalBench(plate_present=False)
-    order = build_timeline(bench).order()
-    assert BenchEvent.PLATE_A not in order
-    assert set(order) == {BenchEvent.DETECT_A, BenchEvent.DETECT_B}
+    events = order(bench)
+    assert BenchEvent.PLATE_A not in events
+    assert set(events) == {BenchEvent.DETECT_A, BenchEvent.DETECT_B}
     assert not detect_b_before_plate(bench)
+    assert trial_flags(bench) == {False}
 
 
 def test_zero_distances_are_allowed():
     bench = OpticalBench(d_plate_a=0.0, d_prism_a=0.0, d_prism_b=0.0)
-    assert build_timeline(bench).order() == (
+    assert order(bench) == (
         BenchEvent.PLATE_A,
         BenchEvent.DETECT_B,
         BenchEvent.DETECT_A,

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from biphoton import engine
 from biphoton.engine import (
     CHUNK,
     EnsembleStats,
@@ -109,6 +110,39 @@ def test_workers_do_not_change_results():
     a1, b1 = simulate_outcomes("qm", ROTATED, n, master_seed=31, workers=1)
     a4, b4 = simulate_outcomes("qm", ROTATED, n, master_seed=31, workers=4)
     assert np.array_equal(a1, a4) and np.array_equal(b1, b4)
+
+
+@pytest.mark.parametrize(
+    "cores, n_chunks, threads",
+    [(8, 3, 3), (2, 3, 2), (8, 1, None), (1, 3, None), (None, 3, None)],
+)
+def test_threads_bounded_by_chunks_and_cores(monkeypatch, cores, n_chunks, threads):
+    # a stand-in pool that records its size and runs every task inline, so
+    # an absurd worker count starts no real thread
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    n = n_chunks * CHUNK - 5
+    serial = run_ensemble("lhv-sign", ROTATED, n, master_seed=3)
+    a1, b1 = simulate_outcomes("lhv-sign", ROTATED, n, master_seed=3)
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: cores)
+    assert run_ensemble("lhv-sign", ROTATED, n, master_seed=3, workers=10**6) == serial
+    a, b = simulate_outcomes("lhv-sign", ROTATED, n, master_seed=3, workers=10**6)
+    assert np.array_equal(a, a1) and np.array_equal(b, b1)
+    assert sizes == ([] if threads is None else [threads, threads])
 
 
 def test_run_ensemble_argument_validation():

@@ -11,7 +11,6 @@ from biphoton.local import (
     ChshAngles,
     ChshReport,
     HiddenState,
-    LocalTrialState,
     chsh_S,
     fold_distance,
     lhv_outcome,
@@ -45,16 +44,6 @@ def test_hidden_state_canonicalizes_angle():
 def test_hidden_state_rejects_non_finite_angle():
     with pytest.raises(ValueError):
         HiddenState.definite(math.inf)
-
-
-def test_trial_state_flags_only_turn_on():
-    trial = LocalTrialState(HiddenState.unpolarized(), HiddenState.unpolarized())
-    assert not trial.a_passed_plate and not trial.b_measured
-    trial.mark_plate_passed()
-    trial.mark_b_measured()
-    assert trial.a_passed_plate and trial.b_measured
-    trial.mark_plate_passed()
-    assert trial.a_passed_plate
 
 
 def test_fold_distance_range_and_symmetry():
