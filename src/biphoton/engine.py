@@ -451,7 +451,7 @@ def _lhv_kernel(bench, timeline, master_seed):
     return outcomes
 
 
-#: per model, a builder that plans the bench once and returns the chunk
+#: per model, a function that plans the bench once and returns the chunk
 #: kernel mapping trial indices to the outcome arrays (a_is_x, b_is_x)
 _KERNELS = {"qm": _qm_kernel, "naive": _naive_kernel, "lhv-sign": _lhv_kernel}
 
