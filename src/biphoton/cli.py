@@ -7,8 +7,8 @@ digits so every value round-trips exactly.  All randomness hangs off
 --seed (or ENTANGLE_BENCH_SEED when the flag is absent), making each
 invocation reproducible byte for byte, for any worker count.
 
-Exit codes: 0 success, 2 unusable arguments or configuration, 3 unknown
-model name.
+Exit codes: 0 success, 2 unusable arguments or configuration (an
+unwritable --out file included), 3 unknown model name.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 from .engine import (
     MODEL_NAMES,
@@ -72,19 +71,6 @@ def _json_render(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _json_doc(value) -> str:
-    return _json_render(value) + "\n"
-
-
-def _emit(text: str, out_path) -> int:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -97,10 +83,9 @@ def _resolve_seed(args) -> int:
         raise ValueError(f"{_SEED_ENV} must be an integer, got {env!r}") from None
 
 
-def _positive(value: int, flag: str) -> int:
+def _positive(value: int, flag: str) -> None:
     if value < 1:
         raise ValueError(f"{flag} must be at least 1, got {value}")
-    return value
 
 
 def _load_config(path: str) -> dict:
@@ -116,40 +101,22 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _resolve_bench(args, with_prism_b: bool = True) -> OpticalBench:
-    """Bench from --config (if any) with explicit flags layered on top."""
+def _bench_config(args) -> dict:
+    """Config of --config (if any) with the bench flags given layered on top.
+
+    The file must hold a valid bench by itself, before any flag applies.
+    """
     cfg = _load_config(args.config) if args.config else {}
-    bench = OpticalBench.from_config(cfg)
-    over = {}
-    if args.d_plate_a is not None:
-        over["d_plate_a"] = args.d_plate_a
-    if args.d_prism_a is not None:
-        over["d_prism_a"] = args.d_prism_a
-    if with_prism_b and args.d_prism_b is not None:
-        over["d_prism_b"] = args.d_prism_b
-    if args.alpha is not None:
-        over["alpha"] = AnalyzerSetting.from_degrees(args.alpha)
-    if args.beta is not None:
-        over["beta"] = AnalyzerSetting.from_degrees(args.beta)
-    if args.plate is not None:
-        over["plate_present"] = args.plate
-    if args.plate_angle is not None:
-        over["plate_angle"] = math.radians(args.plate_angle)
-    return replace(bench, **over) if over else bench
+    OpticalBench.from_config(cfg)
+    given = {key: getattr(args, key, None) for key in OpticalBench.CONFIG_KEYS}
+    return {**cfg, **{key: value for key, value in given.items() if value is not None}}
 
 
 def _bench_lines(bench: OpticalBench) -> list:
-    cfg = bench.to_config_dict()
-    lines = [
-        "bench:",
-        f"  d_plate_a_m     {cfg['d_plate_a_m']:.6f}",
-        f"  d_prism_a_m     {cfg['d_prism_a_m']:.6f}",
-        f"  d_prism_b_m     {cfg['d_prism_b_m']:.6f}",
-        f"  alpha_deg       {cfg['alpha_deg']:.6f}",
-        f"  beta_deg        {cfg['beta_deg']:.6f}",
-        f"  plate_present   {'true' if cfg['plate_present'] else 'false'}",
-        f"  plate_angle_deg {cfg['plate_angle_deg']:.6f}",
-    ]
+    lines = ["bench:"]
+    for key, value in bench.to_config_dict().items():
+        text = ("true" if value else "false") if isinstance(value, bool) else f"{value:.6f}"
+        lines.append(f"  {key:<15} {text}")
     order = "  ->  ".join(f"{ev.event.name} @ {ev.time:.6e} s" for ev in build_timeline(bench))
     lines.append(f"timeline: {order}")
     return lines
@@ -159,34 +126,31 @@ def _bench_lines(bench: OpticalBench) -> list:
 # subcommands
 
 
-def _cmd_pair(args) -> int:
-    seed = _resolve_seed(args)
-    trials = _positive(args.trials, "--trials")
-    workers = _positive(args.workers, "--workers")
-    bench = _resolve_bench(args)
+def _cmd_pair(args) -> str:
+    bench = OpticalBench.from_config(_bench_config(args))
     if args.format == "csv":
-        a_is_x, b_is_x = simulate_outcomes(args.model, bench, trials, seed, workers)
+        a_is_x, b_is_x = simulate_outcomes(args.model, bench, args.trials, args.seed, args.workers)
         buf = io.StringIO()
         write_trials_csv(buf, bench, a_is_x, b_is_x)
-        return _emit(buf.getvalue(), args.out)
-    stats = run_ensemble(args.model, bench, trials, seed, workers)
+        return buf.getvalue()
+    stats = run_ensemble(args.model, bench, args.trials, args.seed, args.workers)
     table = [float(p) for p in analytic_joint_table(args.model, bench).p]
     e_exact = analytic_E(args.model, bench)
     if args.format == "json":
         doc = {
             "command": "pair",
             "model": args.model,
-            "trials": trials,
-            "seed": seed,
+            "trials": args.trials,
+            "seed": args.seed,
             "bench": bench.to_config_dict(),
             "stats": stats.to_json_dict(),
             "analytic_table": table,
             "analytic_e": e_exact,
         }
-        return _emit(_json_doc(doc), args.out)
+        return _json_render(doc) + "\n"
     freq = stats.frequencies
     ma, mb = stats.marginal_a(), stats.marginal_b()
-    lines = [f"model {args.model}", f"trials {trials}", f"seed {seed}"]
+    lines = [f"model {args.model}", f"trials {args.trials}", f"seed {args.seed}"]
     lines += _bench_lines(bench)
     lines.append("joint outcomes, count  frequency (exact):")
     for label, count, f, t in zip(("XX", "XY", "YX", "YY"), stats.counts, freq, table):
@@ -195,26 +159,25 @@ def _cmd_pair(args) -> int:
     lines.append(f"E_exact {e_exact:+.6f}")
     lines.append(f"marginal A (x, y): {ma[0]:.6f} {ma[1]:.6f}")
     lines.append(f"marginal B (x, y): {mb[0]:.6f} {mb[1]:.6f}")
-    return _emit("\n".join(lines) + "\n", args.out)
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_order_test(args) -> int:
-    seed = _resolve_seed(args)
-    trials = _positive(args.trials, "--trials")
-    workers = _positive(args.workers, "--workers")
-    base = _resolve_bench(args, with_prism_b=False)
-    bench_early = replace(base, d_prism_b=args.d_prism_b_early)
-    bench_late = replace(base, d_prism_b=args.d_prism_b_late)
-    report = order_invariance_report(args.model, bench_early, bench_late, trials, seed, workers)
+def _cmd_order_test(args) -> str:
+    cfg = _bench_config(args)
+    bench_early = OpticalBench.from_config({**cfg, "d_prism_b_m": args.d_prism_b_early})
+    bench_late = OpticalBench.from_config({**cfg, "d_prism_b_m": args.d_prism_b_late})
+    report = order_invariance_report(
+        args.model, bench_early, bench_late, args.trials, args.seed, args.workers
+    )
     if args.format == "json":
         doc = {
             "command": "order-test",
-            "seed": seed,
+            "seed": args.seed,
             "bench_early": bench_early.to_config_dict(),
             "bench_late": bench_late.to_config_dict(),
             "report": report.to_json_dict(),
         }
-        return _emit(_json_doc(doc), args.out)
+        return _json_render(doc) + "\n"
     if args.format == "csv":
         rows = ["bench,n_xx,n_xy,n_yx,n_yy,e_hat,stderr_e"]
         for name, stats in (("early", report.early), ("late", report.late)):
@@ -222,13 +185,13 @@ def _cmd_order_test(args) -> int:
                 f"{name},{stats.n_xx},{stats.n_xy},{stats.n_yx},{stats.n_yy},"
                 f"{_fmt17(stats.e_hat)},{_fmt17(stats.stderr_e)}"
             )
-        return _emit("\n".join(rows) + "\n", args.out)
-    lines = [f"model {args.model}", f"trials {trials} per bench", f"seed {seed}"]
+        return "\n".join(rows) + "\n"
+    lines = [f"model {args.model}", f"trials {args.trials} per bench", f"seed {args.seed}"]
     lines.append(
-        f"early bench: d_prism_b_m {bench_early.d_prism_b:.6f}  (B detected before the plate acts)"
+        f"early bench: d_prism_b_m {args.d_prism_b_early:.6f}  (B detected before the plate acts)"
     )
     lines.append(
-        f"late bench:  d_prism_b_m {bench_late.d_prism_b:.6f}  (B detected after the plate acts)"
+        f"late bench:  d_prism_b_m {args.d_prism_b_late:.6f}  (B detected after the plate acts)"
     )
     lines += _bench_lines(bench_early)
     lines.append("cell  f_early   f_late    exact_e   exact_l   delta_f     4*stderr")
@@ -249,7 +212,7 @@ def _cmd_order_test(args) -> int:
     lines.append(f"E late  {report.late.e_hat:+.6f} +- {report.late.stderr_e:.6f}")
     lines.append(f"delta E {report.delta_e:+.6f} +- {report.delta_e_stderr:.6f}")
     lines.append(f"verdict: {report.verdict}")
-    return _emit("\n".join(lines) + "\n", args.out)
+    return "\n".join(lines) + "\n"
 
 
 def _parse_chsh_angles(text: str) -> ChshAngles:
@@ -263,16 +226,13 @@ def _parse_chsh_angles(text: str) -> ChshAngles:
     return ChshAngles(*(AnalyzerSetting.from_degrees(v) for v in values))
 
 
-def _cmd_chsh(args) -> int:
-    seed = _resolve_seed(args)
-    trials = _positive(args.trials, "--trials")
-    workers = _positive(args.workers, "--workers")
+def _cmd_chsh(args) -> str:
     angles = _parse_chsh_angles(args.angles)
-    plate_present = True if args.plate is None else args.plate
-    report = chsh_experiment(args.model, angles, trials, seed, plate_present, workers)
+    plate_present = args.plate_present
+    report = chsh_experiment(args.model, angles, args.trials, args.seed, plate_present, args.workers)
     exact = analytic_chsh(args.model, angles, plate_present)
     if args.format == "json":
-        return _emit(_json_doc(report.to_json_dict()), args.out)
+        return _json_render(report.to_json_dict()) + "\n"
     if args.format == "csv":
         rows = ["term,value,stderr"]
         rows.append(f"e_ab,{_fmt17(report.e_ab)},{_fmt17(report.se_ab)}")
@@ -280,11 +240,11 @@ def _cmd_chsh(args) -> int:
         rows.append(f"e_apb,{_fmt17(report.e_apb)},{_fmt17(report.se_apb)}")
         rows.append(f"e_apbp,{_fmt17(report.e_apbp)},{_fmt17(report.se_apbp)}")
         rows.append(f"s,{_fmt17(report.s)},{_fmt17(report.stderr_total)}")
-        return _emit("\n".join(rows) + "\n", args.out)
+        return "\n".join(rows) + "\n"
     lines = [
         f"model {args.model}",
-        f"trials {trials} per setting pair",
-        f"seed {seed}",
+        f"trials {args.trials} per setting pair",
+        f"seed {args.seed}",
         f"plate {'present' if plate_present else 'absent'}",
         "angles_deg: a {:.6f}  a' {:.6f}  b {:.6f}  b' {:.6f}".format(
             math.degrees(angles.a.angle),
@@ -305,56 +265,59 @@ def _cmd_chsh(args) -> int:
     lines.append(f"S {report.s:.6f} +- {report.stderr_total:.6f}   exact {exact.s:.6f}")
     flag = "VIOLATED" if report.violates_classical_bound(3.0) else "NOT VIOLATED"
     lines.append(f"classical bound 2: {flag} (violated iff S - 3*stderr > 2)")
-    return _emit("\n".join(lines) + "\n", args.out)
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_sweep(args) -> int:
-    seed = _resolve_seed(args)
-    trials = _positive(args.trials, "--trials")
-    workers = _positive(args.workers, "--workers")
+def _cmd_sweep(args) -> str:
+    for flag, value in (("--start", args.start), ("--stop", args.stop), ("--step", args.step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite degrees, got {value}")
     if args.step <= 0.0:
         raise ValueError(f"--step must be positive degrees, got {args.step}")
-    n_rows = math.floor((args.stop - args.start) / args.step + 1e-9) + 1
+    span = (args.stop - args.start) / args.step + 1e-9
+    if not math.isfinite(span):
+        raise ValueError("sweep range has too many rows: (--stop - --start) / --step overflows")
+    n_rows = math.floor(span) + 1
     if n_rows < 1:
         raise ValueError("sweep range is empty: --stop lies before --start")
-    bench = _resolve_bench(args)
+    cfg = _bench_config(args)
+    bench = OpticalBench.from_config(cfg)
     rows = []
     for i in range(n_rows):
         angle_deg = args.start + i * args.step
-        setting = AnalyzerSetting.from_degrees(angle_deg)
-        row_bench = replace(bench, alpha=setting) if args.axis == "alpha" else replace(bench, beta=setting)
+        row_bench = OpticalBench.from_config({**cfg, f"{args.axis}_deg": angle_deg})
         e_exact = analytic_E(args.model, row_bench)
-        stats = run_ensemble(args.model, row_bench, trials, derive_seed(seed, i), workers)
+        stats = run_ensemble(args.model, row_bench, args.trials, derive_seed(args.seed, i), args.workers)
         rows.append((angle_deg, e_exact, stats.e_hat, stats.stderr_e))
     if args.format == "json":
         doc = {
             "command": "sweep",
             "model": args.model,
             "axis": args.axis,
-            "trials": trials,
-            "seed": seed,
+            "trials": args.trials,
+            "seed": args.seed,
             "bench": bench.to_config_dict(),
             "rows": [
                 {"angle_deg": a, "E_analytic": ex, "E_hat": eh, "stderr": se}
                 for a, ex, eh, se in rows
             ],
         }
-        return _emit(_json_doc(doc), args.out)
+        return _json_render(doc) + "\n"
     if args.format == "csv":
         out = ["angle_deg,E_analytic,E_hat,stderr"]
         for a, ex, eh, se in rows:
             out.append(f"{_fmt17(a)},{_fmt17(ex)},{_fmt17(eh)},{_fmt17(se)}")
-        return _emit("\n".join(out) + "\n", args.out)
+        return "\n".join(out) + "\n"
     lines = [
         f"model {args.model}",
-        f"axis {args.axis} swept, {trials} trials per row",
-        f"seed {seed}",
+        f"axis {args.axis} swept, {args.trials} trials per row",
+        f"seed {args.seed}",
     ]
     lines += _bench_lines(bench)
     lines.append("angle_deg    E_analytic   E_hat        stderr")
     for a, ex, eh, se in rows:
         lines.append(f"{a:>9.6f}    {ex:+.6f}    {eh:+.6f}    {se:.6f}")
-    return _emit("\n".join(lines) + "\n", args.out)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -378,34 +341,42 @@ def _add_run_flags(p: argparse.ArgumentParser, trials_help: str) -> None:
     )
     p.add_argument("--format", choices=("text", "json", "csv"), default="text", help="output format")
     p.add_argument("--out", default=None, help="write the output to this file instead of stdout")
+
+
+def _add_plate_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--plate",
+        dest="plate_present",
+        action=argparse.BooleanOptionalAction,
+        default=None,
+        help="half-wave plate present on channel A (default: present)",
+    )
+
+
+def _add_bench_flags(p: argparse.ArgumentParser, with_prism_b: bool = True) -> None:
+    """Bench flags, each stored under its config key so it layers over --config."""
     p.add_argument(
         "--config",
         default=None,
         help="JSON bench config file (keys *_m in meters, *_deg in degrees); explicit flags override it",
     )
-
-
-def _add_bench_flags(p: argparse.ArgumentParser, with_prism_b: bool = True) -> None:
-    p.add_argument("--alpha", type=float, default=None, help="channel A analyzer angle in degrees")
-    p.add_argument("--beta", type=float, default=None, help="channel B analyzer angle in degrees")
+    p.add_argument("--alpha", dest="alpha_deg", type=float, help="channel A analyzer angle in degrees")
+    p.add_argument("--beta", dest="beta_deg", type=float, help="channel B analyzer angle in degrees")
+    _add_plate_flag(p)
     p.add_argument(
-        "--plate",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="half-wave plate present on channel A (default: present)",
-    )
-    p.add_argument("--plate-angle", type=float, default=None, help="plate fast-axis angle in degrees")
-    p.add_argument(
-        "--d-plate-a", type=float, default=None, help="source-to-plate distance on channel A in meters"
+        "--plate-angle", dest="plate_angle_deg", type=float, help="plate fast-axis angle in degrees"
     )
     p.add_argument(
-        "--d-prism-a", type=float, default=None, help="source-to-prism distance on channel A in meters"
+        "--d-plate-a", dest="d_plate_a_m", type=float, help="source-to-plate distance on channel A in meters"
+    )
+    p.add_argument(
+        "--d-prism-a", dest="d_prism_a_m", type=float, help="source-to-prism distance on channel A in meters"
     )
     if with_prism_b:
         p.add_argument(
             "--d-prism-b",
+            dest="d_prism_b_m",
             type=float,
-            default=None,
             help="source-to-prism distance on channel B in meters",
         )
 
@@ -447,13 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="0,45,22.5,67.5",
         help="four analyzer angles in degrees: a,a',b,b'",
     )
-    p.add_argument(
-        "--plate",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="half-wave plate present on channel A (default: present)",
-    )
-    p.set_defaults(func=_cmd_chsh)
+    _add_plate_flag(p)
+    p.set_defaults(func=_cmd_chsh, plate_present=True)
 
     p = sub.add_parser("sweep", help="sweep one analyzer and tabulate the correlator")
     _add_run_flags(p, "number of emitted pairs per sweep row")
@@ -476,10 +442,23 @@ def main(argv=None) -> int:
         )
         return 3
     try:
-        return args.func(args)
+        args.seed = _resolve_seed(args)
+        _positive(args.trials, "--trials")
+        _positive(args.workers, "--workers")
+        text = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

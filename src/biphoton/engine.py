@@ -114,15 +114,16 @@ class OpticalBench:
         if self.plate_present and self.d_plate_a > self.d_prism_a:
             raise ValueError("plate must sit between source and prism: d_plate_a <= d_prism_a")
 
-    _CONFIG_KEYS = (
-        "d_plate_a_m",
-        "d_prism_a_m",
-        "d_prism_b_m",
-        "alpha_deg",
-        "beta_deg",
-        "plate_present",
-        "plate_angle_deg",
-    )
+    #: config key -> (field, conversion from the config units), in layout order
+    CONFIG_KEYS = {
+        "d_plate_a_m": ("d_plate_a", float),
+        "d_prism_a_m": ("d_prism_a", float),
+        "d_prism_b_m": ("d_prism_b", float),
+        "alpha_deg": ("alpha", AnalyzerSetting.from_degrees),
+        "beta_deg": ("beta", AnalyzerSetting.from_degrees),
+        "plate_present": ("plate_present", bool),
+        "plate_angle_deg": ("plate_angle", math.radians),
+    }
 
     @classmethod
     def from_config(cls, config: dict) -> "OpticalBench":
@@ -131,28 +132,13 @@ class OpticalBench:
         Missing keys fall back to the defaults; unknown keys are rejected
         rather than silently ignored.
         """
-        unknown = set(config) - set(cls._CONFIG_KEYS)
+        unknown = set(config) - set(cls.CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown bench config keys: {sorted(unknown)}")
         kwargs = {}
-        for key, field_name in (
-            ("d_plate_a_m", "d_plate_a"),
-            ("d_prism_a_m", "d_prism_a"),
-            ("d_prism_b_m", "d_prism_b"),
-        ):
+        for key, (field_name, to_si) in cls.CONFIG_KEYS.items():
             if key in config:
-                kwargs[field_name] = _config_number(key, config[key])
-        if "alpha_deg" in config:
-            kwargs["alpha"] = AnalyzerSetting.from_degrees(_config_number("alpha_deg", config["alpha_deg"]))
-        if "beta_deg" in config:
-            kwargs["beta"] = AnalyzerSetting.from_degrees(_config_number("beta_deg", config["beta_deg"]))
-        if "plate_present" in config:
-            flag = config["plate_present"]
-            if not isinstance(flag, bool):
-                raise ValueError(f"plate_present must be true or false, got {flag!r}")
-            kwargs["plate_present"] = flag
-        if "plate_angle_deg" in config:
-            kwargs["plate_angle"] = math.radians(_config_number("plate_angle_deg", config["plate_angle_deg"]))
+                kwargs[field_name] = to_si(_config_value(key, config[key], to_si is bool))
         return cls(**kwargs)
 
     def to_config_dict(self) -> dict:
@@ -168,7 +154,11 @@ class OpticalBench:
         }
 
 
-def _config_number(key: str, value) -> float:
+def _config_value(key: str, value, is_flag: bool):
+    if is_flag:
+        if not isinstance(value, bool):
+            raise ValueError(f"{key} must be true or false, got {value!r}")
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"bench config key {key} must be a number, got {value!r}")
     return float(value)
@@ -534,7 +524,7 @@ def run_ensemble(
     return EnsembleStats(*(sum(cells) for cells in zip(*parts)))
 
 
-def write_trials_csv(f, bench: OpticalBench, a_is_x, b_is_x, start_index: int = 0) -> None:
+def write_trials_csv(f, bench: OpticalBench, a_is_x, b_is_x) -> None:
     """Write per-trial outcomes in the interchange layout.
 
     Header trial,outcome_a,outcome_b,b_before_plate; outcomes are X or Y
@@ -545,7 +535,7 @@ def write_trials_csv(f, bench: OpticalBench, a_is_x, b_is_x, start_index: int = 
     for i in range(len(a_is_x)):
         a = "X" if a_is_x[i] else "Y"
         b = "X" if b_is_x[i] else "Y"
-        f.write(f"{start_index + i},{a},{b},{flag}\n")
+        f.write(f"{i},{a},{b},{flag}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -591,14 +581,9 @@ def analytic_E(model: str, bench: OpticalBench) -> float:
     return float(p[XX] + p[YY] - p[XY] - p[YX])
 
 
-def analytic_chsh(
-    model: str,
-    angles: ChshAngles,
-    plate_present: bool = True,
-    bench: OpticalBench | None = None,
-) -> ChshReport:
+def analytic_chsh(model: str, angles: ChshAngles, plate_present: bool = True) -> ChshReport:
     """CHSH report from the model's exact correlator (zero standard errors)."""
-    base = bench if bench is not None else OpticalBench(plate_present=plate_present)
+    base = OpticalBench(plate_present=plate_present)
 
     def correlator(alpha, beta) -> float:
         return analytic_E(model, replace(base, alpha=alpha, beta=beta))

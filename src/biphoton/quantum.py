@@ -23,7 +23,6 @@ Conventions:
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 
@@ -111,21 +110,6 @@ class TwoPhotonState:
     def overlap(self, other: "TwoPhotonState") -> complex:
         """Inner product <self|other>."""
         return complex(np.vdot(self._amps, other._amps))
-
-    def to_json(self) -> str:
-        """Serialize as {"amps": [[re, im], ...]} with 17 significant digits."""
-        pairs = ", ".join(
-            f"[{z.real:.17g}, {z.imag:.17g}]" for z in self._amps
-        )
-        return f'{{"amps": [{pairs}]}}'
-
-    @classmethod
-    def from_json(cls, text: str) -> "TwoPhotonState":
-        data = json.loads(text)
-        pairs = data["amps"]
-        if len(pairs) != 4:
-            raise ValueError("state JSON must carry exactly 4 amplitude pairs")
-        return cls([complex(re, im) for re, im in pairs])
 
     def __repr__(self):
         return f"TwoPhotonState({self._amps.tolist()!r})"

@@ -43,6 +43,14 @@ def test_bad_sweep_step_exits_2(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "sweep", "--trials", "10", "--step", "-5")
     assert code == 2
+    for flag in ("--start", "--stop", "--step"):
+        for value in ("inf", "nan"):
+            code, out, err = run_cli(capsys, "sweep", "--trials", "10", flag, value)
+            assert code == 2 and out == ""
+            assert err == f"error: {flag} must be finite degrees, got {value}\n"
+    code, out, err = run_cli(capsys, "sweep", "--trials", "10", "--step", "1e-310")
+    assert code == 2 and out == ""  # finite flags, but 180 / 1e-310 rows overflows
+    assert err.startswith("error: sweep range has too many rows")
 
 
 def test_empty_sweep_range_exits_2(capsys):
@@ -82,6 +90,22 @@ def test_malformed_config_exits_2(capsys, tmp_path):
     unknown.write_text('{"weird_key": 1}', encoding="utf-8")
     code, _, _ = run_cli(capsys, "pair", "--trials", "10", "--config", str(unknown))
     assert code == 2
+
+
+def test_chsh_has_no_config_flag(capsys, tmp_path):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text('{"plate_present": false}', encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["chsh", "--trials", "10", "--config", str(cfg)])
+    assert exc.value.code == 2
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    path = tmp_path / "no-such-dir" / "report.txt"
+    code, out, err = run_cli(capsys, "chsh", "--trials", "10", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert not path.parent.exists()
 
 
 def test_bad_env_seed_exits_2(capsys, monkeypatch):

@@ -281,13 +281,13 @@ def test_lhv_analytic_table_is_timeline_independent():
 def test_write_trials_csv_layout():
     a, b = simulate_outcomes("naive", EARLY, 4, master_seed=3)
     buf = io.StringIO()
-    write_trials_csv(buf, EARLY, a, b, start_index=10)
+    write_trials_csv(buf, EARLY, a, b)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "trial,outcome_a,outcome_b,b_before_plate"
     assert len(lines) == 5
     for offset, line in enumerate(lines[1:]):
         idx, oa, ob, flag = line.split(",")
-        assert int(idx) == 10 + offset
+        assert int(idx) == offset
         assert oa in ("X", "Y") and ob in ("X", "Y")
         assert flag == "true"  # EARLY detects B first
         assert (oa == "X") == bool(a[offset]) and (ob == "X") == bool(b[offset])

@@ -1,6 +1,5 @@
 """Pair state, wave-plate action, projective collapse, closed-form correlators."""
 
-import json
 import math
 
 import numpy as np
@@ -91,16 +90,6 @@ def test_state_amps_are_read_only():
     state = make_anticorrelated_pair()
     with pytest.raises(ValueError):
         state.amps[0] = 1.0
-
-
-def test_json_round_trip_is_bit_exact():
-    state = apply_element(make_anticorrelated_pair(), Channel.A, hwp_jones(0.123))
-    text = state.to_json()
-    doc = json.loads(text)
-    assert set(doc) == {"amps"}
-    assert len(doc["amps"]) == 4 and all(len(pair) == 2 for pair in doc["amps"])
-    back = TwoPhotonState.from_json(text)
-    assert np.array_equal(back.amps, state.amps)
 
 
 # ---------------------------------------------------------------- elements
