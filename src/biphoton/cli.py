@@ -38,6 +38,8 @@ from .quantum import AnalyzerSetting
 from .rng import derive_seed
 
 _DEFAULT_TRIALS = 100_000
+#: most rows one sweep may plan; each row runs an ensemble
+_MAX_SWEEP_ROWS = 100_000
 _SEED_ENV = "ENTANGLE_BENCH_SEED"
 
 
@@ -274,12 +276,12 @@ def _cmd_sweep(args) -> str:
             raise ValueError(f"{flag} must be finite degrees, got {value}")
     if args.step <= 0.0:
         raise ValueError(f"--step must be positive degrees, got {args.step}")
-    span = (args.stop - args.start) / args.step + 1e-9
-    if not math.isfinite(span):
-        raise ValueError("sweep range has too many rows: (--stop - --start) / --step overflows")
-    n_rows = math.floor(span) + 1
-    if n_rows < 1:
+    span = (args.stop - args.start) / args.step + 1e-9  # floor(span) + 1 rows
+    if span < 0.0:
         raise ValueError("sweep range is empty: --stop lies before --start")
+    if not span < _MAX_SWEEP_ROWS:  # an overflowing span included
+        raise ValueError(f"sweep range has too many rows: more than {_MAX_SWEEP_ROWS}")
+    n_rows = math.floor(span) + 1
     cfg = _bench_config(args)
     bench = OpticalBench.from_config(cfg)
     rows = []

@@ -8,12 +8,14 @@ are broken by a fixed event precedence (plate, then B, then A).
 
 Every trial is driven by counter-based uniform draws keyed on
 (master_seed, trial_index, draw_counter), so a run is reproducible from
-its seed alone, any single trial can be replayed in isolation, and the
-vectorized ensemble path produces bit for bit the outcomes of the scalar
-per-trial walk.  Draw discipline per trial: the quantum model consumes
-two draws (first and second detection in time order), the naive model one
-(its first, unpolarized detection), the hidden-angle model one (the
-shared angle at emission).
+its seed alone and any single trial can be replayed in isolation.  Each
+model compiles a bench once into a chunk kernel built from the per-event
+rules in ``quantum`` and ``local``; the ensembles apply it to chunks of
+trial indices and ``run_trial`` to a single index, so a replayed trial is
+its ensemble's trial by construction.  Draw discipline per trial: the
+quantum model consumes two draws (first and second detection in time
+order), the naive model one (its first, unpolarized detection), the
+hidden-angle model one (the shared angle at emission).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import IntEnum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +34,6 @@ from .local import (
     ChshReport,
     HiddenState,
     chsh_S,
-    lhv_outcome,
-    lhv_pair,
     lhv_sample,
     lhv_sign_correlator,
     naive_measure,
@@ -55,7 +55,7 @@ from .quantum import (
     marginal,
     measure_channel,
 )
-from .rng import TrialStream, derive_seed, uniform_array
+from .rng import derive_seed, uniform_array
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by definition
 
@@ -267,25 +267,16 @@ def _check_model(model: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# scalar trial walks
+# per-bench plans: each model compiles a bench into one chunk kernel
 
 
-def _qm_walk(bench, timeline, draw: Callable[[], float]):
-    state = make_anticorrelated_pair()
-    outcomes = {}
-    for _, event in timeline:
-        if event is BenchEvent.PLATE_A:
-            state = apply_element(state, Channel.A, hwp_jones(bench.plate_angle))
-            continue
-        channel = Channel.A if event is BenchEvent.DETECT_A else Channel.B
-        setting = bench.alpha if channel is Channel.A else bench.beta
-        result = measure_channel(state, channel, setting, draw())
-        outcomes[channel] = result.outcome
-        state = result.collapsed
-    return outcomes
+def _naive_walk(bench, timeline, u: float):
+    """Outcomes of one naive trial whose single draw is ``u``.
 
-
-def _naive_walk(bench, timeline, draw: Callable[[], float]):
+    The first detection always meets an unpolarized photon (the plate
+    passes those unchanged), so it is the only one that reads ``u``; the
+    second meets the definite partner and answers by the sign rule.
+    """
     photon_a = photon_b = HiddenState.unpolarized()
     outcomes = {}
     for _, event in timeline:
@@ -295,8 +286,6 @@ def _naive_walk(bench, timeline, draw: Callable[[], float]):
         channel = Channel.A if event is BenchEvent.DETECT_A else Channel.B
         setting = bench.alpha if channel is Channel.A else bench.beta
         photon = photon_a if channel is Channel.A else photon_b
-        # a definite photon answers deterministically: no randomness consumed
-        u = draw() if not photon.is_definite else 0.0
         outcome, partner = naive_measure(photon, setting, u)
         outcomes[channel] = outcome
         if partner is not None:
@@ -313,54 +302,15 @@ def _naive_branches(bench, timeline):
     One draw decides a whole naive trial: the first detection answers X
     iff it is below 1/2, so u = 0 and u = 0.5 walk the two branches.
     """
-    return _naive_walk(bench, timeline, lambda: 0.0), _naive_walk(bench, timeline, lambda: 0.5)
-
-
-def _lhv_walk(bench, timeline, draw: Callable[[], float]):
-    photon_a, photon_b = lhv_pair(lhv_sample(draw()))
-    outcomes = {}
-    for _, event in timeline:
-        if event is BenchEvent.PLATE_A:
-            photon_a = naive_plate_action(photon_a)
-        elif event is BenchEvent.DETECT_A:
-            outcomes[Channel.A] = lhv_outcome(photon_a.angle, bench.alpha)
-        else:
-            outcomes[Channel.B] = lhv_outcome(photon_b.angle, bench.beta)
-    return outcomes
-
-
-_WALKS = {"qm": _qm_walk, "naive": _naive_walk, "lhv-sign": _lhv_walk}
-
-
-def run_trial(model: str, bench: OpticalBench, master_seed: int, trial_index: int) -> TrialRecord:
-    """Simulate one pair emission under ``model``, walking the bench timeline.
-
-    Draw k of trial i is the counter-based uniform at (master_seed, i, k),
-    so any single trial can be replayed without rerunning its ensemble.
-    """
-    _check_model(model)
-    timeline = build_timeline(bench)
-    stream = TrialStream(master_seed, trial_index)
-    outcomes = _WALKS[model](bench, timeline, stream.uniform)
-    return TrialRecord(
-        trial_index,
-        model,
-        outcomes[Channel.A],
-        outcomes[Channel.B],
-        detect_b_before_plate(bench),
-    )
-
-
-# ---------------------------------------------------------------------------
-# vectorized trial batches, bit-identical to the scalar walks
+    return _naive_walk(bench, timeline, 0.0), _naive_walk(bench, timeline, 0.5)
 
 
 def _qm_plan(bench, timeline):
     """Branch-walk thresholds that drive the vectorized quantum path.
 
     Returns the first-detected channel, P(first = X), and P(second = X)
-    conditioned on each first outcome.  Uses the same collapse code as the
-    scalar walk, so the thresholds agree bit for bit.
+    conditioned on each first outcome, from quantum's per-event rules
+    (``apply_element``, ``marginal``, ``measure_channel``).
     """
     plate = hwp_jones(bench.plate_angle)
     state = make_anticorrelated_pair()
@@ -417,9 +367,10 @@ def _naive_kernel(bench, timeline, master_seed):
 
 
 def _reduce_mod_pi_arr(x: np.ndarray) -> np.ndarray:
-    # elementwise twin of quantum.reduce_mod_pi: same operations, same order
-    r = np.fmod(x, math.pi)
-    r = np.where(r < 0.0, r + math.pi, r)
+    # elementwise twin of quantum.reduce_mod_pi for x in (-pi, 3pi/2], where
+    # fmod(x, pi) is x itself or the exact x - pi (Sterbenz), so skipping it
+    # gives the same bits, -0.0 included
+    r = np.where(x < 0.0, x + math.pi, x)
     return np.where(r >= math.pi, r - math.pi, r)
 
 
@@ -432,7 +383,7 @@ def _fold_is_x(delta: np.ndarray) -> np.ndarray:
 
 def _lhv_kernel(bench, timeline, master_seed):
     def outcomes(indices):
-        lam = uniform_array(master_seed, indices, 0) * math.pi
+        lam = lhv_sample(uniform_array(master_seed, indices, 0))
         b_ang = _reduce_mod_pi_arr(lam + _HALF_PI)
         # the plate turns A's hidden angle by pi/2, landing on B's expression
         a_ang = b_ang if bench.plate_present else lam
@@ -442,8 +393,27 @@ def _lhv_kernel(bench, timeline, master_seed):
 
 
 #: per model, a function that plans the bench once and returns the chunk
-#: kernel mapping trial indices to the outcome arrays (a_is_x, b_is_x)
+#: kernel mapping trial indices to the outcome arrays (a_is_x, b_is_x); the
+#: ensembles apply it to CHUNK-sized runs of indices, run_trial to one index
 _KERNELS = {"qm": _qm_kernel, "naive": _naive_kernel, "lhv-sign": _lhv_kernel}
+
+
+def run_trial(model: str, bench: OpticalBench, master_seed: int, trial_index: int) -> TrialRecord:
+    """Simulate one pair emission under ``model``: its ensemble's kernel on one index.
+
+    Draw k of trial i is the counter-based uniform at (master_seed, i, k),
+    so any single trial can be replayed without rerunning its ensemble.
+    """
+    _check_model(model)
+    kernel = _KERNELS[model](bench, build_timeline(bench), master_seed)
+    a_is_x, b_is_x = kernel(np.array([trial_index % 2**64], dtype=np.uint64))
+    return TrialRecord(
+        trial_index,
+        model,
+        PolAxis.X if a_is_x[0] else PolAxis.Y,
+        PolAxis.X if b_is_x[0] else PolAxis.Y,
+        detect_b_before_plate(bench),
+    )
 
 
 def _check_run_args(model, n_trials, workers):

@@ -87,19 +87,3 @@ def uniform_array(master_seed: int, trial_indices: np.ndarray, draw_counter: int
 def derive_seed(master_seed: int, stream: int) -> int:
     """Independent child seed for sub-experiment ``stream`` of a run."""
     return splitmix(splitmix((master_seed & _MASK) ^ _STREAM_SALT) ^ (stream & _MASK))
-
-
-class TrialStream:
-    """Sequential view of one trial's draws: draw k is draw_uniform(seed, trial, k)."""
-
-    __slots__ = ("_h1", "counter")
-
-    def __init__(self, master_seed: int, trial_index: int):
-        h0 = splitmix(master_seed & _MASK)
-        self._h1 = splitmix(h0 ^ (trial_index & _MASK))
-        self.counter = 0
-
-    def uniform(self) -> float:
-        h = splitmix(self._h1 ^ (self.counter & _MASK))
-        self.counter += 1
-        return (h >> 11) * _TO_UNIT

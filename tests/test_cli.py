@@ -48,9 +48,14 @@ def test_bad_sweep_step_exits_2(capsys):
             code, out, err = run_cli(capsys, "sweep", "--trials", "10", flag, value)
             assert code == 2 and out == ""
             assert err == f"error: {flag} must be finite degrees, got {value}\n"
-    code, out, err = run_cli(capsys, "sweep", "--trials", "10", "--step", "1e-310")
-    assert code == 2 and out == ""  # finite flags, but 180 / 1e-310 rows overflows
-    assert err.startswith("error: sweep range has too many rows")
+    for argv in (
+        ("--trials", "10", "--step", "1e-310"),  # 180 / 1e-310 rows overflows
+        ("--trials", "1", "--step", "1e-9"),
+        ("--trials", "1", "--stop", "1e300", "--step", "1"),
+    ):
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: sweep range has too many rows")
 
 
 def test_empty_sweep_range_exits_2(capsys):

@@ -1,4 +1,4 @@
-"""Trial walks, vectorized ensembles, order-invariance and CHSH experiments."""
+"""Trial replay, vectorized ensembles, order-invariance and CHSH experiments."""
 
 import io
 import math
@@ -10,11 +10,13 @@ import pytest
 from biphoton import engine
 from biphoton.engine import (
     CHUNK,
+    BenchEvent,
     EnsembleStats,
     OpticalBench,
     analytic_E,
     analytic_chsh,
     analytic_joint_table,
+    build_timeline,
     chsh_experiment,
     detect_b_before_plate,
     order_invariance_report,
@@ -23,8 +25,24 @@ from biphoton.engine import (
     simulate_outcomes,
     write_trials_csv,
 )
-from biphoton.local import CANONICAL_CHSH_ANGLES, ChshAngles
-from biphoton.quantum import PolAxis
+from biphoton.local import (
+    CANONICAL_CHSH_ANGLES,
+    ChshAngles,
+    lhv_outcome,
+    lhv_pair,
+    lhv_sample,
+    naive_plate_action,
+)
+from biphoton.quantum import (
+    Channel,
+    PolAxis,
+    apply_element,
+    hwp_jones,
+    make_anticorrelated_pair,
+    marginal,
+    measure_channel,
+)
+from biphoton.rng import draw_uniform
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
@@ -37,6 +55,74 @@ ALL_TIED = OpticalBench(d_plate_a=1.0, d_prism_a=1.0, d_prism_b=1.0)
 
 BENCHES = [LATE, EARLY, NO_PLATE, ROTATED, A_FIRST, ALL_TIED]
 MODELS = ["qm", "naive", "lhv-sign"]
+
+
+def _random_benches(n, seed):
+    # distances from a short list so events tie, angles on multiples of pi/8
+    # so lhv-sign's fold distance and the quantum marginals hit breakpoints
+    rng = np.random.default_rng(seed)
+    benches = []
+    for _ in range(n):
+        d_plate, d_prism_a, d_prism_b = (float(d) for d in rng.choice([0.0, 0.25, 0.5, 1.0, 1.5], 3))
+        alpha, beta, plate_angle = (int(k) * math.pi / 8 for k in rng.integers(-8, 16, 3))
+        benches.append(OpticalBench(
+            d_plate_a=min(d_plate, d_prism_a),
+            d_prism_a=d_prism_a,
+            d_prism_b=d_prism_b,
+            alpha=alpha,
+            beta=beta,
+            plate_present=bool(rng.integers(2)),
+            plate_angle=plate_angle,
+        ))
+    return benches
+
+
+REPLAY_BENCHES = BENCHES + _random_benches(40, seed=2026)
+
+
+def reference_trial(model, bench, draw):
+    """Outcomes (a, b) of one trial whose k-th uniform is ``draw(k)``.
+
+    Walks the bench timeline event by event through the per-event rules of
+    ``quantum`` and ``local``: the reference the chunk kernels must match.
+    """
+    timeline = build_timeline(bench)
+    if model == "naive":
+        out = engine._naive_walk(bench, timeline, draw(0))
+        return out[Channel.A], out[Channel.B]
+    out = {}
+    if model == "qm":
+        state = make_anticorrelated_pair()
+        for _, event in timeline:
+            if event is BenchEvent.PLATE_A:
+                state = apply_element(state, Channel.A, hwp_jones(bench.plate_angle))
+                continue
+            channel = Channel.A if event is BenchEvent.DETECT_A else Channel.B
+            setting = bench.alpha if channel is Channel.A else bench.beta
+            u = draw(len(out))
+            if out:
+                # the last detection needs no collapse, only measure_channel's
+                # outcome rule; collapsing onto a branch whose p_x is a rounding
+                # residue (1e-34) would raise
+                out[channel] = PolAxis.X if u < marginal(state, channel, setting)[0] else PolAxis.Y
+            else:
+                result = measure_channel(state, channel, setting, u)
+                out[channel] = result.outcome
+                state = result.collapsed
+    else:
+        photon_a, photon_b = lhv_pair(lhv_sample(draw(0)))
+        for _, event in timeline:
+            if event is BenchEvent.PLATE_A:
+                photon_a = naive_plate_action(photon_a)
+            elif event is BenchEvent.DETECT_A:
+                out[Channel.A] = lhv_outcome(photon_a.angle, bench.alpha)
+            else:
+                out[Channel.B] = lhv_outcome(photon_b.angle, bench.beta)
+    return out[Channel.A], out[Channel.B]
+
+
+def _axes(a_is_x, b_is_x):
+    return (PolAxis.X if a_is_x else PolAxis.Y, PolAxis.X if b_is_x else PolAxis.Y)
 
 
 # ---------------------------------------------------------------- single trials
@@ -70,15 +156,46 @@ def test_naive_outcomes_track_measurement_order():
         assert late.outcome_a is not late.outcome_b  # plate did nothing, partner stayed crossed
 
 
-def test_scalar_and_vector_paths_agree_everywhere():
-    n = 300
-    for bench in BENCHES:
+def test_kernels_and_run_trial_match_per_trial_reference():
+    n = 100
+    replayed = [0, 1, n - 1, CHUNK - 1, CHUNK, 2**64 - 1, -1]
+    for bench in REPLAY_BENCHES:
         for model in MODELS:
             a_vec, b_vec = simulate_outcomes(model, bench, n, master_seed=123)
             for i in range(n):
+                want = reference_trial(model, bench, lambda k: draw_uniform(123, i, k))
+                assert _axes(a_vec[i], b_vec[i]) == want, (model, bench, i)
+            for i in replayed:
+                want = reference_trial(model, bench, lambda k: draw_uniform(123, i, k))
                 rec = run_trial(model, bench, master_seed=123, trial_index=i)
-                assert (rec.outcome_a is PolAxis.X) == bool(a_vec[i]), (model, bench, i)
-                assert (rec.outcome_b is PolAxis.X) == bool(b_vec[i]), (model, bench, i)
+                assert (rec.outcome_a, rec.outcome_b) == want, (model, bench, i)
+                assert rec.trial_index == i
+
+
+#: draws on and beside the breakpoints of benches with settings on multiples
+#: of pi/8: lhv-sign ties its fold distance to pi/4 at multiples of 1/8
+CRAFTED_DRAWS = [0.0, 2**-53, 1 / 8, 1 / 4 - 2**-53, 1 / 4, 1 / 4 + 2**-53, 1 / 2, 3 / 4, 1 - 2**-53]
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_kernels_match_reference_on_crafted_draws(monkeypatch, model):
+    # trial i draws CRAFTED_DRAWS[i // m] first and CRAFTED_DRAWS[i % m]
+    # second, so every pair of crafted draws is one trial
+    m = len(CRAFTED_DRAWS)
+    table = np.array(CRAFTED_DRAWS)
+
+    def crafted(master_seed, indices, counter):
+        return table[indices // m if counter == 0 else indices % m]
+
+    monkeypatch.setattr(engine, "uniform_array", crafted)
+    for geometry in (LATE, EARLY, NO_PLATE):
+        for k_alpha in range(8):
+            for k_beta in range(8):
+                bench = replace(geometry, alpha=k_alpha * math.pi / 8, beta=k_beta * math.pi / 8)
+                a_vec, b_vec = simulate_outcomes(model, bench, m * m, master_seed=0)
+                for i in range(m * m):
+                    want = reference_trial(model, bench, lambda k: CRAFTED_DRAWS[(i // m, i % m)[k]])
+                    assert _axes(a_vec[i], b_vec[i]) == want, (model, bench, i)
 
 
 # ---------------------------------------------------------------- ensembles

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from biphoton.rng import (
-    TrialStream,
     derive_seed,
     draw_u64,
     draw_uniform,
@@ -86,16 +85,3 @@ def test_derive_seed_deterministic_and_distinct():
     assert len(streams) == 32
     assert derive_seed(5, 0) != derive_seed(6, 0)
 
-
-def test_trial_stream_matches_draw_uniform():
-    stream = TrialStream(777, 12)
-    got = [stream.uniform() for _ in range(6)]
-    want = [draw_uniform(777, 12, c) for c in range(6)]
-    assert got == want
-
-
-def test_trial_streams_are_independent_objects():
-    s1 = TrialStream(777, 12)
-    s2 = TrialStream(777, 12)
-    s1.uniform()
-    assert s2.uniform() == draw_uniform(777, 12, 0)
