@@ -8,7 +8,8 @@ chunk split is exercised, and the ``--workers 2`` variants must match the
 serial files.  Per-trial CSV dumps are stored as sha256 and byte length.
 The ``*-config-*`` cases read their bench from ``golden/bench.json``, some
 with bench flags layered on top, and ``--out`` must write to its file the
-same bytes that the case prints.
+same bytes that the case prints.  Each seeded demo under ``demos/`` is run
+in-process and its stdout compared with ``golden/demo-<name>.out``.
 
 A change that alters an output on purpose re-records the files with
 ``python tests/test_golden.py`` and says so.
@@ -17,6 +18,7 @@ A change that alters an output on purpose re-records the files with
 import contextlib
 import hashlib
 import io
+import runpy
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,7 @@ from biphoton.cli import main
 from biphoton.engine import CHUNK, MODEL_NAMES
 
 GOLDEN = Path(__file__).with_name("golden")
+DEMOS = sorted(Path(__file__).parent.parent.joinpath("demos").glob("*.py"))
 BENCH = str(GOLDEN / "bench.json")
 TRIALS = str(CHUNK + 4_465)  # two chunks, the second one partial
 
@@ -102,6 +105,17 @@ def _fingerprint(name: str, out: bytes) -> bytes:
     return out
 
 
+def _demo_stdout(path: Path) -> bytes:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        runpy.run_path(str(path), run_name="__main__")
+    return buf.getvalue().encode("utf-8")
+
+
+def _demo_golden_path(path: Path) -> Path:
+    return GOLDEN / f"demo-{path.stem}.out"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name):
     assert _fingerprint(name, _stdout(CASES[name])) == _golden_path(name).read_bytes()
@@ -120,7 +134,14 @@ def test_out_file_matches_golden(name, tmp_path):
     assert _fingerprint(name, path.read_bytes()) == _golden_path(name).read_bytes()
 
 
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_matches_golden(demo):
+    assert _demo_stdout(demo) == _demo_golden_path(demo).read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case, argv in CASES.items():
         _golden_path(case).write_bytes(_fingerprint(case, _stdout(argv)))
+    for demo in DEMOS:
+        _demo_golden_path(demo).write_bytes(_demo_stdout(demo))
