@@ -13,9 +13,10 @@ model compiles a bench once into a chunk kernel built from the per-event
 rules in ``quantum`` and ``local``; the ensembles apply it to chunks of
 trial indices and ``run_trial`` to a single index, so a replayed trial is
 its ensemble's trial by construction.  Draw discipline per trial: the
-quantum model consumes two draws (first and second detection in time
-order), the naive model one (its first, unpolarized detection), the
-hidden-angle model one (the shared angle at emission).
+hidden-angle model reads one draw (the shared angle at emission); the
+quantum and naive models read draw 0 for the first detection in time
+order and draw 1 for the second only if the first leaves it uncertain,
+which for the naive model it never does.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import IntEnum
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -114,15 +116,16 @@ class OpticalBench:
         if self.plate_present and self.d_plate_a > self.d_prism_a:
             raise ValueError("plate must sit between source and prism: d_plate_a <= d_prism_a")
 
-    #: config key -> (field, conversion from the config units), in layout order
+    #: config key -> (field, conversion from the config units, conversion
+    #: back to them), in layout order
     CONFIG_KEYS = {
-        "d_plate_a_m": ("d_plate_a", float),
-        "d_prism_a_m": ("d_prism_a", float),
-        "d_prism_b_m": ("d_prism_b", float),
-        "alpha_deg": ("alpha", AnalyzerSetting.from_degrees),
-        "beta_deg": ("beta", AnalyzerSetting.from_degrees),
-        "plate_present": ("plate_present", bool),
-        "plate_angle_deg": ("plate_angle", math.radians),
+        "d_plate_a_m": ("d_plate_a", float, float),
+        "d_prism_a_m": ("d_prism_a", float, float),
+        "d_prism_b_m": ("d_prism_b", float, float),
+        "alpha_deg": ("alpha", AnalyzerSetting.from_degrees, lambda s: math.degrees(s.angle)),
+        "beta_deg": ("beta", AnalyzerSetting.from_degrees, lambda s: math.degrees(s.angle)),
+        "plate_present": ("plate_present", bool, bool),
+        "plate_angle_deg": ("plate_angle", math.radians, math.degrees),
     }
 
     @classmethod
@@ -136,22 +139,14 @@ class OpticalBench:
         if unknown:
             raise ValueError(f"unknown bench config keys: {sorted(unknown)}")
         kwargs = {}
-        for key, (field_name, to_si) in cls.CONFIG_KEYS.items():
+        for key, (field_name, to_si, _) in cls.CONFIG_KEYS.items():
             if key in config:
                 kwargs[field_name] = to_si(_config_value(key, config[key], to_si is bool))
         return cls(**kwargs)
 
     def to_config_dict(self) -> dict:
         """The bench as a JSON-ready config dict (lengths _m, angles _deg)."""
-        return {
-            "d_plate_a_m": self.d_plate_a,
-            "d_prism_a_m": self.d_prism_a,
-            "d_prism_b_m": self.d_prism_b,
-            "alpha_deg": math.degrees(self.alpha.angle),
-            "beta_deg": math.degrees(self.beta.angle),
-            "plate_present": self.plate_present,
-            "plate_angle_deg": math.degrees(self.plate_angle),
-        }
+        return {key: from_si(getattr(self, name)) for key, (name, _, from_si) in self.CONFIG_KEYS.items()}
 
 
 def _config_value(key: str, value, is_flag: bool):
@@ -271,7 +266,7 @@ def _check_model(model: str) -> str:
 
 
 def _naive_walk(bench, timeline, u: float):
-    """Outcomes of one naive trial whose single draw is ``u``.
+    """Outcomes of one naive trial whose single draw is ``u``, in detection order.
 
     The first detection always meets an unpolarized photon (the plate
     passes those unchanged), so it is the only one that reads ``u``; the
@@ -296,21 +291,22 @@ def _naive_walk(bench, timeline, u: float):
     return outcomes
 
 
-def _naive_branches(bench, timeline):
-    """Outcomes of the naive model's two equiprobable branches, first X then Y.
+def _naive_plan(bench, timeline):
+    """Branch plan of the naive model: a fair first detection, a certain second.
 
-    One draw decides a whole naive trial: the first detection answers X
-    iff it is below 1/2, so u = 0 and u = 0.5 walk the two branches.
+    The first detection answers X iff its draw is below 1/2, so the walks
+    at u = 0 and u = 0.5 are the two branches.
     """
-    return _naive_walk(bench, timeline, 0.0), _naive_walk(bench, timeline, 0.5)
+    branches = [_naive_walk(bench, timeline, u) for u in (0.0, 0.5)]
+    first_ch, second_ch = branches[0]  # the walk records detections in time order
+    return (first_ch, 0.5, *(float(branch[second_ch] is PolAxis.X) for branch in branches))
 
 
 def _qm_plan(bench, timeline):
-    """Branch-walk thresholds that drive the vectorized quantum path.
+    """Branch plan of the quantum model from quantum's per-event rules.
 
-    Returns the first-detected channel, P(first = X), and P(second = X)
-    conditioned on each first outcome, from quantum's per-event rules
-    (``apply_element``, ``marginal``, ``measure_channel``).
+    P(first = X) is 1/2 up to rounding on every bench (a maximally entangled
+    pair, a plate on channel A alone), so both branches are live.
     """
     plate = hwp_jones(bench.plate_angle)
     state = make_anticorrelated_pair()
@@ -332,36 +328,30 @@ def _qm_plan(bench, timeline):
                 branch = apply_element(branch, Channel.A, plate)
         return marginal(branch, second_ch, second_setting)[0]
 
-    # u = 0 forces the X branch, u = p1x the Y branch; a dead branch keeps a
-    # dummy threshold that no trial ever selects
-    p2x_given_x = second_threshold(0.0) if p1x > 0.0 else 0.5
-    p2x_given_y = second_threshold(p1x) if p1x < 1.0 else 0.5
-    return first_ch, p1x, p2x_given_x, p2x_given_y
+    # u = 0 forces the X branch, u = p1x the Y branch
+    return first_ch, p1x, second_threshold(0.0), second_threshold(p1x)
 
 
-def _qm_kernel(bench, timeline, master_seed):
-    first_ch, p1x, p2x_given_x, p2x_given_y = _qm_plan(bench, timeline)
-
-    def outcomes(indices):
-        u0 = uniform_array(master_seed, indices, 0)
-        u1 = uniform_array(master_seed, indices, 1)
-        first_is_x = u0 < p1x
-        second_is_x = u1 < np.where(first_is_x, p2x_given_x, p2x_given_y)
-        if first_ch is Channel.A:
-            return first_is_x, second_is_x
-        return second_is_x, first_is_x
-
-    return outcomes
+#: per two-detection model, the compiler of a bench into its branch plan (first-detected
+#: channel, P(first = X), P(second = X | first = X), P(second = X | first = Y))
+_BRANCH_PLANS = {"qm": _qm_plan, "naive": _naive_plan}
 
 
-def _naive_kernel(bench, timeline, master_seed):
-    branch_x, branch_y = _naive_branches(bench, timeline)
-    a_if_x, a_if_y = branch_x[Channel.A] is PolAxis.X, branch_y[Channel.A] is PolAxis.X
-    b_if_x, b_if_y = branch_x[Channel.B] is PolAxis.X, branch_y[Channel.B] is PolAxis.X
+def _branch_kernel(compile_plan, bench, timeline, master_seed):
+    """Chunk kernel sampling the branch plan that ``compile_plan`` makes of the bench.
+
+    Draw 0 decides the first detection, draw 1 the second, read only if the
+    plan leaves it uncertain: for u in [0, 1), u < p2x is p2x == 1.0 when
+    p2x is 0 or 1.
+    """
+    first_ch, p1x, p2x_given_x, p2x_given_y = compile_plan(bench, timeline)
+    certain = {p2x_given_x, p2x_given_y} <= {0.0, 1.0}
 
     def outcomes(indices):
-        first_is_x = uniform_array(master_seed, indices, 0) < 0.5
-        return np.where(first_is_x, a_if_x, a_if_y), np.where(first_is_x, b_if_x, b_if_y)
+        first_is_x = uniform_array(master_seed, indices, 0) < p1x
+        p2x = np.where(first_is_x, p2x_given_x, p2x_given_y)
+        second_is_x = p2x == 1.0 if certain else uniform_array(master_seed, indices, 1) < p2x
+        return (first_is_x, second_is_x) if first_ch is Channel.A else (second_is_x, first_is_x)
 
     return outcomes
 
@@ -395,7 +385,8 @@ def _lhv_kernel(bench, timeline, master_seed):
 #: per model, a function that plans the bench once and returns the chunk
 #: kernel mapping trial indices to the outcome arrays (a_is_x, b_is_x); the
 #: ensembles apply it to CHUNK-sized runs of indices, run_trial to one index
-_KERNELS = {"qm": _qm_kernel, "naive": _naive_kernel, "lhv-sign": _lhv_kernel}
+_KERNELS = {model: partial(_branch_kernel, plan) for model, plan in _BRANCH_PLANS.items()}
+_KERNELS["lhv-sign"] = _lhv_kernel
 
 
 def run_trial(model: str, bench: OpticalBench, master_seed: int, trial_index: int) -> TrialRecord:
@@ -511,16 +502,12 @@ def write_trials_csv(f, bench: OpticalBench, a_is_x, b_is_x) -> None:
 # ---------------------------------------------------------------------------
 # analytic references
 
-#: (outcome_a, outcome_b) in ProbTable order: XX, XY, YX, YY
-_JOINT_CELLS = tuple((a, b) for a in (PolAxis.X, PolAxis.Y) for b in (PolAxis.X, PolAxis.Y))
-
-
 def analytic_joint_table(model: str, bench: OpticalBench) -> ProbTable:
     """Model-exact joint probabilities on a bench, no sampling.
 
-    The quantum table multiplies the branch-walk conditionals; the naive
-    table enumerates its two equiprobable branches; the hidden-angle table
-    comes from the sawtooth correlator with uniform marginals.
+    The quantum and naive tables multiply out their branch plans,
+    P(first) * P(second | first), ordered channel A first; the hidden-angle
+    table comes from the sawtooth correlator with uniform marginals.
     """
     _check_model(model)
     if model == "lhv-sign":
@@ -528,21 +515,12 @@ def analytic_joint_table(model: str, bench: OpticalBench) -> ProbTable:
         same = (1.0 + e) / 4.0
         diff = (1.0 - e) / 4.0
         return ProbTable([same, diff, diff, same])
-    timeline = build_timeline(bench)
-    cells = dict.fromkeys(_JOINT_CELLS, 0.0)
-    if model == "qm":
-        first_ch, p1x, p2x_given_x, p2x_given_y = _qm_plan(bench, timeline)
-        for first_out, p_first, p2x in (
-            (PolAxis.X, p1x, p2x_given_x),
-            (PolAxis.Y, 1.0 - p1x, p2x_given_y),
-        ):
-            for second_out, p_second in ((PolAxis.X, p2x), (PolAxis.Y, 1.0 - p2x)):
-                key = (first_out, second_out) if first_ch is Channel.A else (second_out, first_out)
-                cells[key] = p_first * p_second
-    else:
-        for out in _naive_branches(bench, timeline):  # each with probability 1/2
-            cells[(out[Channel.A], out[Channel.B])] += 0.5
-    return ProbTable([cells[key] for key in _JOINT_CELLS])
+    first_ch, p1x, p2x_given_x, p2x_given_y = _BRANCH_PLANS[model](bench, build_timeline(bench))
+    # joint[f, s]: first outcome f, second outcome s, X before Y
+    joint = np.array([[p1x], [1.0 - p1x]]) * np.array(
+        [[p2x_given_x, 1.0 - p2x_given_x], [p2x_given_y, 1.0 - p2x_given_y]]
+    )
+    return ProbTable(joint if first_ch is Channel.A else joint.T)
 
 
 def analytic_E(model: str, bench: OpticalBench) -> float:

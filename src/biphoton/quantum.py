@@ -249,14 +249,20 @@ def marginal(
     """(p_x, p_y) for one channel, summing the joint table over the other.
 
     The other channel's setting is immaterial (no-signaling; verified by
-    test), so the sum is taken at an arbitrary fixed setting of 0.
+    test), so the sum is taken at an arbitrary fixed setting of 0.  A
+    probability below ``ATOL`` is a rounding residue: the pair is then
+    exactly (1, 0) or (0, 1).
     """
     other = AnalyzerSetting(0.0)
     if channel is Channel.A:
         p = joint_probabilities(state, setting, other).p
-        return float(p[XX] + p[XY]), float(p[YX] + p[YY])
-    p = joint_probabilities(state, other, setting).p
-    return float(p[XX] + p[YX]), float(p[XY] + p[YY])
+        p_x, p_y = float(p[XX] + p[XY]), float(p[YX] + p[YY])
+    else:
+        p = joint_probabilities(state, other, setting).p
+        p_x, p_y = float(p[XX] + p[YX]), float(p[XY] + p[YY])
+    if min(p_x, p_y) < ATOL:
+        return (1.0, 0.0) if p_x > p_y else (0.0, 1.0)
+    return p_x, p_y
 
 
 def measure_channel(
@@ -286,7 +292,9 @@ def measure_channel(
     else:
         proj = np.outer(psi @ v.conj(), v)
     nrm = np.linalg.norm(proj)
-    if nrm == 0.0:  # unreachable: a zero-probability branch is never selected
+    # unreachable: marginal returns a rounding residue as an exact 0, which
+    # no u in [0, 1) selects (u < 0.0 is false, u < 1.0 true)
+    if nrm == 0.0:
         raise ValueError("degenerate projection: selected branch has zero probability")
     return MeasurementResult(outcome, TwoPhotonState(proj.reshape(4) / nrm), prob)
 

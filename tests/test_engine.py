@@ -99,16 +99,9 @@ def reference_trial(model, bench, draw):
                 continue
             channel = Channel.A if event is BenchEvent.DETECT_A else Channel.B
             setting = bench.alpha if channel is Channel.A else bench.beta
-            u = draw(len(out))
-            if out:
-                # the last detection needs no collapse, only measure_channel's
-                # outcome rule; collapsing onto a branch whose p_x is a rounding
-                # residue (1e-34) would raise
-                out[channel] = PolAxis.X if u < marginal(state, channel, setting)[0] else PolAxis.Y
-            else:
-                result = measure_channel(state, channel, setting, u)
-                out[channel] = result.outcome
-                state = result.collapsed
+            result = measure_channel(state, channel, setting, draw(len(out)))
+            out[channel] = result.outcome
+            state = result.collapsed
     else:
         photon_a, photon_b = lhv_pair(lhv_sample(draw(0)))
         for _, event in timeline:
@@ -196,6 +189,47 @@ def test_kernels_match_reference_on_crafted_draws(monkeypatch, model):
                 for i in range(m * m):
                     want = reference_trial(model, bench, lambda k: CRAFTED_DRAWS[(i // m, i % m)[k]])
                     assert _axes(a_vec[i], b_vec[i]) == want, (model, bench, i)
+
+
+def test_certain_second_detection_has_no_rounding_residue(monkeypatch):
+    # B is detected first; alpha - beta = pi/2 makes A certain once B is known
+    bench = OpticalBench(alpha=5 * math.pi / 8, beta=math.pi / 8)
+    assert engine._qm_plan(bench, build_timeline(bench)) == (Channel.B, 0.5, 0.0, 1.0)
+    assert analytic_joint_table("qm", bench).p.tolist() == [0.0, 0.5, 0.5, 0.0]
+    collapsed = measure_channel(
+        apply_element(make_anticorrelated_pair(), Channel.A, hwp_jones(bench.plate_angle)),
+        Channel.B,
+        bench.beta,
+        0.5,
+    ).collapsed
+    assert marginal(collapsed, Channel.A, bench.alpha) == (1.0, 0.0)
+    assert measure_channel(collapsed, Channel.A, bench.alpha, 1 - 2**-53).outcome is PolAxis.X
+    draws = {0: 0.5, 1: 1 - 2**-53}
+    monkeypatch.setattr(engine, "uniform_array", lambda seed, indices, k: np.full(len(indices), draws[k]))
+    rec = run_trial("qm", bench, master_seed=0, trial_index=0)
+    assert (rec.outcome_a, rec.outcome_b) == (PolAxis.X, PolAxis.Y)
+
+
+@pytest.mark.parametrize(
+    "model, bench, counters",
+    [
+        ("qm", OpticalBench(alpha=0.3, beta=1.1), {0, 1}),
+        ("qm", LATE, {0}),  # aligned: the first detection fixes the second
+        *((model, bench, {0}) for model in ("naive", "lhv-sign") for bench in BENCHES),
+    ],
+)
+def test_draw_discipline(monkeypatch, model, bench, counters):
+    uniform_array = engine.uniform_array
+    read = set()
+
+    def recording(master_seed, indices, counter):
+        read.add(counter)
+        return uniform_array(master_seed, indices, counter)
+
+    monkeypatch.setattr(engine, "uniform_array", recording)
+    simulate_outcomes(model, bench, 100, master_seed=3)
+    run_trial(model, bench, master_seed=3, trial_index=7)
+    assert read == counters
 
 
 # ---------------------------------------------------------------- ensembles
