@@ -8,13 +8,13 @@ digits so every value round-trips exactly.  All randomness hangs off
 invocation reproducible byte for byte, for any worker count.
 
 Exit codes: 0 success, 2 unusable arguments or configuration (an
-unwritable --out file included), 3 unknown model name.
+unwritable --out file and a run too large to allocate included), 3
+unknown model name.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -128,13 +128,16 @@ def _bench_lines(bench: OpticalBench) -> list:
 # subcommands
 
 
-def _cmd_pair(args) -> str:
+def _cmd_pair(args):
+    """The report text, or for the csv dump a function writing it to a text file.
+
+    The dump is simulated here, so its errors surface before any output
+    file is opened, and streamed by ``main`` at the write site.
+    """
     bench = OpticalBench.from_config(_bench_config(args))
     if args.format == "csv":
         a_is_x, b_is_x = simulate_outcomes(args.model, bench, args.trials, args.seed, args.workers)
-        buf = io.StringIO()
-        write_trials_csv(buf, bench, a_is_x, b_is_x)
-        return buf.getvalue()
+        return lambda f: write_trials_csv(f, bench, a_is_x, b_is_x)
     stats = run_ensemble(args.model, bench, args.trials, args.seed, args.workers)
     table = [float(p) for p in analytic_joint_table(args.model, bench).p]
     e_exact = analytic_E(args.model, bench)
@@ -447,16 +450,26 @@ def main(argv=None) -> int:
         args.seed = _resolve_seed(args)
         _positive(args.trials, "--trials")
         _positive(args.workers, "--workers")
-        text = args.func(args)
+        output = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
+    write = output if callable(output) else lambda f: f.write(output)
     if not args.out:
-        sys.stdout.write(text)
+        try:
+            write(sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped early (`| head`): drop the rest, and the
+            # interpreter's final flush with it, quietly
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+            write(f)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 2

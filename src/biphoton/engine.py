@@ -486,17 +486,36 @@ def run_ensemble(
 
 
 def write_trials_csv(f, bench: OpticalBench, a_is_x, b_is_x) -> None:
-    """Write per-trial outcomes in the interchange layout.
+    """Write per-trial outcomes in the interchange layout to the text file ``f``.
 
     Header trial,outcome_a,outcome_b,b_before_plate; outcomes are X or Y
     and the ordering flag is true/false, constant for a fixed bench.
+    Rows are built as byte matrices and written CHUNK rows at a time, so
+    the text never exists whole: each run of indices with one digit count
+    gets its digit columns by repeated division and its tail columns from
+    the four possible ``,A,B,flag`` endings.
     """
     flag = "true" if detect_b_before_plate(bench) else "false"
+    # row 2 * (A is Y) + (B is Y): the endings in the order XX, XY, YX, YY
+    tails = np.array(
+        [list(f",{a},{b},{flag}\n".encode("ascii")) for a in "XY" for b in "XY"], dtype=np.uint8
+    )
+    a_is_y = ~np.asarray(a_is_x, dtype=bool)
+    b_is_y = ~np.asarray(b_is_x, dtype=bool)
     f.write("trial,outcome_a,outcome_b,b_before_plate\n")
-    for i in range(len(a_is_x)):
-        a = "X" if a_is_x[i] else "Y"
-        b = "X" if b_is_x[i] else "Y"
-        f.write(f"{i},{a},{b},{flag}\n")
+    start = 0
+    while start < len(a_is_y):
+        width = len(str(start))
+        # a run ends with its chunk or where the index gains a digit
+        stop = min(len(a_is_y), (start // CHUNK + 1) * CHUNK, 10**width)
+        rows = np.empty((stop - start, width + tails.shape[1]), dtype=np.uint8)
+        idx = np.arange(start, stop, dtype=np.int64)
+        for col in range(width - 1, -1, -1):
+            idx, digit = np.divmod(idx, 10)
+            rows[:, col] = digit + ord("0")
+        rows[:, width:] = tails[2 * a_is_y[start:stop] + b_is_y[start:stop]]
+        f.write(rows.tobytes().decode("ascii"))
+        start = stop
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Command-line behavior: formats, exit codes, seeds, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from biphoton import cli
 from biphoton.cli import main
 
 pytestmark = pytest.mark.usefixtures("clean_seed_env")
@@ -111,6 +116,48 @@ def test_unwritable_out_exits_2(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write {path}: ")
     assert not path.parent.exists()
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 9.09 TiB for an array with shape (10000000000000,)")
+
+
+def test_unallocatable_trial_dump_exits_2(capsys, monkeypatch):
+    # patched: a real allocation this size may succeed under overcommit
+    monkeypatch.setattr(cli, "simulate_outcomes", _out_of_memory)
+    code, out, err = run_cli(capsys, "pair", "--format", "csv", "--trials", "10000000000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: out of memory: Unable to allocate")
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, out_of_memory",
+    [
+        (["--trials", "0"], 2, False),
+        (["--model", "bogus"], 3, False),
+        (["--trials", "10000000000000"], 2, True),
+    ],
+    ids=["zero-trials", "unknown-model", "out-of-memory"],
+)
+def test_failed_command_never_creates_out(capsys, monkeypatch, tmp_path, argv, exit_code, out_of_memory):
+    if out_of_memory:
+        monkeypatch.setattr(cli, "simulate_outcomes", _out_of_memory)
+    path = tmp_path / "dump.csv"
+    code, out, err = run_cli(capsys, "pair", "--format", "csv", *argv, "--out", str(path))
+    assert code == exit_code and out == "" and err.startswith("error: ")
+    assert not path.exists()
+
+
+def test_reader_closing_early_ends_the_dump_quietly():
+    # a real pipe: the dump outgrows the pipe buffer, so writes after the close fail
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "biphoton", "pair", "--format", "csv", "--trials", "200000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"trial,outcome_a,outcome_b,b_before_plate\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_bad_env_seed_exits_2(capsys, monkeypatch):

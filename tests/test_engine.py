@@ -444,6 +444,31 @@ def test_write_trials_csv_layout():
         assert (oa == "X") == bool(a[offset]) and (ob == "X") == bool(b[offset])
 
 
+def reference_write_trials_csv(f, bench, a_is_x, b_is_x):
+    """The dump written one row at a time: the reference for the chunked writer."""
+    flag = "true" if detect_b_before_plate(bench) else "false"
+    f.write("trial,outcome_a,outcome_b,b_before_plate\n")
+    for i in range(len(a_is_x)):
+        a = "X" if a_is_x[i] else "Y"
+        b = "X" if b_is_x[i] else "Y"
+        f.write(f"{i},{a},{b},{flag}\n")
+
+
+# every digit-count and chunk boundary up to 10^6 rows, and an empty dump
+DUMP_SIZES = [0, 1, 9, 10, 11, 99, 100, 101, 1000, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7, 1_000_001]
+
+
+@pytest.mark.parametrize("bench", [EARLY, LATE], ids=["flag-true", "flag-false"])
+@pytest.mark.parametrize("n", DUMP_SIZES)
+def test_write_trials_csv_matches_row_writer(bench, n):
+    rng = np.random.default_rng(n)
+    a, b = rng.random(n) < 0.5, rng.random(n) < 0.5
+    want, got = io.StringIO(), io.StringIO()
+    reference_write_trials_csv(want, bench, a, b)
+    write_trials_csv(got, bench, a, b)
+    assert got.getvalue() == want.getvalue()
+
+
 # ---------------------------------------------------------------- order invariance
 
 def test_order_report_qm_verdict_same():
