@@ -12,7 +12,11 @@ its seed alone and any single trial can be replayed in isolation.  Each
 model compiles a bench once into a chunk kernel built from the per-event
 rules in ``quantum`` and ``local``; the ensembles apply it to chunks of
 trial indices and ``run_trial`` to a single index, so a replayed trial is
-its ensemble's trial by construction.  Draw discipline per trial: the
+its ensemble's trial by construction.  The quantum and naive models
+compile to a branch plan of outcome probabilities; the hidden-angle model
+compiles to draw thresholds: a draw is k / 2^53, each outcome is piecewise
+constant in k, and the breakpoints are pinned with the scalar rules of
+``local``.  Draw discipline per trial, unchanged by the compilation: the
 hidden-angle model reads one draw (the shared angle at emission); the
 quantum and naive models read draw 0 for the first detection in time
 order and draw 1 for the second only if the first leaves it uncertain,
@@ -23,10 +27,12 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from functools import partial
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +42,8 @@ from .local import (
     ChshReport,
     HiddenState,
     chsh_S,
+    lhv_outcome,
+    lhv_pair,
     lhv_sample,
     lhv_sign_correlator,
     naive_measure,
@@ -55,7 +63,8 @@ from .quantum import (
     hwp_jones,
     make_anticorrelated_pair,
     marginal,
-    measure_channel,
+    measure_channel,  # unused here, but perfbench/tracer.py times it through this name
+    project_channel,
 )
 from .rng import derive_seed, uniform_array
 
@@ -321,15 +330,14 @@ def _qm_plan(bench, timeline):
     p1x = marginal(state, first_ch, first_setting)[0]
     tail = timeline[i + 1 :]
 
-    def second_threshold(forcing_u: float) -> float:
-        branch = measure_channel(state, first_ch, first_setting, forcing_u).collapsed
+    def second_threshold(first_outcome: PolAxis) -> float:
+        branch = project_channel(state, first_ch, first_setting, first_outcome)
         for ev in tail:
             if ev.event is BenchEvent.PLATE_A:
                 branch = apply_element(branch, Channel.A, plate)
         return marginal(branch, second_ch, second_setting)[0]
 
-    # u = 0 forces the X branch, u = p1x the Y branch
-    return first_ch, p1x, second_threshold(0.0), second_threshold(p1x)
+    return first_ch, p1x, second_threshold(PolAxis.X), second_threshold(PolAxis.Y)
 
 
 #: per two-detection model, the compiler of a bench into its branch plan (first-detected
@@ -356,30 +364,98 @@ def _branch_kernel(compile_plan, bench, timeline, master_seed):
     return outcomes
 
 
-def _reduce_mod_pi_arr(x: np.ndarray) -> np.ndarray:
-    # elementwise twin of quantum.reduce_mod_pi for x in (-pi, 3pi/2], where
-    # fmod(x, pi) is x itself or the exact x - pi (Sterbenz), so skipping it
-    # gives the same bits, -0.0 included
-    r = np.where(x < 0.0, x + math.pi, x)
-    return np.where(r >= math.pi, r - math.pi, r)
+#: draws per unit: a draw is u = k / DRAWS for an integer k in [0, DRAWS)
+_DRAWS = 2**53
+#: draws either side of a closed-form breakpoint searched for the exact one;
+#: the rounding of the scalar rules moves a breakpoint by a few draws at most
+_BREAKPOINT_REACH = 64
 
 
-def _fold_is_x(delta: np.ndarray) -> np.ndarray:
-    # elementwise twin of the folded-distance sign rule in local.lhv_outcome
-    r = _reduce_mod_pi_arr(delta)
-    d = np.minimum(r, math.pi - r)
-    return d <= _QUARTER_PI
+#: where a hidden angle turned by pi/2 (channel B's, and A's behind the
+#: plate) wraps from ~pi to ~0: lambda + pi/2 first reaches pi at u = 1/2,
+#: where it is exactly pi; on either side the angle is nondecreasing in k
+_WRAP = _DRAWS // 2
+
+
+def _lhv_breakpoints(bench, channel):
+    """One channel of lhv-sign as (outcome X at draw k = 0, the sorted k where it flips).
+
+    Between wraps the hidden angle is nondecreasing in k, so the outcome
+    flips only where the angle crosses the setting - pi/4 (to X) or the
+    setting + pi/4 (to Y), mod pi.  Each crossing is located in closed
+    form, then pinned to the draw where the scalar rules (``lhv_pair``,
+    ``naive_plate_action``, ``lhv_outcome``) flip, so ties keep their bits.
+    """
+    setting = bench.alpha if channel is Channel.A else bench.beta
+    known = {}
+
+    def is_x(k):
+        if k not in known:
+            photon_a, photon_b = lhv_pair(lhv_sample(k / _DRAWS))
+            if channel is Channel.B:
+                photon = photon_b
+            else:
+                photon = naive_plate_action(photon_a) if bench.plate_present else photon_a
+            known[k] = lhv_outcome(photon.angle, setting) is PolAxis.X
+        return known[k]
+
+    def pin(k, before, lo, hi):
+        # the k in (lo, hi] where the outcome leaves ``before``, searched
+        # within reach of the estimate k; None if it leaves the piece first
+        lo_reach, hi_reach = max(lo, k - _BREAKPOINT_REACH), min(hi, k + _BREAKPOINT_REACH)
+        k = min(max(k, lo_reach + 1), hi_reach)
+        step = 1 if is_x(k) == before else -1
+        while lo_reach < k <= hi_reach:
+            if is_x(k - 1) == before != is_x(k):
+                return k
+            k += step
+        if (hi_reach < hi) if step > 0 else (lo_reach > lo):
+            raise AssertionError(f"no lhv-sign breakpoint within reach of draw {k}")
+        return None
+
+    if channel is Channel.B or bench.plate_present:
+        pieces = ((0, _WRAP - 1, _HALF_PI), (_WRAP, _DRAWS - 1, -_HALF_PI))
+    else:
+        pieces = ((0, _DRAWS - 1, 0.0),)
+    flips = {}  # breakpoint -> whether the outcome is X before it
+    near_wrap = False
+    for lo, hi, turn in pieces:
+        for edge, before in ((setting.angle - _QUARTER_PI, False), (setting.angle + _QUARTER_PI, True)):
+            for lap in (-math.pi, 0.0, math.pi):
+                k = round((edge + lap - turn) / math.pi * _DRAWS)
+                if lo - _BREAKPOINT_REACH <= k <= hi + _BREAKPOINT_REACH:
+                    near_wrap |= abs(k - _WRAP) <= _BREAKPOINT_REACH
+                    k = pin(k, before, lo, hi)
+                    if k is not None:
+                        flips[k] = before
+    if near_wrap and is_x(_WRAP - 1) != is_x(_WRAP):
+        flips[_WRAP] = is_x(_WRAP - 1)
+    ks = sorted(flips)
+    # X and Y each take half the angles mod pi, so the outcome flips somewhere
+    if not ks or any(flips[a] == flips[b] for a, b in zip(ks, ks[1:])):
+        raise AssertionError(f"lhv-sign breakpoints {ks} do not alternate")
+    return flips[ks[0]], ks
 
 
 def _lhv_kernel(bench, timeline, master_seed):
+    """Chunk kernel of lhv-sign: each outcome compares the draw with its channel's breakpoints."""
+    plans = [_lhv_breakpoints(bench, channel) for channel in (Channel.A, Channel.B)]
+    # k / DRAWS is exact, so u >= t is k >= the breakpoint
+    plans = [(x_at_0, [k / _DRAWS for k in flips]) for x_at_0, flips in plans]
+
     def outcomes(indices):
-        lam = lhv_sample(uniform_array(master_seed, indices, 0))
-        b_ang = _reduce_mod_pi_arr(lam + _HALF_PI)
-        # the plate turns A's hidden angle by pi/2, landing on B's expression
-        a_ang = b_ang if bench.plate_present else lam
-        return _fold_is_x(bench.alpha.angle - a_ang), _fold_is_x(bench.beta.angle - b_ang)
+        u = uniform_array(master_seed, indices, 0)
+        return tuple(_flipped(u, x_at_0, thresholds) for x_at_0, thresholds in plans)
 
     return outcomes
+
+
+def _flipped(u, x_at_0, thresholds):
+    # X at u = 0, flipped at each threshold u has reached
+    out = u < thresholds[0] if x_at_0 else u >= thresholds[0]
+    for t in thresholds[1:]:
+        out ^= u >= t
+    return out
 
 
 #: per model, a function that plans the bench once and returns the chunk
@@ -415,13 +491,19 @@ def _check_run_args(model, n_trials, workers):
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
 
 
-def _map_chunks(model, bench, n_trials, master_seed, workers, consume) -> list:
-    """``consume(start, a_is_x, b_is_x)`` on each CHUNK-sized run of trials.
+#: chunks submitted to the pool ahead of the one handed over, per thread
+_IN_FLIGHT_PER_THREAD = 2
 
-    The bench is planned once per call.  Results come back in chunk order.
-    Counter-based draws make each chunk independent of execution order, so
-    the results are the same for any thread count.  Threads are bounded by
-    the chunk count and the cores; with one, the chunks run serially.
+
+def _map_chunks(model, bench, n_trials, master_seed, workers, consume):
+    """Yield ``consume(start, a_is_x, b_is_x)`` of each CHUNK-sized run of trials, in chunk order.
+
+    The bench is planned once per call.  Counter-based draws make each
+    chunk independent of execution order, so the results are the same for
+    any thread count.  Threads are bounded by the chunk count and the
+    cores; with one, the chunks run serially.  At most
+    ``_IN_FLIGHT_PER_THREAD`` chunks per thread are in flight, so memory
+    stays bounded at any trial count.
     """
     kernel = _KERNELS[model](bench, build_timeline(bench), master_seed)
 
@@ -430,11 +512,20 @@ def _map_chunks(model, bench, n_trials, master_seed, workers, consume) -> list:
         return consume(start, *kernel(indices))
 
     starts = range(0, n_trials, CHUNK)
-    threads = min(workers, len(starts), os.cpu_count() or 1)
+    threads = min(workers, len(starts))
+    if threads > 1:
+        threads = min(threads, os.cpu_count() or 1)
     if threads == 1:
-        return [task(start) for start in starts]
+        yield from map(task, starts)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(task, starts))
+        in_flight = deque()
+        for start in starts:
+            if len(in_flight) == threads * _IN_FLIGHT_PER_THREAD:
+                yield in_flight.popleft().result()
+            in_flight.append(pool.submit(task, start))
+        while in_flight:
+            yield in_flight.popleft().result()
 
 
 def simulate_outcomes(
@@ -457,7 +548,8 @@ def simulate_outcomes(
         a_is_x[start : start + len(a)] = a
         b_is_x[start : start + len(b)] = b
 
-    _map_chunks(model, bench, n_trials, master_seed, workers, fill)
+    for _ in _map_chunks(model, bench, n_trials, master_seed, workers, fill):
+        pass
     return a_is_x, b_is_x
 
 
@@ -481,8 +573,10 @@ def run_ensemble(
         yx = int(np.count_nonzero(~a & b))
         return xx, xy, yx, len(a) - xx - xy - yx
 
-    parts = _map_chunks(model, bench, n_trials, master_seed, workers, count)
-    return EnsembleStats(*(sum(cells) for cells in zip(*parts)))
+    totals = (0, 0, 0, 0)
+    for cells in _map_chunks(model, bench, n_trials, master_seed, workers, count):
+        totals = tuple(map(add, totals, cells))
+    return EnsembleStats(*totals)
 
 
 def write_trials_csv(f, bench: OpticalBench, a_is_x, b_is_x) -> None:

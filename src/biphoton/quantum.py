@@ -227,16 +227,21 @@ def analyzer_basis(setting: "AnalyzerSetting | float") -> tuple[np.ndarray, np.n
     return np.array([c, s]), np.array([-s, c])
 
 
+def _basis_columns(setting: "AnalyzerSetting | float") -> np.ndarray:
+    # analyzer_basis as the columns of one complex 2x2 array, built directly
+    a = as_setting(setting).angle
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+
+
 def joint_probabilities(
     state: TwoPhotonState,
     alpha: "AnalyzerSetting | float",
     beta: "AnalyzerSetting | float",
 ) -> ProbTable:
     """Born-rule probabilities of the four detector pairs at settings (alpha, beta)."""
-    xa, ya = analyzer_basis(alpha)
-    xb, yb = analyzer_basis(beta)
-    u = np.column_stack([xa, ya]).astype(np.complex128)
-    v = np.column_stack([xb, yb]).astype(np.complex128)
+    u = _basis_columns(alpha)
+    v = _basis_columns(beta)
     t = u.conj().T @ state.matrix() @ v.conj()
     return ProbTable((t.real**2 + t.imag**2).reshape(4))
 
@@ -280,23 +285,38 @@ def measure_channel(
     if not (isinstance(u, (int, float)) and 0.0 <= u < 1.0):
         raise ValueError(f"u must lie in [0, 1), got {u!r}")
     p_x, p_y = marginal(state, channel, setting)
-    x_vec, y_vec = analyzer_basis(setting)
     if u < p_x:
-        outcome, vec, prob = PolAxis.X, x_vec, p_x
+        outcome, prob = PolAxis.X, p_x
     else:
-        outcome, vec, prob = PolAxis.Y, y_vec, p_y
+        outcome, prob = PolAxis.Y, p_y
+    # unreachable degenerate projection: marginal returns a rounding residue
+    # as an exact 0, which no u in [0, 1) selects (u < 0.0 is false, u < 1.0 true)
+    return MeasurementResult(outcome, project_channel(state, channel, setting, outcome), prob)
+
+
+def project_channel(
+    state: TwoPhotonState,
+    channel: Channel,
+    setting: "AnalyzerSetting | float",
+    outcome: PolAxis,
+) -> TwoPhotonState:
+    """The joint state after ``channel``'s analyzer at ``setting`` registers ``outcome``.
+
+    The state is projected onto the outcome's analyzer vector on that
+    channel and renormalized.  Raises ValueError if the outcome has zero
+    probability.
+    """
+    x_vec, y_vec = analyzer_basis(setting)
+    v = (x_vec if outcome is PolAxis.X else y_vec).astype(np.complex128)
     psi = state.matrix()
-    v = vec.astype(np.complex128)
     if channel is Channel.A:
         proj = np.outer(v, v.conj() @ psi)
     else:
         proj = np.outer(psi @ v.conj(), v)
     nrm = np.linalg.norm(proj)
-    # unreachable: marginal returns a rounding residue as an exact 0, which
-    # no u in [0, 1) selects (u < 0.0 is false, u < 1.0 true)
     if nrm == 0.0:
         raise ValueError("degenerate projection: selected branch has zero probability")
-    return MeasurementResult(outcome, TwoPhotonState(proj.reshape(4) / nrm), prob)
+    return TwoPhotonState(proj.reshape(4) / nrm)
 
 
 def correlation_E(

@@ -2,10 +2,13 @@
 
 import io
 import math
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphoton import engine
 from biphoton.engine import (
@@ -28,6 +31,7 @@ from biphoton.engine import (
 from biphoton.local import (
     CANONICAL_CHSH_ANGLES,
     ChshAngles,
+    HiddenState,
     lhv_outcome,
     lhv_pair,
     lhv_sample,
@@ -38,6 +42,7 @@ from biphoton.quantum import (
     PolAxis,
     apply_element,
     hwp_jones,
+    joint_probabilities,
     make_anticorrelated_pair,
     marginal,
     measure_channel,
@@ -170,25 +175,84 @@ def test_kernels_and_run_trial_match_per_trial_reference():
 CRAFTED_DRAWS = [0.0, 2**-53, 1 / 8, 1 / 4 - 2**-53, 1 / 4, 1 / 4 + 2**-53, 1 / 2, 3 / 4, 1 - 2**-53]
 
 
-@pytest.mark.parametrize("model", MODELS)
-def test_kernels_match_reference_on_crafted_draws(monkeypatch, model):
-    # trial i draws CRAFTED_DRAWS[i // m] first and CRAFTED_DRAWS[i % m]
-    # second, so every pair of crafted draws is one trial
-    m = len(CRAFTED_DRAWS)
-    table = np.array(CRAFTED_DRAWS)
+def _lhv_plans(bench):
+    return [engine._lhv_breakpoints(bench, channel) for channel in (Channel.A, Channel.B)]
+
+
+def _breakpoint_draws(bench):
+    """The draws just before, on and just after each compiled lhv-sign breakpoint."""
+    ks = {k + step for _, flips in _lhv_plans(bench) for k in flips for step in (-1, 0, 1)}
+    return [k * 2.0**-53 for k in sorted(ks) if k < 2**53]
+
+
+def _assert_kernel_matches_reference_on(monkeypatch, model, bench, draws):
+    # trial i draws draws[i // m] first and draws[i % m] second, so every
+    # pair of the draws is one trial
+    m = len(draws)
+    table = np.array(draws)
 
     def crafted(master_seed, indices, counter):
         return table[indices // m if counter == 0 else indices % m]
 
     monkeypatch.setattr(engine, "uniform_array", crafted)
+    a_vec, b_vec = simulate_outcomes(model, bench, m * m, master_seed=0)
+    for i in range(m * m):
+        want = reference_trial(model, bench, lambda k: draws[(i // m, i % m)[k]])
+        assert _axes(a_vec[i], b_vec[i]) == want, (model, bench, i)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_kernels_match_reference_on_crafted_draws(monkeypatch, model):
     for geometry in (LATE, EARLY, NO_PLATE):
         for k_alpha in range(8):
             for k_beta in range(8):
                 bench = replace(geometry, alpha=k_alpha * math.pi / 8, beta=k_beta * math.pi / 8)
-                a_vec, b_vec = simulate_outcomes(model, bench, m * m, master_seed=0)
-                for i in range(m * m):
-                    want = reference_trial(model, bench, lambda k: CRAFTED_DRAWS[(i // m, i % m)[k]])
-                    assert _axes(a_vec[i], b_vec[i]) == want, (model, bench, i)
+                draws = CRAFTED_DRAWS + (_breakpoint_draws(bench) if model == "lhv-sign" else [])
+                _assert_kernel_matches_reference_on(monkeypatch, model, bench, draws)
+
+
+def test_lhv_kernel_matches_reference_around_breakpoints(monkeypatch):
+    rng = np.random.default_rng(7)
+    benches = REPLAY_BENCHES + [
+        OpticalBench(alpha=float(alpha), beta=float(beta), plate_present=plate)
+        for alpha, beta in rng.uniform(-math.pi, 2 * math.pi, (20, 2))
+        for plate in (False, True)
+    ]
+    for bench in benches:
+        _assert_kernel_matches_reference_on(monkeypatch, "lhv-sign", bench, _breakpoint_draws(bench))
+
+
+def test_turned_hidden_angle_wraps_at_half_the_draws():
+    def turned(k):
+        return lhv_pair(lhv_sample(k * 2.0**-53))[1].angle
+
+    assert engine._WRAP == 2**52
+    assert turned(engine._WRAP - 1) == math.pi - 2**-51 and turned(engine._WRAP) == 0.0
+
+
+_ANGLES = st.one_of(
+    st.integers(-16, 32).map(lambda j: j * math.pi / 8),
+    st.floats(-math.pi, 2 * math.pi),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(alpha=_ANGLES, beta=_ANGLES, plate=st.booleans())
+def test_lhv_breakpoints_agree_with_scalar_rule(alpha, beta, plate):
+    # the compiled outcome holds from draw 0 and flips at each breakpoint,
+    # read off the per-trial reference on either side of every breakpoint
+    bench = OpticalBench(alpha=alpha, beta=beta, plate_present=plate)
+    for side, (x_at_0, flips) in enumerate(_lhv_plans(bench)):
+
+        def is_x(k):
+            return reference_trial("lhv-sign", bench, lambda _: k * 2.0**-53)[side] is PolAxis.X
+
+        assert flips and is_x(0) == x_at_0
+        x = x_at_0
+        for k in flips:
+            assert is_x(k - 1) == x != is_x(k), (side, k)
+            x = not x
+        assert is_x(2**53 - 1) == x
 
 
 def test_certain_second_detection_has_no_rounding_residue(monkeypatch):
@@ -282,8 +346,10 @@ def test_threads_bounded_by_chunks_and_cores(monkeypatch, cores, n_chunks, threa
         def __exit__(self, *exc):
             return None
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     n = n_chunks * CHUNK - 5
     serial = run_ensemble("lhv-sign", ROTATED, n, master_seed=3)
@@ -294,6 +360,48 @@ def test_threads_bounded_by_chunks_and_cores(monkeypatch, cores, n_chunks, threa
     a, b = simulate_outcomes("lhv-sign", ROTATED, n, master_seed=3, workers=10**6)
     assert np.array_equal(a, a1) and np.array_equal(b, b1)
     assert sizes == ([] if threads is None else [threads, threads])
+
+
+def test_chunks_in_flight_stay_bounded(monkeypatch):
+    # a stand-in pool whose tasks run only when their result is asked for,
+    # so every submitted task stays in flight until it is handed over
+    sizes = []
+    in_flight = []
+    most = []
+
+    class Deferred:
+        def __init__(self, fn, args):
+            self.fn, self.args = fn, args
+
+        def result(self):
+            in_flight.remove(self)
+            return self.fn(*self.args)
+
+    class DeferringPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def submit(self, fn, *args):
+            in_flight.append(Deferred(fn, args))
+            most.append(len(in_flight))
+            return in_flight[-1]
+
+    n = 64 * CHUNK
+    serial = run_ensemble("lhv-sign", ROTATED, n, master_seed=5)
+    a1, b1 = simulate_outcomes("lhv-sign", ROTATED, n, master_seed=5)
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", DeferringPool)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    assert run_ensemble("lhv-sign", ROTATED, n, master_seed=5, workers=10**6) == serial
+    a, b = simulate_outcomes("lhv-sign", ROTATED, n, master_seed=5, workers=10**6)
+    assert np.array_equal(a, a1) and np.array_equal(b, b1)
+    assert sizes == [4, 4] and not in_flight
+    assert len(most) == 2 * 64 and max(most) == 4 * engine._IN_FLIGHT_PER_THREAD
 
 
 def test_run_ensemble_argument_validation():
@@ -407,6 +515,60 @@ def test_analytic_tables_match_monte_carlo():
             stats = run_ensemble(model, bench, 50_000, master_seed=52)
             for want, got, se in zip(table, stats.frequencies, stats.cell_stderr()):
                 assert abs(got - want) <= max(4.0 * se, 1e-9), (model, bench)
+
+
+def _qm_born_table(bench):
+    # the Born rule on the state behind the plate: a plate on channel A
+    # commutes with B's measurement, so the event order cannot matter
+    state = make_anticorrelated_pair()
+    if bench.plate_present:
+        state = apply_element(state, Channel.A, hwp_jones(bench.plate_angle))
+    return joint_probabilities(state, bench.alpha, bench.beta).p
+
+
+def _naive_sign_rule_table(bench):
+    # a fair first detection leaves the partner orthogonal to the registered
+    # axis, turned by the plate when B's detection beat it; the partner then
+    # answers by the sign rule
+    detections = [event for _, event in build_timeline(bench) if event is not BenchEvent.PLATE_A]
+    a_first = detections[0] is BenchEvent.DETECT_A
+    first, second = (bench.alpha, bench.beta) if a_first else (bench.beta, bench.alpha)
+    table = np.zeros((2, 2))
+    for outcome, axis in enumerate((first.angle, first.angle + math.pi / 2)):
+        partner = HiddenState.definite(axis + math.pi / 2)
+        if detect_b_before_plate(bench):
+            partner = naive_plate_action(partner)
+        table[outcome, int(lhv_outcome(partner.angle, second) is PolAxis.Y)] = 0.5
+    return (table if a_first else table.T).reshape(4)
+
+
+def _lhv_sampler_table(bench):
+    """The exact lhv-sign sampler table: lengths of the compiled draw intervals over 2^53."""
+    plans = _lhv_plans(bench)
+    edges = sorted({0, 2**53}.union(*(flips for _, flips in plans)))
+    counts = [0, 0, 0, 0]
+    for lo, hi in zip(edges, edges[1:]):
+        a_x, b_x = (x_at_0 != (sum(k <= lo for k in flips) % 2 == 1) for x_at_0, flips in plans)
+        counts[2 * (not a_x) + (not b_x)] += hi - lo
+    return np.array(counts) / 2**53
+
+
+ORACLE_BENCHES = _random_benches(300, seed=77)
+
+
+def test_qm_and_naive_tables_match_independent_oracles():
+    for bench in ORACLE_BENCHES:
+        np.testing.assert_allclose(
+            analytic_joint_table("qm", bench).p, _qm_born_table(bench), rtol=0, atol=2**-50
+        )
+        assert analytic_joint_table("naive", bench).p.tolist() == _naive_sign_rule_table(bench).tolist()
+
+
+def test_lhv_sampler_table_matches_sawtooth():
+    for bench in ORACLE_BENCHES:
+        np.testing.assert_allclose(
+            _lhv_sampler_table(bench), analytic_joint_table("lhv-sign", bench).p, rtol=0, atol=2**-50
+        )
 
 
 def test_qm_analytic_table_is_timeline_independent():
