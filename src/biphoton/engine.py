@@ -13,10 +13,12 @@ model compiles a bench once into a chunk kernel built from the per-event
 rules in ``quantum`` and ``local``; the ensembles apply it to chunks of
 trial indices and ``run_trial`` to a single index, so a replayed trial is
 its ensemble's trial by construction.  The quantum and naive models
-compile to a branch plan of outcome probabilities; the hidden-angle model
-compiles to draw thresholds: a draw is k / 2^53, each outcome is piecewise
-constant in k, and the breakpoints are pinned with the scalar rules of
-``local``.  Draw discipline per trial, unchanged by the compilation: the
+compile to a branch plan of outcome probabilities, made by one walk of
+the timeline through each model's four rules (the pair at emission, the
+plate, P(X) at one analyzer, the pair after a detection); the
+hidden-angle model compiles to draw thresholds: a draw is k / 2^53, each
+outcome is piecewise constant in k, and the breakpoints are pinned with
+the scalar rules of ``local``.  Draw discipline per trial, unchanged by the compilation: the
 hidden-angle model reads one draw (the shared angle at emission); the
 quantum and naive models read draw 0 for the first detection in time
 order and draw 1 for the second only if the first leaves it uncertain,
@@ -40,13 +42,13 @@ import numpy as np
 from .local import (
     ChshAngles,
     ChshReport,
-    HiddenState,
     chsh_S,
     lhv_outcome,
     lhv_pair,
     lhv_sample,
     lhv_sign_correlator,
-    naive_measure,
+    naive_p_x,
+    naive_partner,
     naive_plate_action,
 )
 from .quantum import (
@@ -274,75 +276,66 @@ def _check_model(model: str) -> str:
 # per-bench plans: each model compiles a bench into one chunk kernel
 
 
-def _naive_walk(bench, timeline, u: float):
-    """Outcomes of one naive trial whose single draw is ``u``, in detection order.
-
-    The first detection always meets an unpolarized photon (the plate
-    passes those unchanged), so it is the only one that reads ``u``; the
-    second meets the definite partner and answers by the sign rule.
-    """
-    photon_a = photon_b = HiddenState.unpolarized()
-    outcomes = {}
-    for _, event in timeline:
-        if event is BenchEvent.PLATE_A:
-            photon_a = naive_plate_action(photon_a)
-            continue
-        channel = Channel.A if event is BenchEvent.DETECT_A else Channel.B
-        setting = bench.alpha if channel is Channel.A else bench.beta
-        photon = photon_a if channel is Channel.A else photon_b
-        outcome, partner = naive_measure(photon, setting, u)
-        outcomes[channel] = outcome
-        if partner is not None:
-            if channel is Channel.A:
-                photon_b = partner
-            else:
-                photon_a = partner
-    return outcomes
-
-
-def _naive_plan(bench, timeline):
-    """Branch plan of the naive model: a fair first detection, a certain second.
-
-    The first detection answers X iff its draw is below 1/2, so the walks
-    at u = 0 and u = 0.5 are the two branches.
-    """
-    branches = [_naive_walk(bench, timeline, u) for u in (0.0, 0.5)]
-    first_ch, second_ch = branches[0]  # the walk records detections in time order
-    return (first_ch, 0.5, *(float(branch[second_ch] is PolAxis.X) for branch in branches))
-
-
-def _qm_plan(bench, timeline):
-    """Branch plan of the quantum model from quantum's per-event rules.
-
-    P(first = X) is 1/2 up to rounding on every bench (a maximally entangled
-    pair, a plate on channel A alone), so both branches are live.
-    """
+def _qm_rules(bench):
+    """quantum's per-event rules; the walk's state is the pair's joint state."""
     plate = hwp_jones(bench.plate_angle)
-    state = make_anticorrelated_pair()
+    return (
+        make_anticorrelated_pair(),
+        lambda state: apply_element(state, Channel.A, plate),
+        lambda state, channel, setting: marginal(state, channel, setting)[0],
+        project_channel,
+    )
+
+
+def _naive_rules(bench):
+    """local's naive rules; the walk's state is the photon angles (A, B), None while unpolarized."""
+
+    def registered(photons, channel, setting, outcome):
+        partner = naive_partner(setting, outcome)
+        return (photons[0], partner) if channel is Channel.A else (partner, photons[1])
+
+    return (
+        (None, None),
+        lambda photons: (naive_plate_action(photons[0]), photons[1]),
+        lambda photons, channel, setting: naive_p_x(photons[0 if channel is Channel.A else 1], setting),
+        registered,
+    )
+
+
+def _branch_plan(model_rules, bench, timeline):
+    """Branch plan of a two-detection model, walking the timeline through its rules.
+
+    ``model_rules(bench)`` gives the pair at emission, the plate's action
+    on it, P(X) at one analyzer, and the pair after an analyzer registers
+    an outcome.  P(first = X) is 1/2 up to rounding on every bench (the
+    first detection always meets an unpolarized photon or half of a
+    maximally entangled pair), so both branches are live.
+    """
+    state, plate, p_x, registered = model_rules(bench)
     i = 0
     while timeline[i].event is BenchEvent.PLATE_A:
-        state = apply_element(state, Channel.A, plate)
+        state = plate(state)
         i += 1
     first_ch = Channel.A if timeline[i].event is BenchEvent.DETECT_A else Channel.B
     second_ch = Channel.B if first_ch is Channel.A else Channel.A
     first_setting = bench.alpha if first_ch is Channel.A else bench.beta
     second_setting = bench.alpha if second_ch is Channel.A else bench.beta
-    p1x = marginal(state, first_ch, first_setting)[0]
+    p1x = p_x(state, first_ch, first_setting)
     tail = timeline[i + 1 :]
 
-    def second_threshold(first_outcome: PolAxis) -> float:
-        branch = project_channel(state, first_ch, first_setting, first_outcome)
+    def second_p_x(first_outcome: PolAxis) -> float:
+        branch = registered(state, first_ch, first_setting, first_outcome)
         for ev in tail:
             if ev.event is BenchEvent.PLATE_A:
-                branch = apply_element(branch, Channel.A, plate)
-        return marginal(branch, second_ch, second_setting)[0]
+                branch = plate(branch)
+        return p_x(branch, second_ch, second_setting)
 
-    return first_ch, p1x, second_threshold(PolAxis.X), second_threshold(PolAxis.Y)
+    return first_ch, p1x, second_p_x(PolAxis.X), second_p_x(PolAxis.Y)
 
 
 #: per two-detection model, the compiler of a bench into its branch plan (first-detected
 #: channel, P(first = X), P(second = X | first = X), P(second = X | first = Y))
-_BRANCH_PLANS = {"qm": _qm_plan, "naive": _naive_plan}
+_BRANCH_PLANS = {"qm": partial(_branch_plan, _qm_rules), "naive": partial(_branch_plan, _naive_rules)}
 
 
 def _branch_kernel(compile_plan, bench, timeline, master_seed):
@@ -396,7 +389,7 @@ def _lhv_breakpoints(bench, channel):
                 photon = photon_b
             else:
                 photon = naive_plate_action(photon_a) if bench.plate_present else photon_a
-            known[k] = lhv_outcome(photon.angle, setting) is PolAxis.X
+            known[k] = lhv_outcome(photon, setting) is PolAxis.X
         return known[k]
 
     def pin(k, before, lo, hi):
@@ -644,12 +637,13 @@ def analytic_E(model: str, bench: OpticalBench) -> float:
 
 def analytic_chsh(model: str, angles: ChshAngles, plate_present: bool = True) -> ChshReport:
     """CHSH report from the model's exact correlator (zero standard errors)."""
-    base = OpticalBench(plate_present=plate_present)
+    benches = {(bench.alpha, bench.beta): bench for bench in _chsh_benches(angles, plate_present)}
+    return chsh_S(lambda alpha, beta: analytic_E(model, benches[alpha, beta]), angles)
 
-    def correlator(alpha, beta) -> float:
-        return analytic_E(model, replace(base, alpha=alpha, beta=beta))
 
-    return chsh_S(correlator, angles)
+def _chsh_benches(angles: ChshAngles, plate_present: bool) -> list[OpticalBench]:
+    """The default bench at each CHSH setting pair, in report order."""
+    return [OpticalBench(alpha=a, beta=b, plate_present=plate_present) for a, b in angles.pairs()]
 
 
 # ---------------------------------------------------------------------------
@@ -759,11 +753,9 @@ def chsh_experiment(
     and individually reproducible.
     """
     _check_model(model)
-    base = OpticalBench(plate_present=plate_present)
     terms = []
     errors = []
-    for k, (alpha, beta) in enumerate(angles.pairs()):
-        bench = replace(base, alpha=alpha, beta=beta)
+    for k, bench in enumerate(_chsh_benches(angles, plate_present)):
         stats = run_ensemble(model, bench, n_per_setting, derive_seed(master_seed, k), workers)
         terms.append(stats.e_hat)
         errors.append(stats.stderr_e)

@@ -4,17 +4,23 @@ Two contrast models are implemented:
 
 * the "naive" model: a photon carries no polarization at all until the
   moment it is measured.  A half-wave plate cannot act on such a photon.
-  The first measurement of the pair yields a uniformly random outcome and
-  instantaneously leaves the partner with the orthogonal definite
-  polarization; a definite photon answers analyzers deterministically by
-  the sign rule below.  This model's prediction depends on the order of
-  bench events, which is the point of the order test.
+  The first measurement of the pair yields X with probability 1/2 and
+  instantaneously paints the orthogonal definite polarization onto the
+  partner; a definite photon answers analyzers deterministically by the
+  sign rule below.  These are quantum collapse's two rules, P(X) at one
+  analyzer and the pair after a detection, made local, and the engine
+  compiles both models through them alike.  This model's prediction
+  depends on the order of bench events, which is the point of the order
+  test.
 
 * the "lhv-sign" model: each pair leaves the source with a shared hidden
   angle lambda (photon B carries lambda + pi/2, matching the
   anti-correlated source), and every analyzer answer is the deterministic
   sign of cos 2(setting - angle).  It reproduces perfect correlations at
   aligned settings yet can never exceed the CHSH bound of 2.
+
+A local photon is a plain angle in [0, pi), or None while it has no
+polarization; every rule that makes an angle reduces it mod pi.
 
 Sign rule: outcome X iff the folded angular distance between setting and
 hidden angle is <= pi/4, which is the sign of cos 2(setting - angle) with
@@ -34,29 +40,6 @@ _HALF_PI = math.pi / 2.0
 _QUARTER_PI = math.pi / 4.0
 
 
-@dataclass(frozen=True)
-class HiddenState:
-    """Local-model photon payload: a definite angle in [0, pi), or none at all."""
-
-    angle: Optional[float]
-
-    def __post_init__(self):
-        if self.angle is not None:
-            object.__setattr__(self, "angle", reduce_mod_pi(float(self.angle)))
-
-    @classmethod
-    def unpolarized(cls) -> "HiddenState":
-        return cls(None)
-
-    @classmethod
-    def definite(cls, angle: float) -> "HiddenState":
-        return cls(float(angle))
-
-    @property
-    def is_definite(self) -> bool:
-        return self.angle is not None
-
-
 def fold_distance(delta: float) -> float:
     """Angular distance of ``delta`` from 0 mod pi, folded into [0, pi/2]."""
     d = reduce_mod_pi(delta)
@@ -68,9 +51,9 @@ def lhv_sample(u: float) -> float:
     return u * math.pi
 
 
-def lhv_pair(lam: float) -> tuple[HiddenState, HiddenState]:
-    """Source payloads: photon A carries lambda, photon B lambda + pi/2."""
-    return HiddenState.definite(lam), HiddenState.definite(lam + _HALF_PI)
+def lhv_pair(lam: float) -> tuple[float, float]:
+    """Source photons: A carries lambda, B lambda + pi/2, both reduced to [0, pi)."""
+    return reduce_mod_pi(lam), reduce_mod_pi(lam + _HALF_PI)
 
 
 def lhv_outcome(lam: float, setting: "AnalyzerSetting | float") -> PolAxis:
@@ -79,43 +62,34 @@ def lhv_outcome(lam: float, setting: "AnalyzerSetting | float") -> PolAxis:
     return PolAxis.X if d <= _QUARTER_PI else PolAxis.Y
 
 
-def naive_plate_action(photon: HiddenState) -> HiddenState:
+def naive_plate_action(photon: Optional[float]) -> Optional[float]:
     """Half-wave plate acting on a local-model photon.
 
     A definite polarization plane is turned by pi/2; a photon with no
-    polarization yet offers the plate nothing to act on and passes
+    polarization yet (None) offers the plate nothing to act on and passes
     unchanged.  Both local models share this rule.
     """
-    if not photon.is_definite:
-        return photon
-    return HiddenState.definite(photon.angle + _HALF_PI)
+    if photon is None:
+        return None
+    return reduce_mod_pi(photon + _HALF_PI)
 
 
-def naive_measure(
-    photon: HiddenState,
-    setting: "AnalyzerSetting | float",
-    u: float,
-) -> tuple[PolAxis, Optional[HiddenState]]:
-    """Measure one photon under the naive model.
+def naive_p_x(photon: Optional[float], setting: "AnalyzerSetting | float") -> float:
+    """P(X) of a naive-model photon: 1/2 while unpolarized, else 1 or 0 by the sign rule."""
+    if photon is None:
+        return 0.5
+    return float(lhv_outcome(photon, setting) is PolAxis.X)
 
-    An unpolarized photon answers uniformly (``u < 1/2`` selects X) and the
-    measurement forces the partner into the definite polarization
-    orthogonal to the registered axis; the partner's new hidden state is
-    returned for the caller to apply.  A definite photon answers by the
-    sign rule and leaves the partner alone (returns None).
+
+def naive_partner(setting: "AnalyzerSetting | float", outcome: PolAxis) -> float:
+    """The angle an unpolarized photon's detection paints onto its partner.
+
+    The partner becomes definite, orthogonal to the axis the analyzer at
+    ``setting`` registered for ``outcome``.
     """
     setting = as_setting(setting)
-    if photon.is_definite:
-        d = fold_distance(setting.angle - photon.angle)
-        return (PolAxis.X if d <= _QUARTER_PI else PolAxis.Y), None
-    if u < 0.5:
-        outcome = PolAxis.X
-        registered_axis = setting.angle
-    else:
-        outcome = PolAxis.Y
-        registered_axis = setting.angle + _HALF_PI
-    partner = HiddenState.definite(registered_axis + _HALF_PI)
-    return outcome, partner
+    registered_axis = setting.angle if outcome is PolAxis.X else setting.angle + _HALF_PI
+    return reduce_mod_pi(registered_axis + _HALF_PI)
 
 
 def lhv_sign_correlator(plate_present: bool = False) -> Callable[..., float]:

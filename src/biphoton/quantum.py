@@ -220,15 +220,11 @@ def apply_element(state: TwoPhotonState, channel: Channel, element: JonesMatrix)
     return TwoPhotonState(out.reshape(4))
 
 
-def analyzer_basis(setting: "AnalyzerSetting | float") -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal analyzer basis |x'> = (cos a, sin a), |y'> = (-sin a, cos a)."""
-    a = as_setting(setting).angle
-    c, s = math.cos(a), math.sin(a)
-    return np.array([c, s]), np.array([-s, c])
+def analyzer_basis(setting: "AnalyzerSetting | float") -> np.ndarray:
+    """Orthonormal analyzer basis as the columns of a complex 2x2 array.
 
-
-def _basis_columns(setting: "AnalyzerSetting | float") -> np.ndarray:
-    # analyzer_basis as the columns of one complex 2x2 array, built directly
+    Column 0 is |x'> = (cos a, sin a), column 1 is |y'> = (-sin a, cos a).
+    """
     a = as_setting(setting).angle
     c, s = math.cos(a), math.sin(a)
     return np.array([[c, -s], [s, c]], dtype=np.complex128)
@@ -240,8 +236,8 @@ def joint_probabilities(
     beta: "AnalyzerSetting | float",
 ) -> ProbTable:
     """Born-rule probabilities of the four detector pairs at settings (alpha, beta)."""
-    u = _basis_columns(alpha)
-    v = _basis_columns(beta)
+    u = analyzer_basis(alpha)
+    v = analyzer_basis(beta)
     t = u.conj().T @ state.matrix() @ v.conj()
     return ProbTable((t.real**2 + t.imag**2).reshape(4))
 
@@ -306,8 +302,7 @@ def project_channel(
     channel and renormalized.  Raises ValueError if the outcome has zero
     probability.
     """
-    x_vec, y_vec = analyzer_basis(setting)
-    v = (x_vec if outcome is PolAxis.X else y_vec).astype(np.complex128)
+    v = analyzer_basis(setting)[:, 0 if outcome is PolAxis.X else 1]
     psi = state.matrix()
     if channel is Channel.A:
         proj = np.outer(v, v.conj() @ psi)

@@ -31,13 +31,17 @@ from biphoton.engine import (
 from biphoton.local import (
     CANONICAL_CHSH_ANGLES,
     ChshAngles,
-    HiddenState,
     lhv_outcome,
     lhv_pair,
     lhv_sample,
+    naive_p_x,
+    naive_partner,
     naive_plate_action,
 )
 from biphoton.quantum import (
+    XX,
+    XY,
+    YX,
     Channel,
     PolAxis,
     apply_element,
@@ -46,6 +50,7 @@ from biphoton.quantum import (
     make_anticorrelated_pair,
     marginal,
     measure_channel,
+    reduce_mod_pi,
 )
 from biphoton.rng import draw_uniform
 
@@ -90,11 +95,11 @@ def reference_trial(model, bench, draw):
 
     Walks the bench timeline event by event through the per-event rules of
     ``quantum`` and ``local``: the reference the chunk kernels must match.
+    The k-th detection reads ``draw(k)``; a naive photon answers X iff the
+    draw is below its P(X), and the detection of an unpolarized one paints
+    its partner.
     """
     timeline = build_timeline(bench)
-    if model == "naive":
-        out = engine._naive_walk(bench, timeline, draw(0))
-        return out[Channel.A], out[Channel.B]
     out = {}
     if model == "qm":
         state = make_anticorrelated_pair()
@@ -107,15 +112,27 @@ def reference_trial(model, bench, draw):
             result = measure_channel(state, channel, setting, draw(len(out)))
             out[channel] = result.outcome
             state = result.collapsed
+    elif model == "naive":
+        photons = {Channel.A: None, Channel.B: None}
+        for _, event in timeline:
+            if event is BenchEvent.PLATE_A:
+                photons[Channel.A] = naive_plate_action(photons[Channel.A])
+                continue
+            channel, partner = (Channel.A, Channel.B) if event is BenchEvent.DETECT_A else (Channel.B, Channel.A)
+            setting = bench.alpha if channel is Channel.A else bench.beta
+            is_x = draw(len(out)) < naive_p_x(photons[channel], setting)
+            out[channel] = PolAxis.X if is_x else PolAxis.Y
+            if photons[channel] is None:
+                photons[partner] = naive_partner(setting, out[channel])
     else:
         photon_a, photon_b = lhv_pair(lhv_sample(draw(0)))
         for _, event in timeline:
             if event is BenchEvent.PLATE_A:
                 photon_a = naive_plate_action(photon_a)
             elif event is BenchEvent.DETECT_A:
-                out[Channel.A] = lhv_outcome(photon_a.angle, bench.alpha)
+                out[Channel.A] = lhv_outcome(photon_a, bench.alpha)
             else:
-                out[Channel.B] = lhv_outcome(photon_b.angle, bench.beta)
+                out[Channel.B] = lhv_outcome(photon_b, bench.beta)
     return out[Channel.A], out[Channel.B]
 
 
@@ -224,7 +241,7 @@ def test_lhv_kernel_matches_reference_around_breakpoints(monkeypatch):
 
 def test_turned_hidden_angle_wraps_at_half_the_draws():
     def turned(k):
-        return lhv_pair(lhv_sample(k * 2.0**-53))[1].angle
+        return lhv_pair(lhv_sample(k * 2.0**-53))[1]
 
     assert engine._WRAP == 2**52
     assert turned(engine._WRAP - 1) == math.pi - 2**-51 and turned(engine._WRAP) == 0.0
@@ -258,7 +275,7 @@ def test_lhv_breakpoints_agree_with_scalar_rule(alpha, beta, plate):
 def test_certain_second_detection_has_no_rounding_residue(monkeypatch):
     # B is detected first; alpha - beta = pi/2 makes A certain once B is known
     bench = OpticalBench(alpha=5 * math.pi / 8, beta=math.pi / 8)
-    assert engine._qm_plan(bench, build_timeline(bench)) == (Channel.B, 0.5, 0.0, 1.0)
+    assert engine._BRANCH_PLANS["qm"](bench, build_timeline(bench)) == (Channel.B, 0.5, 0.0, 1.0)
     assert analytic_joint_table("qm", bench).p.tolist() == [0.0, 0.5, 0.5, 0.0]
     collapsed = measure_channel(
         apply_element(make_anticorrelated_pair(), Channel.A, hwp_jones(bench.plate_angle)),
@@ -535,10 +552,10 @@ def _naive_sign_rule_table(bench):
     first, second = (bench.alpha, bench.beta) if a_first else (bench.beta, bench.alpha)
     table = np.zeros((2, 2))
     for outcome, axis in enumerate((first.angle, first.angle + math.pi / 2)):
-        partner = HiddenState.definite(axis + math.pi / 2)
+        partner = reduce_mod_pi(axis + math.pi / 2)
         if detect_b_before_plate(bench):
             partner = naive_plate_action(partner)
-        table[outcome, int(lhv_outcome(partner.angle, second) is PolAxis.Y)] = 0.5
+        table[outcome, int(lhv_outcome(partner, second) is PolAxis.Y)] = 0.5
     return (table if a_first else table.T).reshape(4)
 
 
@@ -569,6 +586,41 @@ def test_lhv_sampler_table_matches_sawtooth():
         np.testing.assert_allclose(
             _lhv_sampler_table(bench), analytic_joint_table("lhv-sign", bench).p, rtol=0, atol=2**-50
         )
+
+
+_BENCH_ANGLES = st.one_of(_ANGLES, st.integers(-24, 48).map(lambda j: j * math.pi / 12))
+_DISTANCES = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])
+
+
+@st.composite
+def _tied_benches(draw):
+    # distances from a short list so events tie
+    d_plate, d_prism_a, d_prism_b = draw(_DISTANCES), draw(_DISTANCES), draw(_DISTANCES)
+    return OpticalBench(
+        d_plate_a=min(d_plate, d_prism_a),
+        d_prism_a=d_prism_a,
+        d_prism_b=d_prism_b,
+        alpha=draw(_BENCH_ANGLES),
+        beta=draw(_BENCH_ANGLES),
+        plate_present=draw(st.booleans()),
+        plate_angle=draw(_BENCH_ANGLES),
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(bench=_tied_benches())
+def test_tables_sum_to_one_and_marginals_are_fair(bench):
+    for model in MODELS:
+        p = analytic_joint_table(model, bench).p
+        assert abs(float(p.sum()) - 1.0) <= 2**-50, model
+    # no-signaling: each channel answers X with probability 1/2 whatever the
+    # other setting.  naive is left out: at a fold tie (distance pi/4) both
+    # orthogonal partner angles answer X by the sign rule, so its second
+    # detection's marginal is 1 there, as the documented tie rule says
+    for model in ("qm", "lhv-sign"):
+        p = analytic_joint_table(model, bench).p
+        assert abs(float(p[XX] + p[XY]) - 0.5) <= 2**-50, model
+        assert abs(float(p[XX] + p[YX]) - 0.5) <= 2**-50, model
 
 
 def test_qm_analytic_table_is_timeline_independent():

@@ -5,19 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from biphoton.engine import OpticalBench, chsh_experiment, run_ensemble
+from biphoton import engine
+from biphoton.engine import OpticalBench, chsh_experiment, run_ensemble, run_trial
 from biphoton.local import (
     CANONICAL_CHSH_ANGLES,
     ChshAngles,
     ChshReport,
-    HiddenState,
     chsh_S,
     fold_distance,
     lhv_outcome,
     lhv_pair,
     lhv_sample,
     lhv_sign_correlator,
-    naive_measure,
+    naive_p_x,
+    naive_partner,
     naive_plate_action,
 )
 from biphoton.quantum import PolAxis
@@ -27,23 +28,31 @@ TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------- hidden states
-
-def test_hidden_state_constructors():
-    assert HiddenState.unpolarized().angle is None
-    assert not HiddenState.unpolarized().is_definite
-    d = HiddenState.definite(0.25)
-    assert d.is_definite and d.angle == 0.25
-
+# a local photon's hidden state is a plain angle, or None while unpolarized
 
 def test_hidden_state_canonicalizes_angle():
-    assert HiddenState.definite(math.pi).angle == 0.0
-    assert abs(HiddenState.definite(-0.25).angle - (math.pi - 0.25)) < 1e-12
-    assert abs(HiddenState.definite(3 * math.pi + 0.3).angle - 0.3) < 1e-12
+    # every rule that makes an angle reduces it into [0, pi)
+    assert lhv_pair(math.pi) == (0.0, math.pi / 2)
+    assert abs(lhv_pair(-0.25)[0] - (math.pi - 0.25)) < 1e-12
+    assert abs(lhv_pair(3 * math.pi + 0.3)[0] - 0.3) < 1e-12
+    assert naive_plate_action(math.pi / 2) == 0.0
+    rng = np.random.default_rng(5)
+    for setting in rng.uniform(-10, 10, 200):
+        for angle in (
+            *lhv_pair(float(setting)),
+            naive_plate_action(float(setting)),
+            naive_partner(float(setting), PolAxis.X),
+            naive_partner(float(setting), PolAxis.Y),
+        ):
+            assert 0.0 <= angle < math.pi
 
 
 def test_hidden_state_rejects_non_finite_angle():
-    with pytest.raises(ValueError):
-        HiddenState.definite(math.inf)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            lhv_pair(bad)
+        with pytest.raises(ValueError):
+            naive_plate_action(bad)
 
 
 def test_fold_distance_range_and_symmetry():
@@ -77,8 +86,8 @@ def test_lhv_sample_uniform_chi_square():
 
 def test_lhv_pair_is_crossed():
     a, b = lhv_pair(0.3)
-    assert abs(a.angle - 0.3) < 1e-15
-    assert abs(b.angle - (0.3 + math.pi / 2)) < 1e-12
+    assert abs(a - 0.3) < 1e-15
+    assert abs(b - (0.3 + math.pi / 2)) < 1e-12
 
 
 def test_lhv_outcome_aligned_and_crossed():
@@ -121,52 +130,51 @@ def test_lhv_correlator_closed_form():
 # ---------------------------------------------------------------- naive model
 
 def test_naive_plate_action_examples():
-    assert naive_plate_action(HiddenState.unpolarized()) == HiddenState.unpolarized()
-    assert naive_plate_action(HiddenState.definite(0.0)) == HiddenState.definite(math.pi / 2)
-    assert naive_plate_action(HiddenState.definite(math.pi / 2)) == HiddenState.definite(0.0)
+    assert naive_plate_action(None) is None
+    assert naive_plate_action(0.0) == math.pi / 2
+    assert naive_plate_action(math.pi / 2) == 0.0
 
 
 def test_naive_plate_action_is_involutive_on_definite():
     for theta in np.linspace(0.0, math.pi, 37, endpoint=False):
-        twice = naive_plate_action(naive_plate_action(HiddenState.definite(float(theta))))
-        assert fold_distance(twice.angle - float(theta)) < 1e-12
+        twice = naive_plate_action(naive_plate_action(float(theta)))
+        assert fold_distance(twice - float(theta)) < 1e-12
 
 
 def test_naive_measure_unpolarized_forces_partner():
-    outcome, partner = naive_measure(HiddenState.unpolarized(), 0.0, u=0.7)
-    assert outcome is PolAxis.Y
-    assert partner == HiddenState.definite(0.0)
-
-    outcome, partner = naive_measure(HiddenState.unpolarized(), 0.0, u=0.2)
-    assert outcome is PolAxis.X
-    assert partner == HiddenState.definite(math.pi / 2)
+    for setting in (0.0, 0.3, math.pi / 4, 3.0):
+        assert naive_p_x(None, setting) == 0.5
+    assert naive_partner(0.0, PolAxis.Y) == 0.0
+    assert naive_partner(0.0, PolAxis.X) == math.pi / 2
 
 
-def test_naive_measure_threshold_tie_goes_to_y():
-    outcome, _ = naive_measure(HiddenState.unpolarized(), 0.0, u=0.5)
-    assert outcome is PolAxis.Y
+def test_naive_measure_threshold_tie_goes_to_y(monkeypatch):
+    # X iff u < P(X) = 1/2: a first draw of exactly 1/2 answers Y, one just below it X
+    bench = OpticalBench(d_prism_b=0.25)  # B is detected first
+    for u, want in ((0.5, PolAxis.Y), (0.5 - 2**-54, PolAxis.X)):
+        monkeypatch.setattr(engine, "uniform_array", lambda seed, indices, k: np.full(len(indices), u))
+        assert run_trial("naive", bench, master_seed=0, trial_index=0).outcome_b is want
 
 
 def test_naive_measure_definite_is_deterministic():
-    for u in (0.0, 0.3, 0.99):
-        outcome, partner = naive_measure(HiddenState.definite(0.0), 0.0, u=u)
-        assert outcome is PolAxis.X and partner is None
-        outcome, partner = naive_measure(HiddenState.definite(math.pi / 2), 0.0, u=u)
-        assert outcome is PolAxis.Y and partner is None
+    assert naive_p_x(0.0, 0.0) == 1.0
+    assert naive_p_x(math.pi / 2, 0.0) == 0.0
+    rng = np.random.default_rng(17)
+    for photon, setting in rng.uniform(0, math.pi, (200, 2)):
+        want = 1.0 if lhv_outcome(float(photon), float(setting)) is PolAxis.X else 0.0
+        assert naive_p_x(float(photon), float(setting)) == want
 
 
 def test_naive_measure_partner_is_orthogonal_to_registered_axis():
     rng = np.random.default_rng(13)
     for _ in range(200):
         setting = float(rng.uniform(0, math.pi))
-        u = float(rng.uniform(0, 1))
-        outcome, partner = naive_measure(HiddenState.unpolarized(), setting, u=u)
-        registered = setting if outcome is PolAxis.X else setting + math.pi / 2
-        assert fold_distance(partner.angle - (registered + math.pi / 2)) < 1e-12
-        # the partner now answers the same analyzer with the opposite axis
-        follow, none = naive_measure(partner, setting, u=0.0)
-        assert none is None
-        assert follow is (PolAxis.Y if outcome is PolAxis.X else PolAxis.X)
+        for outcome in PolAxis:
+            partner = naive_partner(setting, outcome)
+            registered = setting if outcome is PolAxis.X else setting + math.pi / 2
+            assert fold_distance(partner - (registered + math.pi / 2)) < 1e-12
+            # the partner now answers the same analyzer with the opposite axis
+            assert naive_p_x(partner, setting) == (0.0 if outcome is PolAxis.X else 1.0)
 
 
 # ---------------------------------------------------------------- CHSH

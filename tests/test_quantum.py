@@ -165,23 +165,26 @@ def test_apply_element_preserves_norm_randomly():
 # ---------------------------------------------------------------- analyzers
 
 def test_analyzer_basis_examples():
-    x0, y0 = analyzer_basis(0.0)
+    basis = analyzer_basis(0.0)
+    assert basis.dtype == np.complex128 and basis.shape == (2, 2)
+    x0, y0 = basis.T  # the basis vectors are the columns
     np.testing.assert_allclose(x0, [1.0, 0.0], atol=0)
     np.testing.assert_allclose(y0, [0.0, 1.0], atol=0)
-    xq, yq = analyzer_basis(math.pi / 2)
+    xq, yq = analyzer_basis(math.pi / 2).T
     np.testing.assert_allclose(xq, [0.0, 1.0], atol=1e-15)
     np.testing.assert_allclose(yq, [-1.0, 0.0], atol=1e-15)
-    xh, yh = analyzer_basis(math.pi / 4)
+    xh, yh = analyzer_basis(math.pi / 4).T
     np.testing.assert_allclose(xh, [INV_SQRT2, INV_SQRT2], atol=1e-15)
     np.testing.assert_allclose(yh, [-INV_SQRT2, INV_SQRT2], atol=1e-15)
 
 
 @pytest.mark.parametrize("alpha", np.linspace(0.0, math.pi, 17))
 def test_analyzer_basis_orthonormal(alpha):
-    x, y = analyzer_basis(float(alpha))
-    assert abs(np.dot(x, x) - 1.0) < 1e-12
-    assert abs(np.dot(y, y) - 1.0) < 1e-12
-    assert abs(np.dot(x, y)) < 1e-12
+    basis = analyzer_basis(float(alpha))
+    np.testing.assert_allclose(basis.conj().T @ basis, np.eye(2), rtol=0, atol=1e-12)
+    # columns (cos a, sin a) and (-sin a, cos a), with the setting reduced mod pi
+    a = reduce_mod_pi(float(alpha))
+    assert basis.tolist() == [[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]]
 
 
 # ---------------------------------------------------------------- probabilities

@@ -1,0 +1,15 @@
+"""The README's library example runs against the package as it stands."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_example_runs(capsys):
+    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, str(README), "exec"), {})
+    e_hat, stderr_e = (float(word) for word in capsys.readouterr().out.split())
+    # qm on a plate bench: the outcomes always agree
+    assert (e_hat, stderr_e) == (1.0, 0.0)
