@@ -27,7 +27,7 @@ for model in ("qm", "lhv-sign"):
         ("E(a',b')", report.e_apbp, exact.e_apbp),
     ):
         print(f"  {name} = {e_hat:+.4f}   (exact {e_exact:+.4f})")
-    verdict = "VIOLATED" if report.violates_classical_bound(3.0) else "NOT VIOLATED"
+    verdict = "VIOLATED" if report.violates_classical_bound() else "NOT VIOLATED"
     print(f"  S = {report.s:.4f} +- {report.stderr_total:.4f}   (exact {exact.s:.4f})")
     print(f"  classical bound 2: {verdict}\n")
 

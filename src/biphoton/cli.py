@@ -34,7 +34,7 @@ from .engine import (
     write_trials_csv,
 )
 from .local import ChshAngles
-from .quantum import AnalyzerSetting
+from .quantum import XX, XY, YX, YY, AnalyzerSetting
 from .rng import derive_seed
 
 _DEFAULT_TRIALS = 100_000
@@ -46,6 +46,13 @@ _SEED_ENV = "ENTANGLE_BENCH_SEED"
 def _fmt17(x: float) -> str:
     """17 significant digits: enough to reconstruct the exact double."""
     return format(float(x), ".17g")
+
+
+def _csv_text(header: str, rows) -> str:
+    """CSV lines under ``header``: floats at 17 significant digits, anything else by ``str``."""
+    lines = [header]
+    lines += [",".join(_fmt17(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _json_render(value, indent: int = 0) -> str:
@@ -140,7 +147,7 @@ def _cmd_pair(args):
         return lambda f: write_trials_csv(f, bench, a_is_x, b_is_x)
     stats = run_ensemble(args.model, bench, args.trials, args.seed, args.workers)
     table = [float(p) for p in analytic_joint_table(args.model, bench).p]
-    e_exact = analytic_E(args.model, bench)
+    e_exact = table[XX] + table[YY] - table[XY] - table[YX]
     if args.format == "json":
         doc = {
             "command": "pair",
@@ -184,13 +191,11 @@ def _cmd_order_test(args) -> str:
         }
         return _json_render(doc) + "\n"
     if args.format == "csv":
-        rows = ["bench,n_xx,n_xy,n_yx,n_yy,e_hat,stderr_e"]
-        for name, stats in (("early", report.early), ("late", report.late)):
-            rows.append(
-                f"{name},{stats.n_xx},{stats.n_xy},{stats.n_yx},{stats.n_yy},"
-                f"{_fmt17(stats.e_hat)},{_fmt17(stats.stderr_e)}"
-            )
-        return "\n".join(rows) + "\n"
+        rows = [
+            (name, *stats.counts, stats.e_hat, stats.stderr_e)
+            for name, stats in (("early", report.early), ("late", report.late))
+        ]
+        return _csv_text("bench,n_xx,n_xy,n_yx,n_yy,e_hat,stderr_e", rows)
     lines = [f"model {args.model}", f"trials {args.trials} per bench", f"seed {args.seed}"]
     lines.append(
         f"early bench: d_prism_b_m {args.d_prism_b_early:.6f}  (B detected before the plate acts)"
@@ -238,14 +243,15 @@ def _cmd_chsh(args) -> str:
     exact = analytic_chsh(args.model, angles, plate_present)
     if args.format == "json":
         return _json_render(report.to_json_dict()) + "\n"
+    term_rows = (
+        ("e_ab", report.e_ab, report.se_ab, exact.e_ab),
+        ("e_abp", report.e_abp, report.se_abp, exact.e_abp),
+        ("e_apb", report.e_apb, report.se_apb, exact.e_apb),
+        ("e_apbp", report.e_apbp, report.se_apbp, exact.e_apbp),
+    )
     if args.format == "csv":
-        rows = ["term,value,stderr"]
-        rows.append(f"e_ab,{_fmt17(report.e_ab)},{_fmt17(report.se_ab)}")
-        rows.append(f"e_abp,{_fmt17(report.e_abp)},{_fmt17(report.se_abp)}")
-        rows.append(f"e_apb,{_fmt17(report.e_apb)},{_fmt17(report.se_apb)}")
-        rows.append(f"e_apbp,{_fmt17(report.e_apbp)},{_fmt17(report.se_apbp)}")
-        rows.append(f"s,{_fmt17(report.s)},{_fmt17(report.stderr_total)}")
-        return "\n".join(rows) + "\n"
+        rows = [row[:3] for row in term_rows] + [("s", report.s, report.stderr_total)]
+        return _csv_text("term,value,stderr", rows)
     lines = [
         f"model {args.model}",
         f"trials {args.trials} per setting pair",
@@ -259,16 +265,10 @@ def _cmd_chsh(args) -> str:
         ),
         "term    E_hat      stderr    E_exact",
     ]
-    term_rows = (
-        ("e_ab", report.e_ab, report.se_ab, exact.e_ab),
-        ("e_abp", report.e_abp, report.se_abp, exact.e_abp),
-        ("e_apb", report.e_apb, report.se_apb, exact.e_apb),
-        ("e_apbp", report.e_apbp, report.se_apbp, exact.e_apbp),
-    )
     for name, e, se, ex in term_rows:
         lines.append(f"{name:<7} {e:+.6f}  {se:.6f}  {ex:+.6f}")
     lines.append(f"S {report.s:.6f} +- {report.stderr_total:.6f}   exact {exact.s:.6f}")
-    flag = "VIOLATED" if report.violates_classical_bound(3.0) else "NOT VIOLATED"
+    flag = "VIOLATED" if report.violates_classical_bound() else "NOT VIOLATED"
     lines.append(f"classical bound 2: {flag} (violated iff S - 3*stderr > 2)")
     return "\n".join(lines) + "\n"
 
@@ -309,10 +309,7 @@ def _cmd_sweep(args) -> str:
         }
         return _json_render(doc) + "\n"
     if args.format == "csv":
-        out = ["angle_deg,E_analytic,E_hat,stderr"]
-        for a, ex, eh, se in rows:
-            out.append(f"{_fmt17(a)},{_fmt17(ex)},{_fmt17(eh)},{_fmt17(se)}")
-        return "\n".join(out) + "\n"
+        return _csv_text("angle_deg,E_analytic,E_hat,stderr", rows)
     lines = [
         f"model {args.model}",
         f"axis {args.axis} swept, {args.trials} trials per row",

@@ -100,7 +100,8 @@ class OpticalBench:
     """Geometry and settings of one run; distances in meters from the source.
 
     When the plate is present it must sit no farther out than channel A's
-    prism, so it always acts before A's detection.
+    prism, so it always acts before A's detection.  Only the qm model reads
+    ``plate_angle``: the local models' plate turns a definite photon by pi/2.
     """
 
     d_plate_a: float = 0.5
@@ -302,8 +303,8 @@ def _naive_rules(bench):
     )
 
 
-def _branch_plan(model_rules, bench, timeline):
-    """Branch plan of a two-detection model, walking the timeline through its rules.
+def _branch_plan(model_rules, bench):
+    """Branch plan of a two-detection model, walking the bench's timeline through its rules.
 
     ``model_rules(bench)`` gives the pair at emission, the plate's action
     on it, P(X) at one analyzer, and the pair after an analyzer registers
@@ -312,6 +313,7 @@ def _branch_plan(model_rules, bench, timeline):
     maximally entangled pair), so both branches are live.
     """
     state, plate, p_x, registered = model_rules(bench)
+    timeline = build_timeline(bench)
     i = 0
     while timeline[i].event is BenchEvent.PLATE_A:
         state = plate(state)
@@ -338,14 +340,14 @@ def _branch_plan(model_rules, bench, timeline):
 _BRANCH_PLANS = {"qm": partial(_branch_plan, _qm_rules), "naive": partial(_branch_plan, _naive_rules)}
 
 
-def _branch_kernel(compile_plan, bench, timeline, master_seed):
+def _branch_kernel(compile_plan, bench, master_seed):
     """Chunk kernel sampling the branch plan that ``compile_plan`` makes of the bench.
 
     Draw 0 decides the first detection, draw 1 the second, read only if the
     plan leaves it uncertain: for u in [0, 1), u < p2x is p2x == 1.0 when
     p2x is 0 or 1.
     """
-    first_ch, p1x, p2x_given_x, p2x_given_y = compile_plan(bench, timeline)
+    first_ch, p1x, p2x_given_x, p2x_given_y = compile_plan(bench)
     certain = {p2x_given_x, p2x_given_y} <= {0.0, 1.0}
 
     def outcomes(indices):
@@ -430,7 +432,7 @@ def _lhv_breakpoints(bench, channel):
     return flips[ks[0]], ks
 
 
-def _lhv_kernel(bench, timeline, master_seed):
+def _lhv_kernel(bench, master_seed):
     """Chunk kernel of lhv-sign: each outcome compares the draw with its channel's breakpoints."""
     plans = [_lhv_breakpoints(bench, channel) for channel in (Channel.A, Channel.B)]
     # k / DRAWS is exact, so u >= t is k >= the breakpoint
@@ -465,7 +467,7 @@ def run_trial(model: str, bench: OpticalBench, master_seed: int, trial_index: in
     so any single trial can be replayed without rerunning its ensemble.
     """
     _check_model(model)
-    kernel = _KERNELS[model](bench, build_timeline(bench), master_seed)
+    kernel = _KERNELS[model](bench, master_seed)
     a_is_x, b_is_x = kernel(np.array([trial_index % 2**64], dtype=np.uint64))
     return TrialRecord(
         trial_index,
@@ -498,7 +500,7 @@ def _map_chunks(model, bench, n_trials, master_seed, workers, consume):
     ``_IN_FLIGHT_PER_THREAD`` chunks per thread are in flight, so memory
     stays bounded at any trial count.
     """
-    kernel = _KERNELS[model](bench, build_timeline(bench), master_seed)
+    kernel = _KERNELS[model](bench, master_seed)
 
     def task(start: int):
         indices = np.arange(start, min(start + CHUNK, n_trials), dtype=np.uint64)
@@ -621,7 +623,7 @@ def analytic_joint_table(model: str, bench: OpticalBench) -> ProbTable:
         same = (1.0 + e) / 4.0
         diff = (1.0 - e) / 4.0
         return ProbTable([same, diff, diff, same])
-    first_ch, p1x, p2x_given_x, p2x_given_y = _BRANCH_PLANS[model](bench, build_timeline(bench))
+    first_ch, p1x, p2x_given_x, p2x_given_y = _BRANCH_PLANS[model](bench)
     # joint[f, s]: first outcome f, second outcome s, X before Y
     joint = np.array([[p1x], [1.0 - p1x]]) * np.array(
         [[p2x_given_x, 1.0 - p2x_given_x], [p2x_given_y, 1.0 - p2x_given_y]]
@@ -659,16 +661,36 @@ class OrderInvarianceReport:
     """
 
     model: str
-    n_per_bench: int
     early: EnsembleStats
     late: EnsembleStats
     analytic_early: tuple[float, ...]
     analytic_late: tuple[float, ...]
-    delta_f: tuple[float, ...]
-    combined_stderr: tuple[float, ...]
-    delta_e: float
-    delta_e_stderr: float
-    same: bool
+
+    @property
+    def n_per_bench(self) -> int:
+        return self.early.n
+
+    @property
+    def delta_f(self) -> tuple[float, ...]:
+        return tuple(fl - fe for fe, fl in zip(self.early.frequencies, self.late.frequencies))
+
+    @property
+    def combined_stderr(self) -> tuple[float, ...]:
+        pairs = zip(self.early.cell_stderr(), self.late.cell_stderr())
+        return tuple(math.sqrt(se * se + sl * sl) for se, sl in pairs)
+
+    @property
+    def delta_e(self) -> float:
+        return self.late.e_hat - self.early.e_hat
+
+    @property
+    def delta_e_stderr(self) -> float:
+        return math.sqrt(self.early.stderr_e**2 + self.late.stderr_e**2)
+
+    @property
+    def same(self) -> bool:
+        # <= rather than <, so a cell reproduced exactly (delta 0, stderr 0) passes
+        return all(abs(d) <= 4.0 * c for d, c in zip(self.delta_f, self.combined_stderr))
 
     @property
     def verdict(self) -> str:
@@ -711,30 +733,12 @@ def order_invariance_report(
         raise ValueError("early bench must detect B before the plate acts")
     if detect_b_before_plate(bench_late):
         raise ValueError("late bench must detect B after the plate acts")
-    early = run_ensemble(model, bench_early, n_trials, derive_seed(master_seed, 0), workers)
-    late = run_ensemble(model, bench_late, n_trials, derive_seed(master_seed, 1), workers)
-    f_early = early.frequencies
-    f_late = late.frequencies
-    delta_f = tuple(fl - fe for fe, fl in zip(f_early, f_late))
-    combined = tuple(
-        math.sqrt(se * se + sl * sl) for se, sl in zip(early.cell_stderr(), late.cell_stderr())
-    )
-    # <= rather than <, so a cell reproduced exactly (delta 0, stderr 0) passes
-    same = all(abs(d) <= 4.0 * c for d, c in zip(delta_f, combined))
-    delta_e = late.e_hat - early.e_hat
-    delta_e_stderr = math.sqrt(early.stderr_e**2 + late.stderr_e**2)
     return OrderInvarianceReport(
-        model=model,
-        n_per_bench=n_trials,
-        early=early,
-        late=late,
-        analytic_early=tuple(float(p) for p in analytic_joint_table(model, bench_early).p),
-        analytic_late=tuple(float(p) for p in analytic_joint_table(model, bench_late).p),
-        delta_f=delta_f,
-        combined_stderr=combined,
-        delta_e=delta_e,
-        delta_e_stderr=delta_e_stderr,
-        same=same,
+        model,
+        run_ensemble(model, bench_early, n_trials, derive_seed(master_seed, 0), workers),
+        run_ensemble(model, bench_late, n_trials, derive_seed(master_seed, 1), workers),
+        tuple(float(p) for p in analytic_joint_table(model, bench_early).p),
+        tuple(float(p) for p in analytic_joint_table(model, bench_late).p),
     )
 
 
@@ -753,10 +757,8 @@ def chsh_experiment(
     and individually reproducible.
     """
     _check_model(model)
-    terms = []
-    errors = []
-    for k, bench in enumerate(_chsh_benches(angles, plate_present)):
-        stats = run_ensemble(model, bench, n_per_setting, derive_seed(master_seed, k), workers)
-        terms.append(stats.e_hat)
-        errors.append(stats.stderr_e)
-    return ChshReport.from_terms(*terms, se=tuple(errors))
+    stats = [
+        run_ensemble(model, bench, n_per_setting, derive_seed(master_seed, k), workers)
+        for k, bench in enumerate(_chsh_benches(angles, plate_present))
+    ]
+    return ChshReport(*(st.e_hat for st in stats), *(st.stderr_e for st in stats))

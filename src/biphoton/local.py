@@ -65,9 +65,10 @@ def lhv_outcome(lam: float, setting: "AnalyzerSetting | float") -> PolAxis:
 def naive_plate_action(photon: Optional[float]) -> Optional[float]:
     """Half-wave plate acting on a local-model photon.
 
-    A definite polarization plane is turned by pi/2; a photon with no
-    polarization yet (None) offers the plate nothing to act on and passes
-    unchanged.  Both local models share this rule.
+    A definite polarization plane is turned by pi/2 whatever the plate's
+    fast-axis angle, so ``plate_angle`` reaches only the quantum model; a
+    photon with no polarization yet (None) offers the plate nothing to act
+    on and passes unchanged.  Both local models share this rule.
     """
     if photon is None:
         return None
@@ -150,34 +151,22 @@ class ChshReport:
     e_abp: float
     e_apb: float
     e_apbp: float
-    s: float
     se_ab: float = 0.0
     se_abp: float = 0.0
     se_apb: float = 0.0
     se_apbp: float = 0.0
-    stderr_total: float = 0.0
 
-    def __post_init__(self):
-        recomputed = abs(self.e_ab - self.e_abp + self.e_apb + self.e_apbp)
-        if abs(recomputed - self.s) > 1e-12:
-            raise ValueError(f"S = {self.s!r} inconsistent with terms ({recomputed!r})")
+    @property
+    def s(self) -> float:
+        return abs(self.e_ab - self.e_abp + self.e_apb + self.e_apbp)
 
-    @classmethod
-    def from_terms(
-        cls,
-        e_ab: float,
-        e_abp: float,
-        e_apb: float,
-        e_apbp: float,
-        se: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0),
-    ) -> "ChshReport":
-        s = abs(e_ab - e_abp + e_apb + e_apbp)
-        total = math.sqrt(se[0] ** 2 + se[1] ** 2 + se[2] ** 2 + se[3] ** 2)
-        return cls(e_ab, e_abp, e_apb, e_apbp, s, *se, stderr_total=total)
+    @property
+    def stderr_total(self) -> float:
+        return math.sqrt(self.se_ab**2 + self.se_abp**2 + self.se_apb**2 + self.se_apbp**2)
 
-    def violates_classical_bound(self, n_sigma: float = 3.0) -> bool:
-        """Whether S clears the local bound of 2 by ``n_sigma`` standard errors."""
-        return self.s - n_sigma * self.stderr_total > 2.0
+    def violates_classical_bound(self) -> bool:
+        """Whether S clears the local bound of 2 by three standard errors."""
+        return self.s - 3.0 * self.stderr_total > 2.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -202,4 +191,4 @@ def chsh_S(correlator: Callable[..., float], angles: ChshAngles) -> ChshReport:
         if not (math.isfinite(e) and abs(e) <= 1.0 + 1e-12):
             raise ValueError(f"correlator returned {e!r}, outside [-1, 1]")
         terms.append(e)
-    return ChshReport.from_terms(*terms)
+    return ChshReport(*terms)

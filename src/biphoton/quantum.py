@@ -158,10 +158,6 @@ class ProbTable:
     def p(self) -> np.ndarray:
         return self._p
 
-    def value(self, axis_a: PolAxis, axis_b: PolAxis) -> float:
-        i = (axis_a is PolAxis.Y) * 2 + (axis_b is PolAxis.Y)
-        return float(self._p[i])
-
     def __getitem__(self, idx: int) -> float:
         return float(self._p[idx])
 

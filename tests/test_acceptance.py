@@ -117,7 +117,7 @@ def test_criterion_6_bell_violation_and_local_bound():
 
     sampled = chsh_experiment("qm", CANONICAL_CHSH_ANGLES, 1_000_000, master_seed=71)
     assert abs(sampled.s - TWO_SQRT2) <= 3.0 * sampled.stderr_total
-    assert sampled.violates_classical_bound(3.0)
+    assert sampled.violates_classical_bound()
 
     rng = np.random.default_rng(2028)
     worst_excess = -math.inf

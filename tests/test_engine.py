@@ -3,7 +3,7 @@
 import io
 import math
 from concurrent.futures import Future
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -275,7 +275,7 @@ def test_lhv_breakpoints_agree_with_scalar_rule(alpha, beta, plate):
 def test_certain_second_detection_has_no_rounding_residue(monkeypatch):
     # B is detected first; alpha - beta = pi/2 makes A certain once B is known
     bench = OpticalBench(alpha=5 * math.pi / 8, beta=math.pi / 8)
-    assert engine._BRANCH_PLANS["qm"](bench, build_timeline(bench)) == (Channel.B, 0.5, 0.0, 1.0)
+    assert engine._BRANCH_PLANS["qm"](bench) == (Channel.B, 0.5, 0.0, 1.0)
     assert analytic_joint_table("qm", bench).p.tolist() == [0.0, 0.5, 0.5, 0.0]
     collapsed = measure_channel(
         apply_element(make_anticorrelated_pair(), Channel.A, hwp_jones(bench.plate_angle)),
@@ -713,6 +713,28 @@ def test_order_report_json_shape():
     assert set(doc["early"]) == {"n_xx", "n_xy", "n_yx", "n_yy", "e_hat", "stderr_e"}
 
 
+def test_order_report_derives_everything_from_its_ensembles():
+    early, late = EnsembleStats(30, 10, 20, 40), EnsembleStats(25, 25, 25, 25)
+    report = engine.OrderInvarianceReport("qm", early, late, (0.25,) * 4, (0.25,) * 4)
+    assert [f.name for f in fields(report)] == [
+        "model", "early", "late", "analytic_early", "analytic_late",
+    ]
+    assert report.n_per_bench == 100
+    assert report.delta_f == pytest.approx((-0.05, 0.15, 0.05, -0.15), abs=1e-15)
+    want = [math.sqrt(a * a + b * b) for a, b in zip(early.cell_stderr(), late.cell_stderr())]
+    assert list(report.combined_stderr) == want
+    assert report.delta_e == late.e_hat - early.e_hat == -0.4
+    assert report.delta_e_stderr == math.sqrt(early.stderr_e**2 + late.stderr_e**2)
+    assert report.same is all(abs(d) <= 4.0 * c for d, c in zip(report.delta_f, want))
+    # a cell reproduced exactly passes at zero stderr
+    exact = engine.OrderInvarianceReport("naive", late, late, (0.25,) * 4, (0.25,) * 4)
+    assert exact.delta_f == (0.0,) * 4 and exact.same
+    flipped = engine.OrderInvarianceReport(
+        "naive", EnsembleStats(5, 0, 0, 0), EnsembleStats(0, 5, 0, 0), (1.0, 0, 0, 0), (0, 1.0, 0, 0)
+    )
+    assert flipped.delta_e == -2.0 and flipped.verdict == "DIFFERENT"
+
+
 def test_order_report_rejects_mismatched_benches():
     with pytest.raises(ValueError):
         order_invariance_report("qm", EARLY, replace(LATE, alpha=0.2), 100, master_seed=0)
@@ -737,19 +759,19 @@ def test_analytic_chsh_values():
 def test_chsh_experiment_matches_analytic_qm():
     report = chsh_experiment("qm", CANONICAL_CHSH_ANGLES, 50_000, master_seed=8)
     assert abs(report.s - TWO_SQRT2) <= 3.0 * report.stderr_total
-    assert report.violates_classical_bound(3.0)
+    assert report.violates_classical_bound()
 
 
 def test_chsh_experiment_matches_analytic_lhv():
     report = chsh_experiment("lhv-sign", CANONICAL_CHSH_ANGLES, 50_000, master_seed=8)
     assert abs(report.s - 2.0) <= 3.0 * report.stderr_total
-    assert not report.violates_classical_bound(3.0)
+    assert not report.violates_classical_bound()
 
 
 def test_chsh_experiment_degenerate_settings():
     report = chsh_experiment("qm", ChshAngles(0.0, 0.0, 0.0, 0.0), 20_000, master_seed=8)
     assert abs(report.s - 2.0) <= 3.0 * report.stderr_total
-    assert not report.violates_classical_bound(3.0)
+    assert not report.violates_classical_bound()
 
 
 def test_chsh_experiment_is_deterministic():

@@ -1,5 +1,6 @@
 """Naive unpolarized model, the sign hidden-variable model, and CHSH evaluation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -215,23 +216,27 @@ def test_chsh_rejects_out_of_range_correlator():
         chsh_S(lambda a, b: math.nan, CANONICAL_CHSH_ANGLES)
 
 
-def test_chsh_report_rejects_inconsistent_s():
-    with pytest.raises(ValueError):
-        ChshReport(0.5, -0.5, 0.5, 0.5, s=1.0)
-
-
 def test_chsh_report_json_keys():
-    report = ChshReport.from_terms(0.5, -0.5, 0.5, 0.5)
+    report = ChshReport(0.5, -0.5, 0.5, 0.5)
     assert list(report.to_json_dict()) == ["e_ab", "e_abp", "e_apb", "e_apbp", "s", "stderr_total"]
+    assert report.to_json_dict()["s"] == 2.0 and report.to_json_dict()["stderr_total"] == 0.0
+
+
+def test_chsh_report_stores_terms_and_errors_only():
+    names = [f.name for f in dataclasses.fields(ChshReport)]
+    assert names == ["e_ab", "e_abp", "e_apb", "e_apbp", "se_ab", "se_abp", "se_apb", "se_apbp"]
+    report = ChshReport(0.5, 0.25, -0.125, 1.0, 0.3, 0.4, 0.0, 1.2)
+    assert report.s == abs(0.5 - 0.25 - 0.125 + 1.0)
+    assert report.stderr_total == math.sqrt(0.3**2 + 0.4**2 + 0.0**2 + 1.2**2)
 
 
 def test_chsh_violation_flag_uses_three_sigma():
-    close = ChshReport.from_terms(0.725, -0.725, 0.725, 0.725, se=(0.2, 0.2, 0.2, 0.2))
+    close = ChshReport(0.725, -0.725, 0.725, 0.725, 0.2, 0.2, 0.2, 0.2)
     assert close.s == pytest.approx(2.9)
     assert close.stderr_total == pytest.approx(0.4)
-    assert not close.violates_classical_bound(3.0)  # 2.9 - 1.2 stays under 2
-    sharp = ChshReport.from_terms(0.725, -0.725, 0.725, 0.725, se=(0.01, 0.01, 0.01, 0.01))
-    assert sharp.violates_classical_bound(3.0)
+    assert not close.violates_classical_bound()  # 2.9 - 1.2 stays under 2
+    sharp = ChshReport(0.725, -0.725, 0.725, 0.725, 0.01, 0.01, 0.01, 0.01)
+    assert sharp.violates_classical_bound()
 
 
 def test_quantum_family_peaks_at_tsirelson():

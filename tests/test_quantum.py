@@ -8,8 +8,6 @@ import pytest
 from biphoton.quantum import (
     XX,
     XY,
-    YX,
-    YY,
     AnalyzerSetting,
     Channel,
     JonesMatrix,
@@ -208,14 +206,6 @@ def test_joint_probabilities_sum_to_one_randomly():
         table = joint_probabilities(state, float(rng.uniform(0, 4)), float(rng.uniform(0, 4)))
         assert abs(float(np.sum(table.p)) - 1.0) < 1e-12
         assert np.all(table.p >= 0.0)
-
-
-def test_prob_table_lookup_by_axis():
-    table = joint_probabilities(make_anticorrelated_pair(), 0.0, 0.0)
-    assert table.value(PolAxis.X, PolAxis.Y) == table[XY]
-    assert table.value(PolAxis.Y, PolAxis.X) == table[YX]
-    assert table.value(PolAxis.X, PolAxis.X) == table[XX]
-    assert table.value(PolAxis.Y, PolAxis.Y) == table[YY]
 
 
 def test_marginal_examples():
