@@ -27,6 +27,7 @@ which for the naive model it never does.
 
 from __future__ import annotations
 
+import codecs
 import math
 import os
 from collections import deque
@@ -579,32 +580,65 @@ def write_trials_csv(f, bench: OpticalBench, a_is_x, b_is_x) -> None:
 
     Header trial,outcome_a,outcome_b,b_before_plate; outcomes are X or Y
     and the ordering flag is true/false, constant for a fixed bench.
-    Rows are built as byte matrices and written CHUNK rows at a time, so
-    the text never exists whole: each run of indices with one digit count
-    gets its digit columns by repeated division and its tail columns from
-    the four possible ``,A,B,flag`` endings.
+    Raises ValueError, before writing anything, unless the two outcome
+    arrays are one-dimensional and of one length.
+
+    Rows are written CHUNK at a time, so the text never exists whole.
+    Each run of indices with one digit count is rendered as contiguous
+    slices of a byte template built once for that digit count: the low
+    (up to) four digits of the index cycle with period 10^4 and the tail
+    is ``,Y,Y,flag\\n``, so the template repeats that cycle often enough
+    that a chunk starting at offset ``start % 10^4`` fits in one slice.
+    In that slice only the bytes that vary are written in place: each
+    outcome letter as ``'Y' - is_x``, since X is Y - 1, and the higher
+    digits, which are constant over each run of 10^4 rows, by one slice
+    fill per run. The slice is then decoded to text without a copy to
+    bytes.
     """
-    flag = "true" if detect_b_before_plate(bench) else "false"
-    # row 2 * (A is Y) + (B is Y): the endings in the order XX, XY, YX, YY
-    tails = np.array(
-        [list(f",{a},{b},{flag}\n".encode("ascii")) for a in "XY" for b in "XY"], dtype=np.uint8
+    a_is_x = np.asarray(a_is_x, dtype=bool)
+    b_is_x = np.asarray(b_is_x, dtype=bool)
+    if a_is_x.ndim != 1 or a_is_x.shape != b_is_x.shape:
+        raise ValueError(
+            f"outcome arrays must be 1-D and of equal length, got shapes "
+            f"{a_is_x.shape} and {b_is_x.shape}"
+        )
+    # bool and uint8 share their bytes, so the letters need no converted copy
+    a_bytes, b_bytes = a_is_x.view(np.uint8), b_is_x.view(np.uint8)
+    tail = np.frombuffer(
+        f",Y,Y,{'true' if detect_b_before_plate(bench) else 'false'}\n".encode("ascii"),
+        dtype=np.uint8,
     )
-    a_is_y = ~np.asarray(a_is_x, dtype=bool)
-    b_is_y = ~np.asarray(b_is_x, dtype=bool)
+    letter_y = np.uint8(ord("Y"))
     f.write("trial,outcome_a,outcome_b,b_before_plate\n")
     start = 0
-    while start < len(a_is_y):
+    while start < len(a_is_x):
+        # one template serves every index with this many digits
         width = len(str(start))
-        # a run ends with its chunk or where the index gains a digit
-        stop = min(len(a_is_y), (start // CHUNK + 1) * CHUNK, 10**width)
-        rows = np.empty((stop - start, width + tails.shape[1]), dtype=np.uint8)
-        idx = np.arange(start, stop, dtype=np.int64)
-        for col in range(width - 1, -1, -1):
+        low = min(width, 4)
+        period = 10**low
+        # below 10^4 an index is all low digits and one period holds them;
+        # above, a chunk starts anywhere in a period and the slice from
+        # there must still hold CHUNK rows
+        repeats = 1 if width == low else math.ceil((CHUNK + period - 1) / period)
+        template = np.empty((period * repeats, width + len(tail)), dtype=np.uint8)
+        idx = np.arange(len(template))
+        for col in range(width - 1, width - 1 - low, -1):
             idx, digit = np.divmod(idx, 10)
-            rows[:, col] = digit + ord("0")
-        rows[:, width:] = tails[2 * a_is_y[start:stop] + b_is_y[start:stop]]
-        f.write(rows.tobytes().decode("ascii"))
-        start = stop
+            template[:, col] = digit + ord("0")
+        template[:, width:] = tail
+        end = min(len(a_is_x), 10**width)
+        while start < end:
+            stop = min(end, (start // CHUNK + 1) * CHUNK)
+            offset = start % period
+            rows = template[offset : offset + stop - start]
+            np.subtract(letter_y, a_bytes[start:stop], out=rows[:, width + 1])
+            np.subtract(letter_y, b_bytes[start:stop], out=rows[:, width + 3])
+            if width > low:
+                for run in range(start - offset, stop, period):
+                    high = np.frombuffer(str(run // period).encode("ascii"), dtype=np.uint8)
+                    rows[max(run - start, 0) : run + period - start, : width - low] = high
+            f.write(codecs.ascii_decode(rows)[0])
+            start = stop
 
 
 # ---------------------------------------------------------------------------

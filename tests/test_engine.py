@@ -2,6 +2,8 @@
 
 import io
 import math
+import tracemalloc
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import fields, replace
 
@@ -658,18 +660,25 @@ def test_write_trials_csv_layout():
         assert (oa == "X") == bool(a[offset]) and (ob == "X") == bool(b[offset])
 
 
-def reference_write_trials_csv(f, bench, a_is_x, b_is_x):
-    """The dump written one row at a time: the reference for the chunked writer."""
+def reference_write_trials_csv(f, bench, a_is_x, b_is_x, first=0):
+    """The dump written one row at a time: the reference for the chunked writer.
+
+    ``first`` > 0 writes the header and only rows ``first`` onwards.
+    """
     flag = "true" if detect_b_before_plate(bench) else "false"
     f.write("trial,outcome_a,outcome_b,b_before_plate\n")
-    for i in range(len(a_is_x)):
+    for i in range(first, len(a_is_x)):
         a = "X" if a_is_x[i] else "Y"
         b = "X" if b_is_x[i] else "Y"
         f.write(f"{i},{a},{b},{flag}\n")
 
 
-# every digit-count and chunk boundary up to 10^6 rows, and an empty dump
-DUMP_SIZES = [0, 1, 9, 10, 11, 99, 100, 101, 1000, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7, 1_000_001]
+# every digit-count, chunk and 10^4-period boundary up to 10^6 rows, and an
+# empty dump
+DUMP_SIZES = [
+    0, 1, 9, 10, 11, 99, 100, 101, 1000, 9_999, 10_000, 10_001, CHUNK - 1, CHUNK, CHUNK + 1,
+    99_999, 100_000, 100_001, 2 * CHUNK + 7, 999_999, 1_000_000, 1_000_001,
+]
 
 
 @pytest.mark.parametrize("bench", [EARLY, LATE], ids=["flag-true", "flag-false"])
@@ -681,6 +690,61 @@ def test_write_trials_csv_matches_row_writer(bench, n):
     reference_write_trials_csv(want, bench, a, b)
     write_trials_csv(got, bench, a, b)
     assert got.getvalue() == want.getvalue()
+
+
+class _TailText:
+    """A text sink that keeps its last writes, at least ``keep`` characters."""
+
+    def __init__(self, keep):
+        self.keep, self.size, self.parts = keep, 0, deque()
+
+    def write(self, text):
+        self.parts.append(text)
+        self.size += len(text)
+        while self.size - len(self.parts[0]) >= self.keep:
+            self.size -= len(self.parts.popleft())
+
+    def getvalue(self):
+        return "".join(self.parts)
+
+
+def test_write_trials_csv_eight_digit_indices():
+    n = 10_000_003
+    rng = np.random.default_rng(8)
+    a, b = rng.integers(2, size=n, dtype=bool), rng.integers(2, size=n, dtype=bool)
+    got = _TailText(keep=CHUNK * len("10000002,X,Y,false\n"))
+    write_trials_csv(got, LATE, a, b)
+    want = io.StringIO()
+    reference_write_trials_csv(want, LATE, a, b, first=n - CHUNK)
+    assert got.getvalue().splitlines()[-CHUNK:] == want.getvalue().splitlines()[1:]
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+def test_write_trials_csv_memory_does_not_grow_with_rows():
+    # beyond the two outcome arrays, a dump holds one template and one
+    # chunk of rows, whatever the row count
+    n = 4_000_000
+    rng = np.random.default_rng(4)
+    a, b = rng.integers(2, size=n, dtype=bool), rng.integers(2, size=n, dtype=bool)
+    tracemalloc.start()
+    try:
+        write_trials_csv(_Discard(), EARLY, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8_000_000
+
+
+@pytest.mark.parametrize("n_b", [2, 1, 4], ids=["shorter", "length-1", "longer"])
+def test_write_trials_csv_rejects_unequal_lengths(n_b):
+    sink = io.StringIO()
+    with pytest.raises(ValueError, match="equal length"):
+        write_trials_csv(sink, EARLY, np.ones(3, dtype=bool), np.zeros(n_b, dtype=bool))
+    assert sink.getvalue() == ""
 
 
 # ---------------------------------------------------------------- order invariance
