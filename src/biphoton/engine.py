@@ -116,14 +116,18 @@ class OpticalBench:
     def __post_init__(self):
         for name in ("d_plate_a", "d_prism_a", "d_prism_b"):
             d = getattr(self, name)
-            if not (isinstance(d, (int, float)) and math.isfinite(d) and d >= 0.0):
+            if isinstance(d, bool) or not (isinstance(d, (int, float)) and math.isfinite(d) and d >= 0.0):
                 raise ValueError(f"{name} must be a nonnegative distance in meters, got {d!r}")
             object.__setattr__(self, name, float(d))
-        object.__setattr__(self, "alpha", as_setting(self.alpha))
-        object.__setattr__(self, "beta", as_setting(self.beta))
+        for name in ("alpha", "beta"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be radians or an AnalyzerSetting, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, as_setting(getattr(self, name)))
+        if not isinstance(self.plate_present, (bool, np.bool_)):
+            raise ValueError(f"plate_present must be true or false, got {self.plate_present!r}")
         object.__setattr__(self, "plate_present", bool(self.plate_present))
         pa = self.plate_angle
-        if not (isinstance(pa, (int, float)) and math.isfinite(pa)):
+        if isinstance(pa, bool) or not (isinstance(pa, (int, float)) and math.isfinite(pa)):
             raise ValueError(f"plate_angle must be finite radians, got {pa!r}")
         object.__setattr__(self, "plate_angle", float(pa))
         if self.plate_present and self.d_plate_a > self.d_prism_a:
@@ -154,7 +158,8 @@ class OpticalBench:
         kwargs = {}
         for key, (field_name, to_si, _) in cls.CONFIG_KEYS.items():
             if key in config:
-                kwargs[field_name] = to_si(_config_value(key, config[key], to_si is bool))
+                # the flag goes in as given: __post_init__ rejects anything but a bool
+                kwargs[field_name] = config[key] if to_si is bool else to_si(_config_number(key, config[key]))
         return cls(**kwargs)
 
     def to_config_dict(self) -> dict:
@@ -162,11 +167,7 @@ class OpticalBench:
         return {key: from_si(getattr(self, name)) for key, (name, _, from_si) in self.CONFIG_KEYS.items()}
 
 
-def _config_value(key: str, value, is_flag: bool):
-    if is_flag:
-        if not isinstance(value, bool):
-            raise ValueError(f"{key} must be true or false, got {value!r}")
-        return value
+def _config_number(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"bench config key {key} must be a number, got {value!r}")
     return float(value)
@@ -468,6 +469,9 @@ def run_trial(model: str, bench: OpticalBench, master_seed: int, trial_index: in
     so any single trial can be replayed without rerunning its ensemble.
     """
     _check_model(model)
+    if isinstance(trial_index, bool) or not isinstance(trial_index, (int, np.integer)):
+        raise ValueError(f"trial_index must be an integer, got {trial_index!r}")
+    trial_index = int(trial_index)
     kernel = _KERNELS[model](bench, master_seed)
     a_is_x, b_is_x = kernel(np.array([trial_index % 2**64], dtype=np.uint64))
     return TrialRecord(

@@ -180,13 +180,6 @@ def make_anticorrelated_pair() -> TwoPhotonState:
     return TwoPhotonState([0.0, s, s, 0.0])
 
 
-def product_state(vec_a, vec_b) -> TwoPhotonState:
-    """Joint state |vec_a>_a |vec_b>_b from two unit Jones vectors."""
-    a = np.asarray(vec_a, dtype=np.complex128).reshape(2)
-    b = np.asarray(vec_b, dtype=np.complex128).reshape(2)
-    return TwoPhotonState(np.outer(a, b).reshape(4))
-
-
 def hwp_jones(plate_angle: float) -> JonesMatrix:
     """Half-wave-plate Jones matrix with fast axis at ``plate_angle`` radians.
 
@@ -243,20 +236,17 @@ def marginal(
     channel: Channel,
     setting: "AnalyzerSetting | float",
 ) -> tuple[float, float]:
-    """(p_x, p_y) for one channel, summing the joint table over the other.
+    """(p_x, p_y) for one channel: the squared norms of the analyzer's rows.
 
-    The other channel's setting is immaterial (no-signaling; verified by
-    test), so the sum is taken at an arbitrary fixed setting of 0.  A
-    probability below ``ATOL`` is a rounding residue: the pair is then
-    exactly (1, 0) or (0, 1).
+    The rows of ``basis^H @ psi`` (``psi`` transposed for channel B) give
+    the joint table at the other channel's setting 0, summed over it, bit
+    for bit.  A probability below ``ATOL`` is a rounding residue: the pair
+    is then exactly (1, 0) or (0, 1).
     """
-    other = AnalyzerSetting(0.0)
-    if channel is Channel.A:
-        p = joint_probabilities(state, setting, other).p
-        p_x, p_y = float(p[XX] + p[XY]), float(p[YX] + p[YY])
-    else:
-        p = joint_probabilities(state, other, setting).p
-        p_x, p_y = float(p[XX] + p[YX]), float(p[XY] + p[YY])
+    psi = state.matrix()
+    rows = analyzer_basis(setting).conj().T @ (psi if channel is Channel.A else psi.T)
+    p = rows.real**2 + rows.imag**2
+    p_x, p_y = float(p[0, 0] + p[0, 1]), float(p[1, 0] + p[1, 1])
     if min(p_x, p_y) < ATOL:
         return (1.0, 0.0) if p_x > p_y else (0.0, 1.0)
     return p_x, p_y
@@ -308,18 +298,3 @@ def project_channel(
     if nrm == 0.0:
         raise ValueError("degenerate projection: selected branch has zero probability")
     return TwoPhotonState(proj.reshape(4) / nrm)
-
-
-def correlation_E(
-    state: TwoPhotonState,
-    alpha: "AnalyzerSetting | float",
-    beta: "AnalyzerSetting | float",
-) -> float:
-    """Correlator E = p_XX + p_YY - p_XY - p_YX of the +-1-valued outcomes."""
-    p = joint_probabilities(state, alpha, beta).p
-    return float(p[XX] + p[YY] - p[XY] - p[YX])
-
-
-def states_equal_up_to_phase(s1: TwoPhotonState, s2: TwoPhotonState, tol: float = ATOL) -> bool:
-    """Whether two unit states coincide as physical states (rays)."""
-    return abs(s1.overlap(s2)) >= 1.0 - tol

@@ -40,7 +40,6 @@ _U64_31 = np.uint64(31)
 _NP_GOLDEN = np.uint64(_GOLDEN)
 _NP_MIX1 = np.uint64(_MIX1)
 _NP_MIX2 = np.uint64(_MIX2)
-_TO_UNIT = 2.0 ** -53
 
 
 def splitmix(z: int) -> int:
@@ -51,18 +50,6 @@ def splitmix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def draw_u64(master_seed: int, trial_index: int, draw_counter: int) -> int:
-    """The raw 64-bit word for one (seed, trial, counter) triple."""
-    h = splitmix(master_seed & _MASK)
-    h = splitmix(h ^ (trial_index & _MASK))
-    return splitmix(h ^ (draw_counter & _MASK))
-
-
-def draw_uniform(master_seed: int, trial_index: int, draw_counter: int) -> float:
-    """Uniform float on [0, 1) for one (seed, trial, counter) triple."""
-    return (draw_u64(master_seed, trial_index, draw_counter) >> 11) * _TO_UNIT
-
-
 def _splitmix_vec(z: np.ndarray) -> np.ndarray:
     z = z + _NP_GOLDEN
     z = (z ^ (z >> _U64_30)) * _NP_MIX1
@@ -71,17 +58,16 @@ def _splitmix_vec(z: np.ndarray) -> np.ndarray:
 
 
 def uniform_array(master_seed: int, trial_indices: np.ndarray, draw_counter: int) -> np.ndarray:
-    """Vectorized :func:`draw_uniform` over an array of trial indices.
+    """The uniform ``u`` of the module's mapping for each trial index, at one draw counter.
 
-    Bit-identical to the scalar path; uint64 wraparound is the intended
-    modular arithmetic.
+    uint64 wraparound is the intended modular arithmetic.
     """
     h0 = splitmix(master_seed & _MASK)
     z = trial_indices.astype(np.uint64, copy=False) ^ np.uint64(h0)
     z = _splitmix_vec(z)
     z = z ^ np.uint64(draw_counter & _MASK)
     z = _splitmix_vec(z)
-    return (z >> _U64_11).astype(np.float64) * _TO_UNIT
+    return (z >> _U64_11).astype(np.float64) * 2.0**-53
 
 
 def derive_seed(master_seed: int, stream: int) -> int:

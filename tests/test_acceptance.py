@@ -26,15 +26,13 @@ from biphoton.quantum import (
     PolAxis,
     TwoPhotonState,
     apply_element,
-    correlation_E,
     hwp_jones,
     joint_probabilities,
     make_anticorrelated_pair,
     marginal,
     measure_channel,
-    product_state,
-    states_equal_up_to_phase,
 )
+from oracles import correlation_E, product_state, states_equal_up_to_phase
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from biphoton.engine import (
@@ -108,6 +109,25 @@ def test_zero_distances_are_allowed():
 def test_rejects_negative_distance():
     with pytest.raises(ValueError):
         OpticalBench(d_prism_b=-0.5)
+
+
+@pytest.mark.parametrize("flag", ["false", "", 0, 1, None])
+def test_rejects_non_bool_plate_flag(flag):
+    # bool("false") is True: coercing would build a bench with a plate
+    with pytest.raises(ValueError):
+        OpticalBench(plate_present=flag)
+
+
+def test_accepts_numpy_bool_plate_flag():
+    bench = OpticalBench(plate_present=np.bool_(False))
+    assert bench.plate_present is False
+
+
+@pytest.mark.parametrize("field", ["d_plate_a", "d_prism_a", "d_prism_b", "alpha", "beta", "plate_angle"])
+def test_rejects_bool_numbers(field):
+    # True would otherwise become 1.0 m or 1.0 rad
+    with pytest.raises(ValueError):
+        OpticalBench(**{field: True})
 
 
 def test_rejects_non_finite_distance():

@@ -54,7 +54,7 @@ from biphoton.quantum import (
     measure_channel,
     reduce_mod_pi,
 )
-from biphoton.rng import draw_uniform
+from oracles import draw_uniform
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
@@ -157,6 +157,21 @@ def test_run_trial_record_fields():
 def test_run_trial_rejects_unknown_model():
     with pytest.raises(ValueError):
         run_trial("classical", LATE, master_seed=0, trial_index=0)
+
+
+@pytest.mark.parametrize("trial_index", [1.5, True, "3"])
+def test_run_trial_rejects_non_integer_index(trial_index):
+    # 1.5 would replay trial 1 under the label 1.5, and True would replay trial 1
+    with pytest.raises(ValueError):
+        run_trial("qm", OpticalBench(), master_seed=0, trial_index=trial_index)
+
+
+def test_run_trial_accepts_numpy_integer_index():
+    want = run_trial("qm", ROTATED, master_seed=3, trial_index=5)
+    for index in (np.int64(5), np.uint64(5), np.int32(5)):
+        rec = run_trial("qm", ROTATED, master_seed=3, trial_index=index)
+        assert (rec.outcome_a, rec.outcome_b, rec.trial_index) == (want.outcome_a, want.outcome_b, 5)
+        assert type(rec.trial_index) is int
 
 
 def test_qm_plate_bench_outcomes_always_agree():

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from biphoton.quantum import (
+    ATOL,
     XX,
     XY,
+    YX,
+    YY,
     AnalyzerSetting,
     Channel,
     JonesMatrix,
@@ -15,16 +18,15 @@ from biphoton.quantum import (
     TwoPhotonState,
     analyzer_basis,
     apply_element,
-    correlation_E,
     hwp_jones,
     joint_probabilities,
     make_anticorrelated_pair,
     marginal,
     measure_channel,
-    product_state,
+    project_channel,
     reduce_mod_pi,
-    states_equal_up_to_phase,
 )
+from oracles import correlation_E, product_state, states_equal_up_to_phase
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -228,6 +230,54 @@ def test_no_signaling_analytic_marginals():
         probs = joint_probabilities(state, alpha, float(beta)).p
         p_x = float(probs[XX] + probs[XY])
         assert abs(p_x - base[0]) < 1e-12
+
+
+def _joint_row_sums(state, channel, setting):
+    """marginal's expected bits: the joint table at a remote setting of 0, summed, then snapped."""
+    if channel is Channel.A:
+        p = joint_probabilities(state, setting, 0.0).p
+        p_x, p_y = float(p[XX] + p[XY]), float(p[YX] + p[YY])
+    else:
+        p = joint_probabilities(state, 0.0, setting).p
+        p_x, p_y = float(p[XX] + p[YX]), float(p[XY] + p[YY])
+    if min(p_x, p_y) < ATOL:
+        return (1.0, 0.0) if p_x > p_y else (0.0, 1.0)
+    return p_x, p_y
+
+
+def _plan_states(rng, settings):
+    """States a branch plan meets: the source, behind the plate, collapsed, and plated after collapse."""
+    source = make_anticorrelated_pair()
+    yield source
+    for plate_angle in settings:
+        plated = apply_element(source, Channel.A, hwp_jones(plate_angle))
+        yield plated
+        for state in (source, plated):
+            channel = Channel.A if rng.integers(2) else Channel.B
+            setting = float(rng.choice(settings))
+            for outcome in (PolAxis.X, PolAxis.Y):
+                collapsed = project_channel(state, channel, setting, outcome)
+                yield collapsed
+                yield apply_element(collapsed, Channel.A, hwp_jones(plate_angle))
+
+
+def test_marginal_is_bitwise_the_joint_row_sums():
+    # exact equality: a one-ulp drift in P(X) moves a plan threshold, which a
+    # tolerance (or the 1e-12 no-signaling test) would let through
+    rng = np.random.default_rng(31)
+    lattice = [k * math.pi / 12 for k in range(-12, 25)]
+    settings = lattice + [float(x) for x in rng.uniform(-math.pi, 2 * math.pi, size=40)]
+    states = list(_plan_states(rng, settings))
+    for _ in range(2_000):
+        raw = rng.normal(size=4) + 1j * rng.normal(size=4)
+        states.append(TwoPhotonState(raw / np.linalg.norm(raw)))
+    assert len(states) > 2_000 + 500
+    for state in states:
+        for channel in (Channel.A, Channel.B):
+            for setting in (float(rng.choice(lattice)), float(rng.uniform(-math.pi, 2 * math.pi))):
+                assert marginal(state, channel, setting) == _joint_row_sums(state, channel, setting), (
+                    state, channel, setting,
+                )
 
 
 # ---------------------------------------------------------------- collapse

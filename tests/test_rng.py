@@ -5,12 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from biphoton.rng import (
-    derive_seed,
-    draw_u64,
-    draw_uniform,
-    uniform_array,
-)
+from biphoton.rng import derive_seed, uniform_array
+from oracles import draw_u64, draw_uniform
 
 SEEDS = [0, 1, 42, 2**63 - 1, 2**64 - 1, -1, -987654321]
 
