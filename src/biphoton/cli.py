@@ -240,18 +240,18 @@ def _cmd_chsh(args) -> str:
     angles = _parse_chsh_angles(args.angles)
     plate_present = args.plate_present
     report = chsh_experiment(args.model, angles, args.trials, args.seed, plate_present, args.workers)
-    exact = analytic_chsh(args.model, angles, plate_present)
     if args.format == "json":
         return _json_render(report.to_json_dict()) + "\n"
     term_rows = (
-        ("e_ab", report.e_ab, report.se_ab, exact.e_ab),
-        ("e_abp", report.e_abp, report.se_abp, exact.e_abp),
-        ("e_apb", report.e_apb, report.se_apb, exact.e_apb),
-        ("e_apbp", report.e_apbp, report.se_apbp, exact.e_apbp),
+        ("e_ab", report.e_ab, report.se_ab),
+        ("e_abp", report.e_abp, report.se_abp),
+        ("e_apb", report.e_apb, report.se_apb),
+        ("e_apbp", report.e_apbp, report.se_apbp),
     )
     if args.format == "csv":
-        rows = [row[:3] for row in term_rows] + [("s", report.s, report.stderr_total)]
-        return _csv_text("term,value,stderr", rows)
+        return _csv_text("term,value,stderr", [*term_rows, ("s", report.s, report.stderr_total)])
+    # only the text format prints the exact terms
+    exact = analytic_chsh(args.model, angles, plate_present)
     lines = [
         f"model {args.model}",
         f"trials {args.trials} per setting pair",
@@ -265,7 +265,8 @@ def _cmd_chsh(args) -> str:
         ),
         "term    E_hat      stderr    E_exact",
     ]
-    for name, e, se, ex in term_rows:
+    exact_terms = (exact.e_ab, exact.e_abp, exact.e_apb, exact.e_apbp)
+    for (name, e, se), ex in zip(term_rows, exact_terms):
         lines.append(f"{name:<7} {e:+.6f}  {se:.6f}  {ex:+.6f}")
     lines.append(f"S {report.s:.6f} +- {report.stderr_total:.6f}   exact {exact.s:.6f}")
     flag = "VIOLATED" if report.violates_classical_bound() else "NOT VIOLATED"

@@ -34,7 +34,6 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import IntEnum
-from functools import partial
 from operator import add
 from typing import NamedTuple
 
@@ -120,8 +119,6 @@ class OpticalBench:
                 raise ValueError(f"{name} must be a nonnegative distance in meters, got {d!r}")
             object.__setattr__(self, name, float(d))
         for name in ("alpha", "beta"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be radians or an AnalyzerSetting, got {getattr(self, name)!r}")
             object.__setattr__(self, name, as_setting(getattr(self, name)))
         if not isinstance(self.plate_present, (bool, np.bool_)):
             raise ValueError(f"plate_present must be true or false, got {self.plate_present!r}")
@@ -305,16 +302,21 @@ def _naive_rules(bench):
     )
 
 
-def _branch_plan(model_rules, bench):
+#: per two-detection model, the rules that ``_branch_plan`` walks into (first-detected
+#: channel, P(first = X), P(second = X | first = X), P(second = X | first = Y))
+_RULES = {"qm": _qm_rules, "naive": _naive_rules}
+
+
+def _branch_plan(model, bench):
     """Branch plan of a two-detection model, walking the bench's timeline through its rules.
 
-    ``model_rules(bench)`` gives the pair at emission, the plate's action
-    on it, P(X) at one analyzer, and the pair after an analyzer registers
-    an outcome.  P(first = X) is 1/2 up to rounding on every bench (the
-    first detection always meets an unpolarized photon or half of a
-    maximally entangled pair), so both branches are live.
+    The model's rules give the pair at emission, the plate's action on it,
+    P(X) at one analyzer, and the pair after an analyzer registers an
+    outcome.  P(first = X) is 1/2 up to rounding on every bench (the first
+    detection always meets an unpolarized photon or half of a maximally
+    entangled pair), so both branches are live.
     """
-    state, plate, p_x, registered = model_rules(bench)
+    state, plate, p_x, registered = _RULES[model](bench)
     timeline = build_timeline(bench)
     i = 0
     while timeline[i].event is BenchEvent.PLATE_A:
@@ -337,19 +339,16 @@ def _branch_plan(model_rules, bench):
     return first_ch, p1x, second_p_x(PolAxis.X), second_p_x(PolAxis.Y)
 
 
-#: per two-detection model, the compiler of a bench into its branch plan (first-detected
-#: channel, P(first = X), P(second = X | first = X), P(second = X | first = Y))
-_BRANCH_PLANS = {"qm": partial(_branch_plan, _qm_rules), "naive": partial(_branch_plan, _naive_rules)}
+def _kernel(model, bench, master_seed):
+    """Plan the bench once and return the kernel mapping trial indices to (a_is_x, b_is_x).
 
-
-def _branch_kernel(compile_plan, bench, master_seed):
-    """Chunk kernel sampling the branch plan that ``compile_plan`` makes of the bench.
-
-    Draw 0 decides the first detection, draw 1 the second, read only if the
-    plan leaves it uncertain: for u in [0, 1), u < p2x is p2x == 1.0 when
-    p2x is 0 or 1.
+    A two-detection model samples its branch plan: draw 0 decides the first
+    detection, draw 1 the second, read only if the plan leaves it
+    uncertain: for u in [0, 1), u < p2x is p2x == 1.0 when p2x is 0 or 1.
     """
-    first_ch, p1x, p2x_given_x, p2x_given_y = compile_plan(bench)
+    if model == "lhv-sign":
+        return _lhv_kernel(bench, master_seed)
+    first_ch, p1x, p2x_given_x, p2x_given_y = _branch_plan(model, bench)
     certain = {p2x_given_x, p2x_given_y} <= {0.0, 1.0}
 
     def outcomes(indices):
@@ -455,13 +454,6 @@ def _flipped(u, x_at_0, thresholds):
     return out
 
 
-#: per model, a function that plans the bench once and returns the chunk
-#: kernel mapping trial indices to the outcome arrays (a_is_x, b_is_x); the
-#: ensembles apply it to CHUNK-sized runs of indices, run_trial to one index
-_KERNELS = {model: partial(_branch_kernel, plan) for model, plan in _BRANCH_PLANS.items()}
-_KERNELS["lhv-sign"] = _lhv_kernel
-
-
 def run_trial(model: str, bench: OpticalBench, master_seed: int, trial_index: int) -> TrialRecord:
     """Simulate one pair emission under ``model``: its ensemble's kernel on one index.
 
@@ -472,7 +464,7 @@ def run_trial(model: str, bench: OpticalBench, master_seed: int, trial_index: in
     if isinstance(trial_index, bool) or not isinstance(trial_index, (int, np.integer)):
         raise ValueError(f"trial_index must be an integer, got {trial_index!r}")
     trial_index = int(trial_index)
-    kernel = _KERNELS[model](bench, master_seed)
+    kernel = _kernel(model, bench, master_seed)
     a_is_x, b_is_x = kernel(np.array([trial_index % 2**64], dtype=np.uint64))
     return TrialRecord(
         trial_index,
@@ -505,7 +497,7 @@ def _map_chunks(model, bench, n_trials, master_seed, workers, consume):
     ``_IN_FLIGHT_PER_THREAD`` chunks per thread are in flight, so memory
     stays bounded at any trial count.
     """
-    kernel = _KERNELS[model](bench, master_seed)
+    kernel = _kernel(model, bench, master_seed)
 
     def task(start: int):
         indices = np.arange(start, min(start + CHUNK, n_trials), dtype=np.uint64)
@@ -661,7 +653,7 @@ def analytic_joint_table(model: str, bench: OpticalBench) -> ProbTable:
         same = (1.0 + e) / 4.0
         diff = (1.0 - e) / 4.0
         return ProbTable([same, diff, diff, same])
-    first_ch, p1x, p2x_given_x, p2x_given_y = _BRANCH_PLANS[model](bench)
+    first_ch, p1x, p2x_given_x, p2x_given_y = _branch_plan(model, bench)
     # joint[f, s]: first outcome f, second outcome s, X before Y
     joint = np.array([[p1x], [1.0 - p1x]]) * np.array(
         [[p2x_given_x, 1.0 - p2x_given_x], [p2x_given_y, 1.0 - p2x_given_y]]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,9 @@ class AnalyzerSetting:
     angle: float
 
     def __post_init__(self):
+        # a bool is an int, and float("1") is 1.0, but neither is an angle
+        if isinstance(self.angle, bool) or not isinstance(self.angle, numbers.Real):
+            raise ValueError(f"analyzer angle must be real radians, got {self.angle!r}")
         object.__setattr__(self, "angle", reduce_mod_pi(float(self.angle)))
 
     @classmethod

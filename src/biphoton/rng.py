@@ -57,12 +57,19 @@ def _splitmix_vec(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U64_31)
 
 
+def _seed_word(master_seed) -> int:
+    """``master_seed`` as a 64-bit word, mod 2**64; bools and non-integers raise ValueError."""
+    if isinstance(master_seed, bool) or not isinstance(master_seed, (int, np.integer)):
+        raise ValueError(f"master_seed must be an integer, got {master_seed!r}")
+    return int(master_seed) & _MASK
+
+
 def uniform_array(master_seed: int, trial_indices: np.ndarray, draw_counter: int) -> np.ndarray:
     """The uniform ``u`` of the module's mapping for each trial index, at one draw counter.
 
     uint64 wraparound is the intended modular arithmetic.
     """
-    h0 = splitmix(master_seed & _MASK)
+    h0 = splitmix(_seed_word(master_seed))
     z = trial_indices.astype(np.uint64, copy=False) ^ np.uint64(h0)
     z = _splitmix_vec(z)
     z = z ^ np.uint64(draw_counter & _MASK)
@@ -72,4 +79,4 @@ def uniform_array(master_seed: int, trial_indices: np.ndarray, draw_counter: int
 
 def derive_seed(master_seed: int, stream: int) -> int:
     """Independent child seed for sub-experiment ``stream`` of a run."""
-    return splitmix(splitmix((master_seed & _MASK) ^ _STREAM_SALT) ^ (stream & _MASK))
+    return splitmix(splitmix(_seed_word(master_seed) ^ _STREAM_SALT) ^ (stream & _MASK))

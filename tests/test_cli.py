@@ -10,6 +10,7 @@ import pytest
 
 from biphoton import cli
 from biphoton.cli import main
+from test_golden import CASES, GOLDEN
 
 pytestmark = pytest.mark.usefixtures("clean_seed_env")
 
@@ -477,3 +478,17 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert code == 0
     assert out == ""  # everything went to the file
     assert path.read_text(encoding="utf-8") == streamed
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("model", ["qm", "lhv-sign", "naive"])
+def test_chsh_json_and_csv_do_not_compute_exact_terms(capsys, monkeypatch, model, fmt):
+    # only the text format prints analytic_chsh's terms
+    def refuse(*args, **kwargs):
+        raise AssertionError("analytic_chsh called for a format that does not print it")
+
+    monkeypatch.setattr(cli, "analytic_chsh", refuse)
+    name = f"chsh-{model}-{fmt}"
+    code, out, _ = run_cli(capsys, *CASES[name])
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()

@@ -3,6 +3,7 @@
 import io
 import math
 import tracemalloc
+import warnings
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import fields, replace
@@ -292,7 +293,7 @@ def test_lhv_breakpoints_agree_with_scalar_rule(alpha, beta, plate):
 def test_certain_second_detection_has_no_rounding_residue(monkeypatch):
     # B is detected first; alpha - beta = pi/2 makes A certain once B is known
     bench = OpticalBench(alpha=5 * math.pi / 8, beta=math.pi / 8)
-    assert engine._BRANCH_PLANS["qm"](bench) == (Channel.B, 0.5, 0.0, 1.0)
+    assert engine._branch_plan("qm", bench) == (Channel.B, 0.5, 0.0, 1.0)
     assert analytic_joint_table("qm", bench).p.tolist() == [0.0, 0.5, 0.5, 0.0]
     collapsed = measure_channel(
         apply_element(make_anticorrelated_pair(), Channel.A, hwp_jones(bench.plate_angle)),
@@ -447,6 +448,47 @@ def test_run_ensemble_argument_validation():
         run_ensemble("qm", LATE, True, master_seed=0)
     with pytest.raises(ValueError):
         run_ensemble("bohm", LATE, 100, master_seed=0)
+
+
+BAD_SEEDS = [True, 1.5, "3"]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+def test_library_entry_points_reject_non_integer_seeds(seed):
+    # True would run as seed 1; 1.5 and "3" failed with TypeError inside the RNG
+    runs = [
+        lambda: run_ensemble("qm", LATE, 10, seed),
+        lambda: simulate_outcomes("naive", LATE, 10, seed),
+        lambda: run_trial("lhv-sign", LATE, seed, 0),
+        lambda: chsh_experiment("qm", CANONICAL_CHSH_ANGLES, 10, seed),
+        lambda: order_invariance_report("qm", EARLY, LATE, 10, seed),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="master_seed"):
+            run()
+
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5)], ids=repr)
+def test_numpy_integer_seeds_run_as_their_value(seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_ensemble("qm", ROTATED, 100, seed) == run_ensemble("qm", ROTATED, 100, 5)
+        got, want = simulate_outcomes("naive", ROTATED, 100, seed), simulate_outcomes("naive", ROTATED, 100, 5)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert run_trial("lhv-sign", ROTATED, seed, 7) == run_trial("lhv-sign", ROTATED, 5, 7)
+        assert chsh_experiment("qm", CANONICAL_CHSH_ANGLES, 100, seed) == chsh_experiment(
+            "qm", CANONICAL_CHSH_ANGLES, 100, 5
+        )
+        assert order_invariance_report("naive", EARLY, LATE, 100, seed) == order_invariance_report(
+            "naive", EARLY, LATE, 100, 5
+        )
+
+
+def test_seeds_keep_their_meaning_mod_2_64():
+    assert run_ensemble("qm", ROTATED, 100, -1) == run_ensemble("qm", ROTATED, 100, 2**64 - 1)
+    assert chsh_experiment("naive", CANONICAL_CHSH_ANGLES, 100, -1) == chsh_experiment(
+        "naive", CANONICAL_CHSH_ANGLES, 100, 2**64 - 1
+    )
 
 
 def test_qm_plate_bench_has_no_discordant_counts():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from biphoton.local import ChshAngles
 from biphoton.quantum import (
     ATOL,
     XX,
@@ -59,6 +60,26 @@ def test_analyzer_setting_reduces_and_converts_degrees():
     assert AnalyzerSetting(math.pi + 0.3).angle == reduce_mod_pi(math.pi + 0.3)
     assert AnalyzerSetting.from_degrees(180.0).angle == 0.0
     assert abs(AnalyzerSetting.from_degrees(45.0).angle - math.pi / 4) < 1e-15
+
+
+NOT_ANGLES = [True, np.bool_(True), "1", None, 1j]
+
+
+@pytest.mark.parametrize("value", NOT_ANGLES, ids=repr)
+def test_analyzer_setting_rejects_non_angles(value):
+    # True and "1" used to pass through float() as 1 rad
+    with pytest.raises(ValueError):
+        AnalyzerSetting(value)
+    with pytest.raises(ValueError):
+        measure_channel(make_anticorrelated_pair(), Channel.A, value, 0.5)
+    with pytest.raises(ValueError):
+        ChshAngles(0.0, value, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("value, angle", [(np.float32(0.5), 0.5), (np.int64(1), 1.0)], ids=repr)
+def test_analyzer_setting_accepts_numpy_reals(value, angle):
+    assert AnalyzerSetting(value) == AnalyzerSetting(angle)
+    assert type(AnalyzerSetting(value).angle) is float
 
 
 # ---------------------------------------------------------------- states
