@@ -18,11 +18,14 @@ the timeline through each model's four rules (the pair at emission, the
 plate, P(X) at one analyzer, the pair after a detection); the
 hidden-angle model compiles to draw thresholds: a draw is k / 2^53, each
 outcome is piecewise constant in k, and the breakpoints are pinned with
-the scalar rules of ``local``.  Draw discipline per trial, unchanged by the compilation: the
-hidden-angle model reads one draw (the shared angle at emission); the
-quantum and naive models read draw 0 for the first detection in time
-order and draw 1 for the second only if the first leaves it uncertain,
-which for the naive model it never does.
+the scalar rules of ``local``.  Either way a kernel compares the integer
+draws k from ``rng.uniform_array`` with integer thresholds (u < p is
+k < ceil(p * 2^53)), in place, in buffers that each thread of an
+ensemble reuses from chunk to chunk.  Draw discipline per trial,
+unchanged by the compilation: the hidden-angle model reads one draw (the
+shared angle at emission); the quantum and naive models read draw 0 for
+the first detection in time order and draw 1 for the second only if the
+first leaves it uncertain, which for the naive model it never does.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import codecs
 import math
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -339,29 +343,63 @@ def _branch_plan(model, bench):
     return first_ch, p1x, second_p_x(PolAxis.X), second_p_x(PolAxis.Y)
 
 
-def _kernel(model, bench, master_seed):
-    """Plan the bench once and return the kernel mapping trial indices to (a_is_x, b_is_x).
+#: draws per unit: a draw is u = k / DRAWS for an integer k in [0, DRAWS)
+_DRAWS = 2**53
 
-    A two-detection model samples its branch plan: draw 0 decides the first
-    detection, draw 1 the second, read only if the plan leaves it
-    uncertain: for u in [0, 1), u < p2x is p2x == 1.0 when p2x is 0 or 1.
+
+def _draw_threshold(p: float) -> int:
+    """The K for which a draw k has k < K exactly when u = k / 2^53 < p.
+
+    k / 2^53 and p * 2^53 are exact, so u < p is k < p * 2^53, which for an
+    integer k is k < ceil(p * 2^53).
+    """
+    return math.ceil(p * _DRAWS)
+
+
+def _buffers(size: int):
+    """One thread's scratch for chunks of up to ``size`` trials.
+
+    Four uint64 rows: the trial indices and three rows of words.  Three
+    bool rows: the outcomes of channels A and B, and scratch.
+    """
+    return np.empty((4, size), dtype=np.uint64), np.empty((3, size), dtype=bool)
+
+
+def _kernel(model, bench, master_seed):
+    """Plan the bench once and return its chunk kernel.
+
+    The kernel maps trial indices, three uint64 word rows and three bool
+    rows of their length to (a_is_x, b_is_x), classified in place into the
+    first two bool rows.  A two-detection model samples its branch plan:
+    draw 0 decides the first detection, draw 1 the second, read only if
+    the plan leaves it uncertain; ``u < p`` is compared as the integer
+    ``k < _draw_threshold(p)``.
     """
     if model == "lhv-sign":
         return _lhv_kernel(bench, master_seed)
     first_ch, p1x, p2x_given_x, p2x_given_y = _branch_plan(model, bench)
-    certain = {p2x_given_x, p2x_given_y} <= {0.0, 1.0}
+    first_k = _draw_threshold(p1x)
+    given_x, given_y = _draw_threshold(p2x_given_x), _draw_threshold(p2x_given_y)
+    # a second threshold of 0 or 2^53 needs no draw: the second is Y or X at any k,
+    # so k = 0 stands in for draw 1
+    certain = {given_x, given_y} <= {0, _DRAWS}
+    counters = (0,) if certain else (0, 1)
+    # where the first is X, the second's threshold is given_y plus this, mod 2^64
+    step = np.uint64((given_x - given_y) % 2**64)
 
-    def outcomes(indices):
-        first_is_x = uniform_array(master_seed, indices, 0) < p1x
-        p2x = np.where(first_is_x, p2x_given_x, p2x_given_y)
-        second_is_x = p2x == 1.0 if certain else uniform_array(master_seed, indices, 1) < p2x
+    def outcomes(indices, words, flags):
+        first_is_x, second_is_x, _ = flags
+        draws = uniform_array(master_seed, indices, counters, words[: len(counters) + 1])
+        np.less(draws[0], first_k, out=first_is_x)
+        # the row after the draws is free scratch once they are made
+        threshold = np.multiply(first_is_x, step, out=words[len(counters)])
+        threshold += given_y
+        np.less(0 if certain else draws[1], threshold, out=second_is_x)
         return (first_is_x, second_is_x) if first_ch is Channel.A else (second_is_x, first_is_x)
 
     return outcomes
 
 
-#: draws per unit: a draw is u = k / DRAWS for an integer k in [0, DRAWS)
-_DRAWS = 2**53
 #: draws either side of a closed-form breakpoint searched for the exact one;
 #: the rounding of the scalar rules moves a breakpoint by a few draws at most
 _BREAKPOINT_REACH = 64
@@ -436,22 +474,17 @@ def _lhv_breakpoints(bench, channel):
 def _lhv_kernel(bench, master_seed):
     """Chunk kernel of lhv-sign: each outcome compares the draw with its channel's breakpoints."""
     plans = [_lhv_breakpoints(bench, channel) for channel in (Channel.A, Channel.B)]
-    # k / DRAWS is exact, so u >= t is k >= the breakpoint
-    plans = [(x_at_0, [k / _DRAWS for k in flips]) for x_at_0, flips in plans]
 
-    def outcomes(indices):
-        u = uniform_array(master_seed, indices, 0)
-        return tuple(_flipped(u, x_at_0, thresholds) for x_at_0, thresholds in plans)
+    def outcomes(indices, words, flags):
+        (draws,) = uniform_array(master_seed, indices, (0,), words[:2])
+        for is_x, (x_at_0, flips) in zip(flags, plans):
+            # X at k = 0, flipped at each breakpoint k has reached
+            (np.less if x_at_0 else np.greater_equal)(draws, flips[0], out=is_x)
+            for k in flips[1:]:
+                is_x ^= np.greater_equal(draws, k, out=flags[2])
+        return flags[0], flags[1]
 
     return outcomes
-
-
-def _flipped(u, x_at_0, thresholds):
-    # X at u = 0, flipped at each threshold u has reached
-    out = u < thresholds[0] if x_at_0 else u >= thresholds[0]
-    for t in thresholds[1:]:
-        out ^= u >= t
-    return out
 
 
 def run_trial(model: str, bench: OpticalBench, master_seed: int, trial_index: int) -> TrialRecord:
@@ -464,8 +497,9 @@ def run_trial(model: str, bench: OpticalBench, master_seed: int, trial_index: in
     if isinstance(trial_index, bool) or not isinstance(trial_index, (int, np.integer)):
         raise ValueError(f"trial_index must be an integer, got {trial_index!r}")
     trial_index = int(trial_index)
-    kernel = _kernel(model, bench, master_seed)
-    a_is_x, b_is_x = kernel(np.array([trial_index % 2**64], dtype=np.uint64))
+    words, flags = _buffers(1)
+    words[0] = trial_index % 2**64
+    a_is_x, b_is_x = _kernel(model, bench, master_seed)(words[0], words[1:], flags)
     return TrialRecord(
         trial_index,
         model,
@@ -493,15 +527,24 @@ def _map_chunks(model, bench, n_trials, master_seed, workers, consume):
     The bench is planned once per call.  Counter-based draws make each
     chunk independent of execution order, so the results are the same for
     any thread count.  Threads are bounded by the chunk count and the
-    cores; with one, the chunks run serially.  At most
-    ``_IN_FLIGHT_PER_THREAD`` chunks per thread are in flight, so memory
-    stays bounded at any trial count.
+    cores; with one, the chunks run serially.  Each thread of the call
+    classifies its chunks in one set of buffers, which ``consume`` must be
+    done with when it returns.  At most ``_IN_FLIGHT_PER_THREAD`` chunks
+    per thread are in flight, so memory stays bounded at any trial count.
     """
     kernel = _kernel(model, bench, master_seed)
+    size = min(n_trials, CHUNK)
+    offsets = np.arange(size, dtype=np.uint64)
+    local = threading.local()
 
     def task(start: int):
-        indices = np.arange(start, min(start + CHUNK, n_trials), dtype=np.uint64)
-        return consume(start, *kernel(indices))
+        if not hasattr(local, "buffers"):
+            local.buffers = _buffers(size)
+        words, flags = local.buffers
+        m = min(size, n_trials - start)
+        # chunk 0's trial indices are the offsets themselves
+        indices = np.add(offsets[:m], np.uint64(start), out=words[0, :m]) if start else offsets[:m]
+        return consume(start, *kernel(indices, words[1:, :m], flags[:, :m]))
 
     starts = range(0, n_trials, CHUNK)
     threads = min(workers, len(starts))
@@ -561,9 +604,8 @@ def run_ensemble(
 
     def count(start: int, a: np.ndarray, b: np.ndarray) -> tuple[int, int, int, int]:
         xx = int(np.count_nonzero(a & b))
-        xy = int(np.count_nonzero(a & ~b))
-        yx = int(np.count_nonzero(~a & b))
-        return xx, xy, yx, len(a) - xx - xy - yx
+        a_x, b_x = int(np.count_nonzero(a)), int(np.count_nonzero(b))
+        return xx, a_x - xx, b_x - xx, len(a) - a_x - b_x + xx
 
     totals = (0, 0, 0, 0)
     for cells in _map_chunks(model, bench, n_trials, master_seed, workers, count):

@@ -10,12 +10,16 @@ Mapping (all arithmetic modulo 2**64)::
     h0 = splitmix(master_seed)
     h1 = splitmix(h0 ^ trial_index)
     h  = splitmix(h1 ^ draw_counter)
-    u  = (h >> 11) * 2.0**-53          # top 53 bits, uniform on [0, 1)
+    k  = h >> 11                       # the draw: top 53 bits, an integer in [0, 2**53)
+    u  = k / 2**53                     # uniform on [0, 1), exact in IEEE-754 doubles
 
 ``splitmix`` is one splitmix64 round (golden-ratio increment followed by
-the xor-shift-multiply finalizer).  The float conversion keeps the top 53
-bits of the 64-bit word so that u < 1 holds exactly; dividing the full
-word by 2**64 can round up to 1.0 in IEEE-754 doubles.
+the xor-shift-multiply finalizer).  :func:`uniform_array` returns the
+integer draws ``k``: a model compares ``u < p`` as ``k < ceil(p * 2**53)``,
+which is exact because ``u`` is ``k`` scaled by a power of two.  Keeping
+the top 53 bits makes ``u < 1`` hold exactly; dividing the full word by
+2**64 can round up to 1.0 in IEEE-754 doubles.  ``h1`` depends only on the
+trial, so a trial's draws at several counters share one round for it.
 
 Child experiments (the four CHSH setting pairs, the two order-test
 benches, sweep rows) get independent master seeds from
@@ -50,11 +54,13 @@ def splitmix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _splitmix_vec(z: np.ndarray) -> np.ndarray:
-    z = z + _NP_GOLDEN
-    z = (z ^ (z >> _U64_30)) * _NP_MIX1
-    z = (z ^ (z >> _U64_27)) * _NP_MIX2
-    return z ^ (z >> _U64_31)
+def _splitmix_into(out: np.ndarray, z: np.ndarray, scratch: np.ndarray) -> None:
+    """One splitmix64 round of each word of ``z`` into ``out``, which may be ``z``; ``scratch`` is overwritten."""
+    np.add(z, _NP_GOLDEN, out=out)
+    for shift, mix in ((_U64_30, _NP_MIX1), (_U64_27, _NP_MIX2)):
+        out ^= np.right_shift(out, shift, out=scratch)
+        out *= mix
+    out ^= np.right_shift(out, _U64_31, out=scratch)
 
 
 def _seed_word(master_seed) -> int:
@@ -64,17 +70,30 @@ def _seed_word(master_seed) -> int:
     return int(master_seed) & _MASK
 
 
-def uniform_array(master_seed: int, trial_indices: np.ndarray, draw_counter: int) -> np.ndarray:
-    """The uniform ``u`` of the module's mapping for each trial index, at one draw counter.
+def uniform_array(master_seed: int, trial_indices: np.ndarray, draw_counters, out=None):
+    """The draws ``k`` of the module's mapping: one uint64 row per draw counter, one column per trial.
 
+    Each trial index is hashed to ``h1`` once for all the counters.  ``out``
+    is ``len(draw_counters) + 1`` uint64 rows of ``len(trial_indices)``
+    words, written in place; without it a new 2-D array is made.  The first
+    ``len(draw_counters)`` rows are returned and the last is scratch.
     uint64 wraparound is the intended modular arithmetic.
     """
-    h0 = splitmix(_seed_word(master_seed))
-    z = trial_indices.astype(np.uint64, copy=False) ^ np.uint64(h0)
-    z = _splitmix_vec(z)
-    z = z ^ np.uint64(draw_counter & _MASK)
-    z = _splitmix_vec(z)
-    return (z >> _U64_11).astype(np.float64) * 2.0**-53
+    if out is None:
+        out = np.empty((len(draw_counters) + 1, len(trial_indices)), dtype=np.uint64)
+    *draws, scratch = out
+    # h1 lives in the last draw's row, which is filled last
+    h1 = draws[-1]
+    np.bitwise_xor(
+        trial_indices.astype(np.uint64, copy=False), np.uint64(splitmix(_seed_word(master_seed))), out=h1
+    )
+    _splitmix_into(h1, h1, scratch)
+    for row, counter in zip(draws, draw_counters):
+        # counter 0 keys the round with h1 as it is
+        keyed = np.bitwise_xor(h1, np.uint64(counter & _MASK), out=row) if counter & _MASK else h1
+        _splitmix_into(row, keyed, scratch)
+        row >>= _U64_11
+    return out[:-1]
 
 
 def derive_seed(master_seed: int, stream: int) -> int:

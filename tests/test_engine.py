@@ -7,6 +7,7 @@ import warnings
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import fields, replace
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -205,9 +206,9 @@ def test_kernels_and_run_trial_match_per_trial_reference():
                 assert rec.trial_index == i
 
 
-#: draws on and beside the breakpoints of benches with settings on multiples
-#: of pi/8: lhv-sign ties its fold distance to pi/4 at multiples of 1/8
-CRAFTED_DRAWS = [0.0, 2**-53, 1 / 8, 1 / 4 - 2**-53, 1 / 4, 1 / 4 + 2**-53, 1 / 2, 3 / 4, 1 - 2**-53]
+#: draws k (u = k / 2^53) on and beside the breakpoints of benches with settings
+#: on multiples of pi/8: lhv-sign ties its fold distance to pi/4 at u = multiples of 1/8
+CRAFTED_DRAWS = [0, 1, 2**50, 2**51 - 1, 2**51, 2**51 + 1, 2**52, 3 * 2**51, 2**53 - 1]
 
 
 def _lhv_plans(bench):
@@ -215,24 +216,24 @@ def _lhv_plans(bench):
 
 
 def _breakpoint_draws(bench):
-    """The draws just before, on and just after each compiled lhv-sign breakpoint."""
+    """The draws k just before, on and just after each compiled lhv-sign breakpoint."""
     ks = {k + step for _, flips in _lhv_plans(bench) for k in flips for step in (-1, 0, 1)}
-    return [k * 2.0**-53 for k in sorted(ks) if k < 2**53]
+    return [k for k in sorted(ks) if k < 2**53]
 
 
 def _assert_kernel_matches_reference_on(monkeypatch, model, bench, draws):
     # trial i draws draws[i // m] first and draws[i % m] second, so every
     # pair of the draws is one trial
     m = len(draws)
-    table = np.array(draws)
+    table = np.array(draws, dtype=np.uint64)
 
-    def crafted(master_seed, indices, counter):
-        return table[indices // m if counter == 0 else indices % m]
+    def crafted(master_seed, trial_indices, draw_counters, out=None):
+        return np.array([table[trial_indices // m if c == 0 else trial_indices % m] for c in draw_counters])
 
     monkeypatch.setattr(engine, "uniform_array", crafted)
     a_vec, b_vec = simulate_outcomes(model, bench, m * m, master_seed=0)
     for i in range(m * m):
-        want = reference_trial(model, bench, lambda k: draws[(i // m, i % m)[k]])
+        want = reference_trial(model, bench, lambda c: draws[(i // m, i % m)[c]] * 2.0**-53)
         assert _axes(a_vec[i], b_vec[i]) == want, (model, bench, i)
 
 
@@ -290,6 +291,16 @@ def test_lhv_breakpoints_agree_with_scalar_rule(alpha, beta, plate):
         assert is_x(2**53 - 1) == x
 
 
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(p=st.floats(0.0, 1.0))
+def test_draw_threshold_is_the_float_comparison(p):
+    # k < ceil(p 2^53) is u = k 2^-53 < p, on both sides of the threshold
+    threshold = engine._draw_threshold(p)
+    for k in (threshold - 1, threshold):
+        if 0 <= k <= 2**53:
+            assert (k < threshold) == (k * 2.0**-53 < p), (p, k)
+
+
 def test_certain_second_detection_has_no_rounding_residue(monkeypatch):
     # B is detected first; alpha - beta = pi/2 makes A certain once B is known
     bench = OpticalBench(alpha=5 * math.pi / 8, beta=math.pi / 8)
@@ -303,8 +314,12 @@ def test_certain_second_detection_has_no_rounding_residue(monkeypatch):
     ).collapsed
     assert marginal(collapsed, Channel.A, bench.alpha) == (1.0, 0.0)
     assert measure_channel(collapsed, Channel.A, bench.alpha, 1 - 2**-53).outcome is PolAxis.X
-    draws = {0: 0.5, 1: 1 - 2**-53}
-    monkeypatch.setattr(engine, "uniform_array", lambda seed, indices, k: np.full(len(indices), draws[k]))
+    draws = {0: 2**52, 1: 2**53 - 1}  # u = 1/2 and 1 - 2^-53
+
+    def crafted(master_seed, trial_indices, draw_counters, out=None):
+        return np.array([np.full(len(trial_indices), draws[c], dtype=np.uint64) for c in draw_counters])
+
+    monkeypatch.setattr(engine, "uniform_array", crafted)
     rec = run_trial("qm", bench, master_seed=0, trial_index=0)
     assert (rec.outcome_a, rec.outcome_b) == (PolAxis.X, PolAxis.Y)
 
@@ -321,9 +336,9 @@ def test_draw_discipline(monkeypatch, model, bench, counters):
     uniform_array = engine.uniform_array
     read = set()
 
-    def recording(master_seed, indices, counter):
-        read.add(counter)
-        return uniform_array(master_seed, indices, counter)
+    def recording(master_seed, trial_indices, draw_counters, out=None):
+        read.update(draw_counters)
+        return uniform_array(master_seed, trial_indices, draw_counters, out)
 
     monkeypatch.setattr(engine, "uniform_array", recording)
     simulate_outcomes(model, bench, 100, master_seed=3)
@@ -397,9 +412,12 @@ def test_threads_bounded_by_chunks_and_cores(monkeypatch, cores, n_chunks, threa
     assert sizes == ([] if threads is None else [threads, threads])
 
 
-def test_chunks_in_flight_stay_bounded(monkeypatch):
-    # a stand-in pool whose tasks run only when their result is asked for,
-    # so every submitted task stays in flight until it is handed over
+def _deferring_pool():
+    """A stand-in pool whose tasks run only when their result is asked for, on the asking thread.
+
+    Returns the pool class and its records: the pool sizes asked for, the
+    tasks in flight, and the number in flight after each submission.
+    """
     sizes = []
     in_flight = []
     most = []
@@ -427,6 +445,12 @@ def test_chunks_in_flight_stay_bounded(monkeypatch):
             most.append(len(in_flight))
             return in_flight[-1]
 
+    return DeferringPool, sizes, in_flight, most
+
+
+def test_chunks_in_flight_stay_bounded(monkeypatch):
+    # every submitted task stays in flight until its result is handed over
+    DeferringPool, sizes, in_flight, most = _deferring_pool()
     n = 64 * CHUNK
     serial = run_ensemble("lhv-sign", ROTATED, n, master_seed=5)
     a1, b1 = simulate_outcomes("lhv-sign", ROTATED, n, master_seed=5)
@@ -437,6 +461,43 @@ def test_chunks_in_flight_stay_bounded(monkeypatch):
     assert np.array_equal(a, a1) and np.array_equal(b, b1)
     assert sizes == [4, 4] and not in_flight
     assert len(most) == 2 * 64 and max(most) == 4 * engine._IN_FLIGHT_PER_THREAD
+
+
+def test_interleaved_calls_on_one_thread_get_the_serial_counts(monkeypatch):
+    # the chunks of three calls run in turn on this thread, each call on its own buffers
+    DeferringPool, sizes, in_flight, _ = _deferring_pool()
+    runs = [("lhv-sign", EARLY, 1000, 21), ("qm", ROTATED, 3 * CHUNK + 5, 22), ("naive", LATE, 2 * CHUNK, 23)]
+    serial = [simulate_outcomes(*r) for r in runs]
+    counts = [run_ensemble(*r) for r in runs]
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", DeferringPool)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    calls = [engine._map_chunks(*r, 10**6, lambda start, a, b: (a.copy(), b.copy())) for r in runs]
+    copied = [[] for _ in runs]
+    # zip_longest takes one chunk of each call in turn
+    for chunks in zip_longest(*calls):
+        for kept, chunk in zip(copied, chunks):
+            if chunk is not None:
+                kept.append(chunk)
+    assert sizes == [4, 2] and not in_flight
+    for (a1, b1), stats, chunks in zip(serial, counts, copied):
+        a, b = np.concatenate([c[0] for c in chunks]), np.concatenate([c[1] for c in chunks])
+        assert np.array_equal(a, a1) and np.array_equal(b, b1)
+        xx, a_x, b_x = (int(np.count_nonzero(v)) for v in (a & b, a, b))
+        assert EnsembleStats(xx, a_x - xx, b_x - xx, len(a) - a_x - b_x + xx) == stats
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_ensemble_memory_does_not_grow_with_chunks(model):
+    # a serial call reuses one set of chunk buffers, however many chunks it runs
+    def peak(n):
+        tracemalloc.start()
+        try:
+            run_ensemble(model, ROTATED, n, master_seed=8)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(32 * CHUNK) <= peak(2 * CHUNK) + CHUNK * np.dtype(np.uint64).itemsize
 
 
 def test_run_ensemble_argument_validation():

@@ -77,7 +77,7 @@ def test_lhv_sample_uniform_chi_square():
     n = 100_000
     bins = 16
     lam = np.array(
-        [lhv_sample(u) for u in uniform_array(404, np.arange(n, dtype=np.uint64), 0)]
+        [lhv_sample(k * 2.0**-53) for k in uniform_array(404, np.arange(n, dtype=np.uint64), (0,))[0]]
     )
     counts = np.bincount((lam / math.pi * bins).astype(np.int64), minlength=bins)
     expected = n / bins
@@ -150,10 +150,14 @@ def test_naive_measure_unpolarized_forces_partner():
 
 
 def test_naive_measure_threshold_tie_goes_to_y(monkeypatch):
-    # X iff u < P(X) = 1/2: a first draw of exactly 1/2 answers Y, one just below it X
+    # X iff u < P(X) = 1/2: a first draw k = 2^52 (u = 1/2) answers Y, the one below it X
     bench = OpticalBench(d_prism_b=0.25)  # B is detected first
-    for u, want in ((0.5, PolAxis.Y), (0.5 - 2**-54, PolAxis.X)):
-        monkeypatch.setattr(engine, "uniform_array", lambda seed, indices, k: np.full(len(indices), u))
+    for k, want in ((2**52, PolAxis.Y), (2**52 - 1, PolAxis.X)):
+
+        def crafted(master_seed, trial_indices, draw_counters, out=None):
+            return np.full((len(draw_counters), len(trial_indices)), k, dtype=np.uint64)
+
+        monkeypatch.setattr(engine, "uniform_array", crafted)
         assert run_trial("naive", bench, master_seed=0, trial_index=0).outcome_b is want
 
 

@@ -46,29 +46,42 @@ def test_uniform_is_top_53_bits():
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_vector_matches_scalar(seed):
+    # one multi-counter call: every k against the scalar oracle's top 53 bits
     rng = np.random.default_rng(abs(seed) + 3)
     trials = rng.integers(0, 2**64, size=257, dtype=np.uint64)
-    for counter in (0, 1, 5):
-        vec = uniform_array(seed, trials, counter)
-        ref = np.array(
-            [draw_uniform(seed, int(t), counter) for t in trials]
-        )
-        assert vec.dtype == np.float64
-        np.testing.assert_array_equal(vec, ref)
+    counters = (5, 0, 1, -1)
+    draws = uniform_array(seed, trials, counters)
+    assert draws.dtype == np.uint64 and draws.shape == (len(counters), len(trials))
+    for row, counter in zip(draws, counters):
+        ref = np.array([draw_u64(seed, int(t), counter) >> 11 for t in trials], dtype=np.uint64)
+        np.testing.assert_array_equal(row, ref)
 
 
 def test_vector_matches_scalar_contiguous_range():
     trials = np.arange(1000, dtype=np.uint64)
-    vec = uniform_array(31337, trials, 0)
-    ref = np.array([draw_uniform(31337, t, 0) for t in range(1000)])
+    (vec,) = uniform_array(31337, trials, (0,))
+    ref = np.array([draw_u64(31337, t, 0) >> 11 for t in range(1000)], dtype=np.uint64)
     np.testing.assert_array_equal(vec, ref)
+
+
+def test_draws_fill_the_given_rows():
+    # the draws land in the caller's rows; the last row is scratch
+    trials = np.arange(10, 310, dtype=np.uint64)
+    out = np.full((3, len(trials)), 7, dtype=np.uint64)
+    draws = uniform_array(99, trials, (0, 1), out)
+    for c in (0, 1):
+        assert np.shares_memory(draws[c], out[c])
+        ref = np.array([draw_u64(99, int(t), c) >> 11 for t in trials], dtype=np.uint64)
+        np.testing.assert_array_equal(out[c], ref)
+        assert np.all(out[c] < 2**53)
 
 
 def test_uniformity_chi_square_16_bins():
     n = 100_000
     bins = 16
-    u = uniform_array(2024, np.arange(n, dtype=np.uint64), 0)
-    counts = np.bincount((u * bins).astype(np.int64), minlength=bins)
+    (k,) = uniform_array(2024, np.arange(n, dtype=np.uint64), (0,))
+    # the top 4 of the 53 bits: u * 16 rounded down
+    counts = np.bincount((k >> np.uint64(49)).astype(np.int64), minlength=bins)
     expected = n / bins
     chi2 = float(np.sum((counts - expected) ** 2) / expected)
     # df = 15: mean 15, sd sqrt(30); stay within 3 sigma.
