@@ -136,7 +136,7 @@ def _bench_lines(bench: OpticalBench) -> list:
 
 
 def _cmd_pair(args):
-    """The report text, or for the csv dump a function writing it to a text file.
+    """The report text, or for the csv dump a function writing it to a binary file.
 
     The dump is simulated here, so its errors surface before any output
     file is opened, and streamed by ``main`` at the write site.
@@ -455,10 +455,11 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
-    write = output if callable(output) else lambda f: f.write(output)
+    write = output if callable(output) else lambda f: f.write(output.encode("utf-8"))
     if not args.out:
         try:
-            write(sys.stdout)
+            sys.stdout.flush()  # text already written to stdout goes first
+            write(sys.stdout.buffer)
             sys.stdout.flush()
         except BrokenPipeError:
             # the reader stopped early (`| head`): drop the rest, and the
@@ -466,7 +467,7 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
+        with open(args.out, "wb") as f:
             write(f)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)

@@ -30,7 +30,6 @@ first leaves it uncertain, which for the naive model it never does.
 
 from __future__ import annotations
 
-import codecs
 import math
 import os
 import threading
@@ -614,24 +613,28 @@ def run_ensemble(
 
 
 def write_trials_csv(f, bench: OpticalBench, a_is_x, b_is_x) -> None:
-    """Write per-trial outcomes in the interchange layout to the text file ``f``.
+    """Write per-trial outcomes in the interchange layout to the binary file ``f``.
 
     Header trial,outcome_a,outcome_b,b_before_plate; outcomes are X or Y
-    and the ordering flag is true/false, constant for a fixed bench.
-    Raises ValueError, before writing anything, unless the two outcome
-    arrays are one-dimensional and of one length.
+    and the ordering flag is true/false, constant for a fixed bench; the
+    text is ASCII with ``\\n`` line ends. Raises ValueError, before
+    writing anything, unless the two outcome arrays are one-dimensional
+    and of one length.
 
     Rows are written CHUNK at a time, so the text never exists whole.
     Each run of indices with one digit count is rendered as contiguous
     slices of a byte template built once for that digit count: the low
     (up to) four digits of the index cycle with period 10^4 and the tail
-    is ``,Y,Y,flag\\n``, so the template repeats that cycle often enough
-    that a chunk starting at offset ``start % 10^4`` fits in one slice.
-    In that slice only the bytes that vary are written in place: each
-    outcome letter as ``'Y' - is_x``, since X is Y - 1, and the higher
-    digits, which are constant over each run of 10^4 rows, by one slice
-    fill per run. The slice is then decoded to text without a copy to
-    bytes.
+    is ``,Y,Y,flag\\n``, so the template is one period of rows tiled
+    often enough that a chunk starting at offset ``start % 10^4`` fits in
+    one slice. In that slice only the bytes that vary are written in
+    place: each outcome letter as ``'Y' - is_x``, since X is Y - 1, and
+    the higher digits, which are constant over each run of 10^4 rows, by
+    one strided fill per digit and run.
+
+    Each ``f.write`` gets a C-contiguous view of the template, which the
+    next chunk overwrites, so ``f`` must copy or consume the bytes before
+    ``write`` returns (``io.BufferedWriter`` and ``io.BytesIO`` do).
     """
     a_is_x = np.asarray(a_is_x, dtype=bool)
     b_is_x = np.asarray(b_is_x, dtype=bool)
@@ -647,23 +650,24 @@ def write_trials_csv(f, bench: OpticalBench, a_is_x, b_is_x) -> None:
         dtype=np.uint8,
     )
     letter_y = np.uint8(ord("Y"))
-    f.write("trial,outcome_a,outcome_b,b_before_plate\n")
+    f.write(b"trial,outcome_a,outcome_b,b_before_plate\n")
     start = 0
     while start < len(a_is_x):
         # one template serves every index with this many digits
         width = len(str(start))
         low = min(width, 4)
         period = 10**low
+        block = np.empty((period, width + len(tail)), dtype=np.uint8)
+        idx = np.arange(period)
+        for col in range(width - 1, width - 1 - low, -1):
+            idx, digit = np.divmod(idx, 10)
+            block[:, col] = digit + ord("0")
+        block[:, width:] = tail
         # below 10^4 an index is all low digits and one period holds them;
         # above, a chunk starts anywhere in a period and the slice from
         # there must still hold CHUNK rows
         repeats = 1 if width == low else math.ceil((CHUNK + period - 1) / period)
-        template = np.empty((period * repeats, width + len(tail)), dtype=np.uint8)
-        idx = np.arange(len(template))
-        for col in range(width - 1, width - 1 - low, -1):
-            idx, digit = np.divmod(idx, 10)
-            template[:, col] = digit + ord("0")
-        template[:, width:] = tail
+        template = np.tile(block, (repeats, 1))
         end = min(len(a_is_x), 10**width)
         while start < end:
             stop = min(end, (start // CHUNK + 1) * CHUNK)
@@ -673,9 +677,10 @@ def write_trials_csv(f, bench: OpticalBench, a_is_x, b_is_x) -> None:
             np.subtract(letter_y, b_bytes[start:stop], out=rows[:, width + 3])
             if width > low:
                 for run in range(start - offset, stop, period):
-                    high = np.frombuffer(str(run // period).encode("ascii"), dtype=np.uint8)
-                    rows[max(run - start, 0) : run + period - start, : width - low] = high
-            f.write(codecs.ascii_decode(rows)[0])
+                    first, last = max(run - start, 0), run + period - start
+                    for col, digit in enumerate(str(run // period).encode("ascii")):
+                        rows[first:last, col] = digit
+            f.write(rows)
             start = stop
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from biphoton import cli
 from biphoton.cli import main
+from biphoton.engine import CHUNK, MODEL_NAMES
 from test_golden import CASES, GOLDEN
 
 pytestmark = pytest.mark.usefixtures("clean_seed_env")
@@ -478,6 +479,21 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert code == 0
     assert out == ""  # everything went to the file
     assert path.read_text(encoding="utf-8") == streamed
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_trial_dump_to_stdout_matches_out_file(capsysbinary, tmp_path, model):
+    # three chunks and the 10^4 and 10^5 digit boundaries, through both write sites
+    n = 2 * CHUNK + 7
+    argv = ["pair", "--format", "csv", "--model", model, "--trials", str(n), "--seed", "29"]
+    assert main(argv) == 0
+    streamed = capsysbinary.readouterr().out
+    assert streamed.startswith(b"trial,outcome_a,outcome_b,b_before_plate\n")
+    assert streamed.count(b"\n") == n + 1
+    path = tmp_path / "dump.csv"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert path.read_bytes() == streamed
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

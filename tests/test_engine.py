@@ -765,9 +765,9 @@ def test_lhv_analytic_table_is_timeline_independent():
 
 def test_write_trials_csv_layout():
     a, b = simulate_outcomes("naive", EARLY, 4, master_seed=3)
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_trials_csv(buf, EARLY, a, b)
-    lines = buf.getvalue().splitlines()
+    lines = buf.getvalue().decode("ascii").splitlines()
     assert lines[0] == "trial,outcome_a,outcome_b,b_before_plate"
     assert len(lines) == 5
     for offset, line in enumerate(lines[1:]):
@@ -783,12 +783,12 @@ def reference_write_trials_csv(f, bench, a_is_x, b_is_x, first=0):
 
     ``first`` > 0 writes the header and only rows ``first`` onwards.
     """
-    flag = "true" if detect_b_before_plate(bench) else "false"
-    f.write("trial,outcome_a,outcome_b,b_before_plate\n")
+    flag = b"true" if detect_b_before_plate(bench) else b"false"
+    f.write(b"trial,outcome_a,outcome_b,b_before_plate\n")
     for i in range(first, len(a_is_x)):
-        a = "X" if a_is_x[i] else "Y"
-        b = "X" if b_is_x[i] else "Y"
-        f.write(f"{i},{a},{b},{flag}\n")
+        a = b"X" if a_is_x[i] else b"Y"
+        b = b"X" if b_is_x[i] else b"Y"
+        f.write(b"%d,%s,%s,%s\n" % (i, a, b, flag))
 
 
 # every digit-count, chunk and 10^4-period boundary up to 10^6 rows, and an
@@ -804,41 +804,44 @@ DUMP_SIZES = [
 def test_write_trials_csv_matches_row_writer(bench, n):
     rng = np.random.default_rng(n)
     a, b = rng.random(n) < 0.5, rng.random(n) < 0.5
-    want, got = io.StringIO(), io.StringIO()
+    want, got = io.BytesIO(), io.BytesIO()
     reference_write_trials_csv(want, bench, a, b)
     write_trials_csv(got, bench, a, b)
     assert got.getvalue() == want.getvalue()
 
 
-class _TailText:
-    """A text sink that keeps its last writes, at least ``keep`` characters."""
+class _TailBytes:
+    """A binary sink that keeps its last writes, at least ``keep`` bytes.
+
+    Each write is copied, because the writer reuses the buffer it hands over.
+    """
 
     def __init__(self, keep):
         self.keep, self.size, self.parts = keep, 0, deque()
 
-    def write(self, text):
-        self.parts.append(text)
-        self.size += len(text)
+    def write(self, data):
+        self.parts.append(bytes(data))
+        self.size += len(self.parts[-1])
         while self.size - len(self.parts[0]) >= self.keep:
             self.size -= len(self.parts.popleft())
 
     def getvalue(self):
-        return "".join(self.parts)
+        return b"".join(self.parts)
 
 
 def test_write_trials_csv_eight_digit_indices():
     n = 10_000_003
     rng = np.random.default_rng(8)
     a, b = rng.integers(2, size=n, dtype=bool), rng.integers(2, size=n, dtype=bool)
-    got = _TailText(keep=CHUNK * len("10000002,X,Y,false\n"))
+    got = _TailBytes(keep=CHUNK * len(b"10000002,X,Y,false\n"))
     write_trials_csv(got, LATE, a, b)
-    want = io.StringIO()
+    want = io.BytesIO()
     reference_write_trials_csv(want, LATE, a, b, first=n - CHUNK)
     assert got.getvalue().splitlines()[-CHUNK:] == want.getvalue().splitlines()[1:]
 
 
 class _Discard:
-    def write(self, text):
+    def write(self, data):
         pass
 
 
@@ -859,10 +862,10 @@ def test_write_trials_csv_memory_does_not_grow_with_rows():
 
 @pytest.mark.parametrize("n_b", [2, 1, 4], ids=["shorter", "length-1", "longer"])
 def test_write_trials_csv_rejects_unequal_lengths(n_b):
-    sink = io.StringIO()
+    sink = io.BytesIO()
     with pytest.raises(ValueError, match="equal length"):
         write_trials_csv(sink, EARLY, np.ones(3, dtype=bool), np.zeros(n_b, dtype=bool))
-    assert sink.getvalue() == ""
+    assert sink.getvalue() == b""
 
 
 # ---------------------------------------------------------------- order invariance

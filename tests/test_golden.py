@@ -88,11 +88,13 @@ def _is_dump(name: str) -> bool:
 
 
 def _stdout(argv) -> bytes:
-    buf = io.StringIO()
+    # main writes its bytes to sys.stdout.buffer, so the capture needs one
+    buf = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     with contextlib.redirect_stdout(buf):
         code = main(argv)
     assert code == 0, argv
-    return buf.getvalue().encode("utf-8")
+    buf.flush()
+    return buf.buffer.getvalue()
 
 
 def _golden_path(name: str) -> Path:
