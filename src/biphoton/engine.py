@@ -516,8 +516,10 @@ def _check_run_args(model, n_trials, workers):
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
 
 
-#: chunks submitted to the pool ahead of the one handed over, per thread
-_IN_FLIGHT_PER_THREAD = 2
+#: chunks submitted to the pool ahead of the one handed over, per thread: deep
+#: enough that while one thread is stalled on a chunk (descheduled, say) the
+#: others keep taking queued chunks instead of waiting on the in-order handover
+_IN_FLIGHT_PER_THREAD = 8
 
 
 def _map_chunks(model, bench, n_trials, master_seed, workers, consume):

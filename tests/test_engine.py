@@ -2,6 +2,7 @@
 
 import io
 import math
+import threading
 import tracemalloc
 import warnings
 from collections import deque
@@ -484,6 +485,30 @@ def test_interleaved_calls_on_one_thread_get_the_serial_counts(monkeypatch):
         assert np.array_equal(a, a1) and np.array_equal(b, b1)
         xx, a_x, b_x = (int(np.count_nonzero(v)) for v in (a & b, a, b))
         assert EnsembleStats(xx, a_x - xx, b_x - xx, len(a) - a_x - b_x + xx) == stats
+
+
+def test_a_stalled_chunk_does_not_hold_up_the_queued_ones(monkeypatch):
+    # chunk 0 stalls until the other thread has run every other chunk of a
+    # 10^6-trial call: the in-flight window spans the call, so nothing waits
+    # on the in-order handover of chunk 0
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    n = 1_000_000
+    others_done = threading.Event()
+    consumed = []
+    waited = []
+
+    def consume(start, a, b):
+        if start == 0:
+            waited.append(others_done.wait(timeout=10))
+        else:
+            consumed.append(start)
+            if len(consumed) == math.ceil(n / CHUNK) - 1:
+                others_done.set()
+        return start
+
+    starts = list(engine._map_chunks("lhv-sign", ROTATED, n, 5, 2, consume))
+    assert waited == [True]
+    assert starts == list(range(0, n, CHUNK))
 
 
 @pytest.mark.parametrize("model", MODELS)
