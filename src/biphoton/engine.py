@@ -17,15 +17,16 @@ compile to a branch plan of outcome probabilities, made by one walk of
 the timeline through each model's four rules (the pair at emission, the
 plate, P(X) at one analyzer, the pair after a detection); the
 hidden-angle model compiles to draw thresholds: a draw is k / 2^53, each
-outcome is piecewise constant in k, and the breakpoints are pinned with
-the scalar rules of ``local``.  Either way a kernel compares the integer
-draws k from ``rng.uniform_array`` with integer thresholds (u < p is
-k < ceil(p * 2^53)), in place, in buffers that each thread of an
-ensemble reuses from chunk to chunk.  Draw discipline per trial,
-unchanged by the compilation: the hidden-angle model reads one draw (the
-shared angle at emission); the quantum and naive models read draw 0 for
-the first detection in time order and draw 1 for the second only if the
-first leaves it uncertain, which for the naive model it never does.
+channel is X on one arc of the circle of draws k mod 2^53, and the arc's
+two ends are pinned with the scalar rules of ``local``.  Either way a
+kernel compares the integer draws k from ``rng.uniform_array`` with
+integer thresholds (u < p is k < ceil(p * 2^53)), in place, in buffers
+that each thread of an ensemble reuses from chunk to chunk.  Draw
+discipline per trial, unchanged by the compilation: the hidden-angle
+model reads one draw (the shared angle at emission); the quantum and
+naive models read draw 0 for the first detection in time order and draw
+1 for the second only if the first leaves it uncertain, which for the
+naive model it never does.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from .quantum import (
     marginal,
     measure_channel,  # unused here, but perfbench/tracer.py times it through this name
     project_channel,
+    reduce_mod_pi,
 )
 from .rng import derive_seed, uniform_array
 
@@ -81,7 +83,6 @@ CHUNK = 65_536
 
 MODEL_NAMES = ("qm", "lhv-sign", "naive")
 
-_HALF_PI = math.pi / 2.0
 _QUARTER_PI = math.pi / 4.0
 
 
@@ -399,30 +400,35 @@ def _kernel(model, bench, master_seed):
     return outcomes
 
 
-#: draws either side of a closed-form breakpoint searched for the exact one;
-#: the rounding of the scalar rules moves a breakpoint by a few draws at most
+#: draws a pin steps from its estimate to the exact flip; the rounding of
+#: the scalar rules moves a flip by a few draws at most
 _BREAKPOINT_REACH = 64
 
 
 #: where a hidden angle turned by pi/2 (channel B's, and A's behind the
-#: plate) wraps from ~pi to ~0: lambda + pi/2 first reaches pi at u = 1/2,
-#: where it is exactly pi; on either side the angle is nondecreasing in k
+#: plate) restarts from ~pi to 0: lambda + pi/2 first reaches pi at u = 1/2,
+#: where it is exactly pi.  A turned photon's arc of lhv-sign draws is
+#: measured from here, an unturned one's from k = 0
 _WRAP = _DRAWS // 2
 
 
 def _lhv_breakpoints(bench, channel):
     """One channel of lhv-sign as (outcome X at draw k = 0, the sorted k where it flips).
 
-    Between wraps the hidden angle is nondecreasing in k, so the outcome
-    flips only where the angle crosses the setting - pi/4 (to X) or the
-    setting + pi/4 (to Y), mod pi.  Each crossing is located in closed
+    From the draw where the photon's angle is 0, k going up mod 2^53 sweeps
+    the angle over [0, pi) once, so the channel is X on one arc of the draw
+    circle: it opens where the angle crosses the setting - pi/4 and closes
+    where it crosses the setting + pi/4.  Each end is estimated in closed
     form, then pinned to the draw where the scalar rules (``lhv_pair``,
     ``naive_plate_action``, ``lhv_outcome``) flip, so ties keep their bits.
     """
     setting = bench.alpha if channel is Channel.A else bench.beta
+    turned = channel is Channel.B or bench.plate_present
+    start = _WRAP if turned else 0
     known = {}
 
     def is_x(k):
+        k %= _DRAWS
         if k not in known:
             photon_a, photon_b = lhv_pair(lhv_sample(k / _DRAWS))
             if channel is Channel.B:
@@ -432,42 +438,21 @@ def _lhv_breakpoints(bench, channel):
             known[k] = lhv_outcome(photon, setting) is PolAxis.X
         return known[k]
 
-    def pin(k, before, lo, hi):
-        # the k in (lo, hi] where the outcome leaves ``before``, searched
-        # within reach of the estimate k; None if it leaves the piece first
-        lo_reach, hi_reach = max(lo, k - _BREAKPOINT_REACH), min(hi, k + _BREAKPOINT_REACH)
-        k = min(max(k, lo_reach + 1), hi_reach)
-        step = 1 if is_x(k) == before else -1
-        while lo_reach < k <= hi_reach:
-            if is_x(k - 1) == before != is_x(k):
-                return k
+    def pin(edge, to_x):
+        # the draw where the outcome flips to ``to_x``, stepped to from the estimate
+        k = start + round(reduce_mod_pi(edge) / math.pi * _DRAWS)
+        step = -1 if is_x(k) == to_x else 1
+        for _ in range(_BREAKPOINT_REACH):
+            if is_x(k - 1) != to_x == is_x(k):
+                return k % _DRAWS
             k += step
-        if (hi_reach < hi) if step > 0 else (lo_reach > lo):
-            raise AssertionError(f"no lhv-sign breakpoint within reach of draw {k}")
-        return None
+        raise AssertionError(f"no lhv-sign flip within reach of draw {k % _DRAWS}")
 
-    if channel is Channel.B or bench.plate_present:
-        pieces = ((0, _WRAP - 1, _HALF_PI), (_WRAP, _DRAWS - 1, -_HALF_PI))
-    else:
-        pieces = ((0, _DRAWS - 1, 0.0),)
-    flips = {}  # breakpoint -> whether the outcome is X before it
-    near_wrap = False
-    for lo, hi, turn in pieces:
-        for edge, before in ((setting.angle - _QUARTER_PI, False), (setting.angle + _QUARTER_PI, True)):
-            for lap in (-math.pi, 0.0, math.pi):
-                k = round((edge + lap - turn) / math.pi * _DRAWS)
-                if lo - _BREAKPOINT_REACH <= k <= hi + _BREAKPOINT_REACH:
-                    near_wrap |= abs(k - _WRAP) <= _BREAKPOINT_REACH
-                    k = pin(k, before, lo, hi)
-                    if k is not None:
-                        flips[k] = before
-    if near_wrap and is_x(_WRAP - 1) != is_x(_WRAP):
-        flips[_WRAP] = is_x(_WRAP - 1)
-    ks = sorted(flips)
-    # X and Y each take half the angles mod pi, so the outcome flips somewhere
-    if not ks or any(flips[a] == flips[b] for a, b in zip(ks, ks[1:])):
-        raise AssertionError(f"lhv-sign breakpoints {ks} do not alternate")
-    return flips[ks[0]], ks
+    arc = {pin(setting.angle - _QUARTER_PI, True), pin(setting.angle + _QUARTER_PI, False)}
+    # the restart of a turned angle, from ~pi to 0, flips the outcome only as an arc end
+    if turned and is_x(_WRAP - 1) != is_x(_WRAP) and _WRAP not in arc:
+        raise AssertionError(f"lhv-sign outcome flips at the restart draw {_WRAP}, off its arc {sorted(arc)}")
+    return is_x(0), sorted(arc - {0})
 
 
 def _lhv_kernel(bench, master_seed):
@@ -508,12 +493,17 @@ def run_trial(model: str, bench: OpticalBench, master_seed: int, trial_index: in
     )
 
 
+def _positive_int(name, value):
+    # numpy integers count by value, as seeds and trial indices do
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _check_run_args(model, n_trials, workers):
+    """``n_trials`` and ``workers`` as Python ints, once ``model`` and both are checked."""
     _check_model(model)
-    if isinstance(n_trials, bool) or not isinstance(n_trials, int) or n_trials < 1:
-        raise ValueError(f"n_trials must be a positive integer, got {n_trials!r}")
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    return _positive_int("n_trials", n_trials), _positive_int("workers", workers)
 
 
 #: chunks submitted to the pool ahead of the one handed over, per thread: deep
@@ -576,7 +566,7 @@ def simulate_outcomes(
     Work is split into fixed-size chunks writing disjoint slices, so the
     arrays are byte-identical for any worker count.
     """
-    _check_run_args(model, n_trials, workers)
+    n_trials, workers = _check_run_args(model, n_trials, workers)
     a_is_x = np.empty(n_trials, dtype=bool)
     b_is_x = np.empty(n_trials, dtype=bool)
 
@@ -601,7 +591,7 @@ def run_ensemble(
     Counter-based draws make each chunk independent of execution order, so
     multi-worker runs return exactly the serial counts.
     """
-    _check_run_args(model, n_trials, workers)
+    n_trials, workers = _check_run_args(model, n_trials, workers)
 
     def count(start: int, a: np.ndarray, b: np.ndarray) -> tuple[int, int, int, int]:
         xx = int(np.count_nonzero(a & b))

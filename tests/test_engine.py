@@ -267,8 +267,21 @@ def test_turned_hidden_angle_wraps_at_half_the_draws():
     assert turned(engine._WRAP - 1) == math.pi - 2**-51 and turned(engine._WRAP) == 0.0
 
 
+def _ulps_away(x, n):
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+#: settings on and 1-3 ulps either side of the pi/8 lattice put an arc end on
+#: the restart draw engine._WRAP or on draw 0
 _ANGLES = st.one_of(
     st.integers(-16, 32).map(lambda j: j * math.pi / 8),
+    st.builds(
+        lambda j, n: _ulps_away(j * math.pi / 8, n),
+        st.integers(-16, 32),
+        st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    ),
     st.floats(-math.pi, 2 * math.pi),
 )
 
@@ -277,14 +290,19 @@ _ANGLES = st.one_of(
 @given(alpha=_ANGLES, beta=_ANGLES, plate=st.booleans())
 def test_lhv_breakpoints_agree_with_scalar_rule(alpha, beta, plate):
     # the compiled outcome holds from draw 0 and flips at each breakpoint,
-    # read off the per-trial reference on either side of every breakpoint
+    # read off the per-trial reference on either side of every breakpoint;
+    # the X draws are one arc of the draw circle, so there are one or two
+    # breakpoints, and a turned photon's restart flips the outcome only as one
     bench = OpticalBench(alpha=alpha, beta=beta, plate_present=plate)
     for side, (x_at_0, flips) in enumerate(_lhv_plans(bench)):
 
         def is_x(k):
             return reference_trial("lhv-sign", bench, lambda _: k * 2.0**-53)[side] is PolAxis.X
 
-        assert flips and is_x(0) == x_at_0
+        assert 1 <= len(flips) <= 2 and is_x(0) == x_at_0
+        turned = side == 1 or plate
+        if turned and is_x(engine._WRAP - 1) != is_x(engine._WRAP):
+            assert engine._WRAP in flips, (side, flips)
         x = x_at_0
         for k in flips:
             assert is_x(k - 1) == x != is_x(k), (side, k)
@@ -533,6 +551,10 @@ def test_run_ensemble_argument_validation():
     with pytest.raises(ValueError):
         run_ensemble("qm", LATE, True, master_seed=0)
     with pytest.raises(ValueError):
+        run_ensemble("qm", LATE, 100, master_seed=0, workers=True)
+    with pytest.raises(ValueError):
+        run_ensemble("qm", LATE, 100.0, master_seed=0)
+    with pytest.raises(ValueError):
         run_ensemble("bohm", LATE, 100, master_seed=0)
 
 
@@ -556,17 +578,20 @@ def test_library_entry_points_reject_non_integer_seeds(seed):
 
 @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5)], ids=repr)
 def test_numpy_integer_seeds_run_as_their_value(seed):
+    # so do numpy trial counts and worker counts
+    n, workers = type(seed)(100), type(seed)(2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run_ensemble("qm", ROTATED, 100, seed) == run_ensemble("qm", ROTATED, 100, 5)
-        got, want = simulate_outcomes("naive", ROTATED, 100, seed), simulate_outcomes("naive", ROTATED, 100, 5)
+        assert run_ensemble("qm", ROTATED, n, seed, workers) == run_ensemble("qm", ROTATED, 100, 5, 2)
+        got = simulate_outcomes("naive", ROTATED, n, seed, workers)
+        want = simulate_outcomes("naive", ROTATED, 100, 5, 2)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert run_trial("lhv-sign", ROTATED, seed, 7) == run_trial("lhv-sign", ROTATED, 5, 7)
-        assert chsh_experiment("qm", CANONICAL_CHSH_ANGLES, 100, seed) == chsh_experiment(
-            "qm", CANONICAL_CHSH_ANGLES, 100, 5
+        assert chsh_experiment("qm", CANONICAL_CHSH_ANGLES, n, seed, workers=workers) == chsh_experiment(
+            "qm", CANONICAL_CHSH_ANGLES, 100, 5, workers=2
         )
-        assert order_invariance_report("naive", EARLY, LATE, 100, seed) == order_invariance_report(
-            "naive", EARLY, LATE, 100, 5
+        assert order_invariance_report("naive", EARLY, LATE, n, seed, workers) == order_invariance_report(
+            "naive", EARLY, LATE, 100, 5, 2
         )
 
 
