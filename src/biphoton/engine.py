@@ -693,11 +693,11 @@ def analytic_joint_table(model: str, bench: OpticalBench) -> ProbTable:
         diff = (1.0 - e) / 4.0
         return ProbTable([same, diff, diff, same])
     first_ch, p1x, p2x_given_x, p2x_given_y = _branch_plan(model, bench)
-    # joint[f, s]: first outcome f, second outcome s, X before Y
-    joint = np.array([[p1x], [1.0 - p1x]]) * np.array(
-        [[p2x_given_x, 1.0 - p2x_given_x], [p2x_given_y, 1.0 - p2x_given_y]]
-    )
-    return ProbTable(joint if first_ch is Channel.A else joint.T)
+    p1y = 1.0 - p1x
+    # first outcome, then second: XX, XY, YX, YY
+    xx, xy = p1x * p2x_given_x, p1x * (1.0 - p2x_given_x)
+    yx, yy = p1y * p2x_given_y, p1y * (1.0 - p2x_given_y)
+    return ProbTable([xx, xy, yx, yy] if first_ch is Channel.A else [xx, yx, xy, yy])
 
 
 def analytic_E(model: str, bench: OpticalBench) -> float:

@@ -10,6 +10,16 @@ A and the second the one in channel B.  All operations here are pure
 functions on immutable values; randomness enters only through an explicit
 ``u`` argument, never from internal generator state.
 
+The algebra is written out entry by entry on Python scalars: every 2x2
+product, projection and norm is a fixed sequence of IEEE-754 double
+operations (a complex product is ``ac - bd`` and ``ad + bc``, a sum of two
+terms is added left to right).  No matrix product goes to numpy or its
+BLAS, whose kernels may order or fuse the same sums differently on
+another CPU, so the probabilities that qm's plan is compiled from are
+the result of these operations alone.  Arrays appear only at the edges:
+``TwoPhotonState.amps``, ``JonesMatrix.m``, ``ProbTable.p`` and
+``analyzer_basis`` hand out read-only numpy values.
+
 Conventions:
 
 * analyzer angles are radians, physics is pi-periodic, so settings are
@@ -22,6 +32,7 @@ Conventions:
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 import numbers
@@ -46,6 +57,13 @@ class PolAxis(enum.Enum):
     Y = "Y"
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float; a bool is an int, and float("1") is 1.0, but neither is a number here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 def reduce_mod_pi(angle: float) -> float:
     """Reduce an angle to the canonical analyzer range [0, pi)."""
     if not math.isfinite(angle):
@@ -65,10 +83,7 @@ class AnalyzerSetting:
     angle: float
 
     def __post_init__(self):
-        # a bool is an int, and float("1") is 1.0, but neither is an angle
-        if isinstance(self.angle, bool) or not isinstance(self.angle, numbers.Real):
-            raise ValueError(f"analyzer angle must be real radians, got {self.angle!r}")
-        object.__setattr__(self, "angle", reduce_mod_pi(float(self.angle)))
+        object.__setattr__(self, "angle", reduce_mod_pi(_real(self.angle, "analyzer angle in radians")))
 
     @classmethod
     def from_degrees(cls, degrees: float) -> "AnalyzerSetting":
@@ -81,65 +96,112 @@ def as_setting(setting: "AnalyzerSetting | float") -> AnalyzerSetting:
     return AnalyzerSetting(setting)
 
 
+def _norm2(amps) -> float:
+    """Squared norm of a sequence of complex amplitudes, |z|^2 = re^2 + im^2 summed in order."""
+    total = 0.0
+    for z in amps:
+        total += z.real * z.real + z.imag * z.imag
+    return total
+
+
+def _read_only(values, shape) -> np.ndarray:
+    a = np.array(values, dtype=np.complex128).reshape(shape)
+    a.setflags(write=False)
+    return a
+
+
 class TwoPhotonState:
     """Pure joint polarization state; 4 complex amplitudes, unit norm.
 
-    The amplitude array is copied on construction and exposed read-only.
+    The state holds its amplitudes as Python complex numbers, copied on
+    construction; ``amps`` hands them out as a new read-only array.
     """
 
-    __slots__ = ("_amps",)
+    __slots__ = ("_values",)
 
     def __init__(self, amps):
-        a = np.array(amps, dtype=np.complex128).reshape(4)
-        if not np.all(np.isfinite(a.view(np.float64))):
-            raise ValueError("state amplitudes must be finite")
-        sq = float(np.vdot(a, a).real)
-        if abs(sq - 1.0) > ATOL:
-            raise ValueError(f"state not normalized: sum |amps|^2 = {sq!r}")
-        a.setflags(write=False)
-        self._amps = a
+        self._values = _unit_amplitudes(tuple(np.array(amps, dtype=np.complex128).reshape(4).tolist()))
+
+    @classmethod
+    def _of(cls, values: tuple) -> "TwoPhotonState":
+        """The state of four Python complex amplitudes, checked as the constructor checks them."""
+        state = cls.__new__(cls)
+        state._values = _unit_amplitudes(values)
+        return state
 
     @property
     def amps(self) -> np.ndarray:
         """Amplitudes over [XX, XY, YX, YY] (read-only)."""
-        return self._amps
+        return _read_only(self._values, 4)
 
     def matrix(self) -> np.ndarray:
         """Amplitudes as a 2x2 array, row = channel-A axis, column = channel-B axis."""
-        return self._amps.reshape(2, 2)
+        return _read_only(self._values, (2, 2))
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self._amps))
+        return math.sqrt(_norm2(self._values))
 
     def overlap(self, other: "TwoPhotonState") -> complex:
         """Inner product <self|other>."""
-        return complex(np.vdot(self._amps, other._amps))
+        total = 0j
+        for a, b in zip(self._values, other._values):
+            total += a.conjugate() * b
+        return total
 
     def __repr__(self):
-        return f"TwoPhotonState({self._amps.tolist()!r})"
+        return f"TwoPhotonState({list(self._values)!r})"
+
+
+def _unit_amplitudes(values: tuple) -> tuple:
+    sq = _norm2(values)
+    if not abs(sq - 1.0) <= ATOL:  # also true for a nan sum
+        if not all(map(cmath.isfinite, values)):
+            raise ValueError("state amplitudes must be finite")
+        raise ValueError(f"state not normalized: sum |amps|^2 = {sq!r}")
+    return values
 
 
 class JonesMatrix:
-    """A 2x2 unitary acting on one photon's polarization (checked on construction)."""
+    """A 2x2 unitary acting on one photon's polarization (checked on construction).
 
-    __slots__ = ("_m",)
+    The entries are held as Python complex numbers; ``m`` hands them out as
+    a new read-only array.
+    """
+
+    __slots__ = ("_rows",)
 
     def __init__(self, m):
-        a = np.array(m, dtype=np.complex128).reshape(2, 2)
-        if not np.all(np.isfinite(a.view(np.float64))):
-            raise ValueError("Jones matrix entries must be finite")
-        dev = np.abs(a @ a.conj().T - np.eye(2)).max()
-        if dev > ATOL:
-            raise ValueError(f"Jones matrix is not unitary (max deviation {dev:.3e})")
-        a.setflags(write=False)
-        self._m = a
+        (m00, m01), (m10, m11) = np.array(m, dtype=np.complex128).reshape(2, 2).tolist()
+        self._rows = _unitary_rows(((m00, m01), (m10, m11)))
+
+    @classmethod
+    def _of(cls, rows: tuple) -> "JonesMatrix":
+        """The matrix of two rows of two Python complex entries, checked as the constructor checks them."""
+        matrix = cls.__new__(cls)
+        matrix._rows = _unitary_rows(rows)
+        return matrix
 
     @property
     def m(self) -> np.ndarray:
-        return self._m
+        return _read_only(self._rows, (2, 2))
 
     def __repr__(self):
-        return f"JonesMatrix({self._m.tolist()!r})"
+        return f"JonesMatrix({[list(row) for row in self._rows]!r})"
+
+
+def _unitary_rows(rows: tuple) -> tuple:
+    (m00, m01), (m10, m11) = rows
+    # the entries of m m^H - 1; the lower off-diagonal one is the conjugate of the upper
+    dev = max(
+        abs(_norm2((m00, m01)) - 1.0),
+        abs(m00 * m10.conjugate() + m01 * m11.conjugate()),
+        abs(_norm2((m10, m11)) - 1.0),
+    )
+    if not dev <= ATOL:  # also true for a nan deviation
+        if not all(map(cmath.isfinite, (m00, m01, m10, m11))):
+            raise ValueError("Jones matrix entries must be finite")
+        raise ValueError(f"Jones matrix is not unitary (max deviation {dev:.3e})")
+    return rows
 
 
 class ProbTable:
@@ -149,12 +211,14 @@ class ProbTable:
 
     def __init__(self, p):
         a = np.array(p, dtype=np.float64).reshape(4)
-        if not np.all(np.isfinite(a)):
+        p0, p1, p2, p3 = values = a.tolist()
+        if not all(map(math.isfinite, values)):
             raise ValueError("probabilities must be finite")
-        if a.min() < -ATOL or a.max() > 1.0 + ATOL:
-            raise ValueError(f"probabilities out of [0, 1]: {a.tolist()}")
-        if abs(float(a.sum()) - 1.0) > ATOL:
-            raise ValueError(f"probabilities sum to {a.sum()!r}, not 1")
+        if min(values) < -ATOL or max(values) > 1.0 + ATOL:
+            raise ValueError(f"probabilities out of [0, 1]: {values}")
+        total = p0 + p1 + p2 + p3
+        if abs(total - 1.0) > ATOL:
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
         a.setflags(write=False)
         self._p = a
 
@@ -180,8 +244,8 @@ class MeasurementResult:
 
 def make_anticorrelated_pair() -> TwoPhotonState:
     """The source state: (|x>_a |y>_b + |y>_a |x>_b) / sqrt(2)."""
-    s = math.sqrt(0.5)  # correctly rounded 1/sqrt(2)
-    return TwoPhotonState([0.0, s, s, 0.0])
+    s = complex(math.sqrt(0.5))  # correctly rounded 1/sqrt(2)
+    return TwoPhotonState._of((0j, s, s, 0j))
 
 
 def hwp_jones(plate_angle: float) -> JonesMatrix:
@@ -191,11 +255,12 @@ def hwp_jones(plate_angle: float) -> JonesMatrix:
     this swaps the x and y components, i.e. turns the polarization plane
     by pi/2.
     """
-    if not (isinstance(plate_angle, (int, float)) and math.isfinite(plate_angle)):
+    t = _real(plate_angle, "plate angle")
+    if not math.isfinite(t):
         raise ValueError(f"plate angle must be finite, got {plate_angle!r}")
-    c = math.cos(2.0 * plate_angle)
-    s = math.sin(2.0 * plate_angle)
-    return JonesMatrix([[c, s], [s, -c]])
+    c = math.cos(2.0 * t)
+    s = math.sin(2.0 * t)
+    return JonesMatrix._of(((complex(c), complex(s)), (complex(s), complex(-c))))
 
 
 def apply_element(state: TwoPhotonState, channel: Channel, element: JonesMatrix) -> TwoPhotonState:
@@ -205,12 +270,25 @@ def apply_element(state: TwoPhotonState, channel: Channel, element: JonesMatrix)
     ValueError if ``element`` is not unitary.
     """
     j = element if isinstance(element, JonesMatrix) else JonesMatrix(element)
-    psi = state.matrix()
-    if channel is Channel.A:
-        out = j.m @ psi
-    else:
-        out = psi @ j.m.T
-    return TwoPhotonState(out.reshape(4))
+    (j00, j01), (j10, j11) = j._rows
+    xx, xy, yx, yy = state._values
+    if channel is Channel.A:  # J psi: J mixes the rows of the amplitude matrix
+        out = (j00 * xx + j01 * yx, j00 * xy + j01 * yy, j10 * xx + j11 * yx, j10 * xy + j11 * yy)
+    else:  # psi J^T: J mixes its columns
+        out = (xx * j00 + xy * j01, xx * j10 + xy * j11, yx * j00 + yy * j01, yx * j10 + yy * j11)
+    return TwoPhotonState._of(out)
+
+
+def _basis(setting: "AnalyzerSetting | float") -> tuple[complex, complex, complex]:
+    """(cos a, sin a, -sin a) of the setting as complex numbers.
+
+    Complex, not float, so every product below is complex by complex, whose
+    signed zeros do not depend on how the Python version mixes a float into
+    a complex product.
+    """
+    a = as_setting(setting).angle
+    c, s = math.cos(a), math.sin(a)
+    return complex(c), complex(s), complex(-s)
 
 
 def analyzer_basis(setting: "AnalyzerSetting | float") -> np.ndarray:
@@ -218,9 +296,22 @@ def analyzer_basis(setting: "AnalyzerSetting | float") -> np.ndarray:
 
     Column 0 is |x'> = (cos a, sin a), column 1 is |y'> = (-sin a, cos a).
     """
-    a = as_setting(setting).angle
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    c, s, minus_s = _basis(setting)
+    return np.array([[c, minus_s], [s, c]], dtype=np.complex128)
+
+
+def _analyzer_rows(state: TwoPhotonState, channel: Channel, setting) -> tuple[complex, complex, complex, complex]:
+    """``basis^H psi`` (``psi`` transposed for channel B), flattened.
+
+    The first two entries are <x'| of ``channel`` against the other
+    channel's x and y, the last two <y'|.  The basis is real, so ``basis^H``
+    is its transpose.
+    """
+    c, s, minus_s = _basis(setting)
+    xx, xy, yx, yy = state._values
+    if channel is Channel.A:
+        return c * xx + s * yx, c * xy + s * yy, minus_s * xx + c * yx, minus_s * xy + c * yy
+    return c * xx + s * xy, c * yx + s * yy, minus_s * xx + c * xy, minus_s * yx + c * yy
 
 
 def joint_probabilities(
@@ -228,11 +319,16 @@ def joint_probabilities(
     alpha: "AnalyzerSetting | float",
     beta: "AnalyzerSetting | float",
 ) -> ProbTable:
-    """Born-rule probabilities of the four detector pairs at settings (alpha, beta)."""
-    u = analyzer_basis(alpha)
-    v = analyzer_basis(beta)
-    t = u.conj().T @ state.matrix() @ v.conj()
-    return ProbTable((t.real**2 + t.imag**2).reshape(4))
+    """Born-rule probabilities of the four detector pairs at settings (alpha, beta).
+
+    The amplitudes are ``u^H psi conj(v)`` for the analyzer bases ``u`` at
+    ``alpha`` and ``v`` at ``beta``: channel A's rows first, then channel
+    B's basis on the right.
+    """
+    r0, r1, r2, r3 = _analyzer_rows(state, Channel.A, alpha)
+    c, s, minus_s = _basis(beta)
+    t = (r0 * c + r1 * s, r0 * minus_s + r1 * c, r2 * c + r3 * s, r2 * minus_s + r3 * c)
+    return ProbTable([z.real * z.real + z.imag * z.imag for z in t])
 
 
 def marginal(
@@ -247,10 +343,9 @@ def marginal(
     for bit.  A probability below ``ATOL`` is a rounding residue: the pair
     is then exactly (1, 0) or (0, 1).
     """
-    psi = state.matrix()
-    rows = analyzer_basis(setting).conj().T @ (psi if channel is Channel.A else psi.T)
-    p = rows.real**2 + rows.imag**2
-    p_x, p_y = float(p[0, 0] + p[0, 1]), float(p[1, 0] + p[1, 1])
+    x0, x1, y0, y1 = _analyzer_rows(state, channel, setting)
+    p_x = (x0.real * x0.real + x0.imag * x0.imag) + (x1.real * x1.real + x1.imag * x1.imag)
+    p_y = (y0.real * y0.real + y0.imag * y0.imag) + (y1.real * y1.real + y1.imag * y1.imag)
     if min(p_x, p_y) < ATOL:
         return (1.0, 0.0) if p_x > p_y else (0.0, 1.0)
     return p_x, p_y
@@ -268,10 +363,11 @@ def measure_channel(
     is projected onto the outcome's analyzer vector on that channel and
     renormalized, so the partner's description updates with it.
     """
-    if not (isinstance(u, (int, float)) and 0.0 <= u < 1.0):
+    draw = _real(u, "u")
+    if not 0.0 <= draw < 1.0:
         raise ValueError(f"u must lie in [0, 1), got {u!r}")
     p_x, p_y = marginal(state, channel, setting)
-    if u < p_x:
+    if draw < p_x:
         outcome, prob = PolAxis.X, p_x
     else:
         outcome, prob = PolAxis.Y, p_y
@@ -292,13 +388,17 @@ def project_channel(
     channel and renormalized.  Raises ValueError if the outcome has zero
     probability.
     """
-    v = analyzer_basis(setting)[:, 0 if outcome is PolAxis.X else 1]
-    psi = state.matrix()
-    if channel is Channel.A:
-        proj = np.outer(v, v.conj() @ psi)
-    else:
-        proj = np.outer(psi @ v.conj(), v)
-    nrm = np.linalg.norm(proj)
+    c, s, minus_s = _basis(setting)
+    v0, v1 = (c, s) if outcome is PolAxis.X else (minus_s, c)
+    xx, xy, yx, yy = state._values
+    if channel is Channel.A:  # |v> (<v| psi): v times the analyzer's row
+        w0, w1 = v0 * xx + v1 * yx, v0 * xy + v1 * yy
+        proj = (v0 * w0, v0 * w1, v1 * w0, v1 * w1)
+    else:  # (psi |v>) <v|: the analyzer's column times v
+        w0, w1 = xx * v0 + xy * v1, yx * v0 + yy * v1
+        proj = (w0 * v0, w0 * v1, w1 * v0, w1 * v1)
+    nrm = complex(math.sqrt(_norm2(proj)))
     if nrm == 0.0:
         raise ValueError("degenerate projection: selected branch has zero probability")
-    return TwoPhotonState(proj.reshape(4) / nrm)
+    p0, p1, p2, p3 = proj
+    return TwoPhotonState._of((p0 / nrm, p1 / nrm, p2 / nrm, p3 / nrm))
