@@ -10,14 +10,19 @@ A and the second the one in channel B.  All operations here are pure
 functions on immutable values; randomness enters only through an explicit
 ``u`` argument, never from internal generator state.
 
-The algebra is written out entry by entry on Python scalars: every 2x2
-product, projection and norm is a fixed sequence of IEEE-754 double
-operations (a complex product is ``ac - bd`` and ``ad + bc``, a sum of two
-terms is added left to right).  No matrix product goes to numpy or its
-BLAS, whose kernels may order or fuse the same sums differently on
-another CPU, so the probabilities that qm's plan is compiled from are
-the result of these operations alone.  Arrays appear only at the edges:
-``TwoPhotonState.amps``, ``JonesMatrix.m``, ``ProbTable.p`` and
+The algebra is written out entry by entry on Python numbers: every 2x2
+product, projection and norm is a fixed sequence of scalar operations,
+each sum of two terms added left to right.  Nothing goes to numpy's
+matrix routines or its BLAS, whose kernels may order or fuse the same
+sums differently from one CPU to the next, so the probabilities that
+qm's plan is compiled from are the result of fixed-order IEEE-754
+scalar operations.  On that path every amplitude and coefficient is real
+(the source pair, the half-wave plate and the analyzers), so each complex
+product is one correctly rounded real product, however the interpreter's
+complex multiply was compiled.  ``math.cos`` and ``math.sin`` still come
+from the platform's C library.  A state holds its amplitudes, and a
+Jones matrix its entries, as Python complex numbers; arrays appear only
+at the edges, where ``amps``, ``m``, ``ProbTable.p`` and
 ``analyzer_basis`` hand out read-only numpy values.
 
 Conventions:
@@ -191,15 +196,15 @@ class JonesMatrix:
 
 def _unitary_rows(rows: tuple) -> tuple:
     (m00, m01), (m10, m11) = rows
+    if not all(map(cmath.isfinite, (m00, m01, m10, m11))):
+        raise ValueError("Jones matrix entries must be finite")
     # the entries of m m^H - 1; the lower off-diagonal one is the conjugate of the upper
     dev = max(
         abs(_norm2((m00, m01)) - 1.0),
         abs(m00 * m10.conjugate() + m01 * m11.conjugate()),
         abs(_norm2((m10, m11)) - 1.0),
     )
-    if not dev <= ATOL:  # also true for a nan deviation
-        if not all(map(cmath.isfinite, (m00, m01, m10, m11))):
-            raise ValueError("Jones matrix entries must be finite")
+    if dev > ATOL:
         raise ValueError(f"Jones matrix is not unitary (max deviation {dev:.3e})")
     return rows
 

@@ -320,6 +320,63 @@ def test_draw_threshold_is_the_float_comparison(p):
             assert (k < threshold) == (k * 2.0**-53 < p), (p, k)
 
 
+EIGHTH = math.pi / 8
+
+#: qm plans as (first channel, P(first = X), P(second = X | X), P(second = X | Y)), each
+#: probability as the integer draw threshold the kernel compares with
+PINNED_QM_PLANS = {
+    # the pair-tied geometry: every event at 1 m, plate present and absent
+    "tied": (
+        replace(ALL_TIED, alpha=EIGHTH, beta=3 * EIGHTH),
+        ("B", 4503599627370497, 4503599627370497, 4503599627370494),
+    ),
+    "tied-no-plate": (
+        replace(ALL_TIED, alpha=EIGHTH, beta=3 * EIGHTH, plate_present=False),
+        ("B", 4503599627370497, 9007199254740992, 0),
+    ),
+    "late": (
+        replace(LATE, alpha=EIGHTH, beta=2 * EIGHTH),
+        ("B", 4503599627370496, 7688125463633382, 1319073791107609),
+    ),
+    "early": (
+        replace(EARLY, alpha=3 * EIGHTH, beta=EIGHTH),
+        ("B", 4503599627370496, 4503599627370495, 4503599627370495),
+    ),
+    "no-plate": (
+        replace(NO_PLATE, alpha=5 * EIGHTH, beta=2 * EIGHTH),
+        ("B", 4503599627370497, 1319073791107611, 7688125463633382),
+    ),
+    # plate angles off pi/4
+    "plate-pi/8": (
+        replace(LATE, alpha=EIGHTH, plate_angle=EIGHTH),
+        ("B", 4503599627370497, 1319073791107609, 7688125463633384),
+    ),
+    "plate-0.6": (
+        replace(EARLY, alpha=2 * EIGHTH, beta=7 * EIGHTH, plate_angle=0.6),
+        ("B", 4503599627370497, 4320338822072, 9002878915918921),
+    ),
+    "a-first": (
+        replace(A_FIRST, alpha=3 * EIGHTH, beta=6 * EIGHTH),
+        ("A", 4503599627370496, 1319073791107610, 7688125463633380),
+    ),
+    # the bench of the pair goldens: alpha 10 deg, beta 30 deg, B first
+    "golden-pair": (
+        replace(EARLY, alpha=math.radians(10), beta=math.radians(30)),
+        ("B", 4503599627370496, 7953557095950362, 1053642158790627),
+    ),
+}
+
+
+@pytest.mark.parametrize("bench, plan", PINNED_QM_PLANS.values(), ids=PINNED_QM_PLANS)
+def test_qm_plan_thresholds_are_pinned(bench, plan):
+    # the integers the qm kernel compares its draws with: a last-bit change in
+    # any plan probability on the way (state, plate, projection, marginal)
+    # moves one of them, and with it the trials whose draw lies in between
+    first_ch, p1x, p2x_given_x, p2x_given_y = engine._branch_plan("qm", bench)
+    got = (first_ch.value, *map(engine._draw_threshold, (p1x, p2x_given_x, p2x_given_y)))
+    assert got == plan
+
+
 def test_certain_second_detection_has_no_rounding_residue(monkeypatch):
     # B is detected first; alpha - beta = pi/2 makes A certain once B is known
     bench = OpticalBench(alpha=5 * math.pi / 8, beta=math.pi / 8)

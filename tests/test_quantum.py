@@ -1,10 +1,13 @@
 """Pair state, wave-plate action, projective collapse, closed-form correlators."""
 
+import ast
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from biphoton import quantum
 from biphoton.local import ChshAngles
 from biphoton.quantum import (
     ATOL,
@@ -27,7 +30,14 @@ from biphoton.quantum import (
     project_channel,
     reduce_mod_pi,
 )
-from oracles import correlation_E, product_state, states_equal_up_to_phase
+from oracles import (
+    correlation_E,
+    matrix_apply,
+    matrix_joint,
+    matrix_project,
+    product_state,
+    states_equal_up_to_phase,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -142,9 +152,35 @@ def test_jones_matrix_rejects_non_unitary():
         JonesMatrix([[1.0, 1.0], [0.0, 1.0]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)], ids=repr)
+@pytest.mark.parametrize("entry", [(0, 0), (1, 1)])
+def test_jones_matrix_and_state_reject_non_finite_entries(bad, entry):
+    m = [[1.0, 0.0], [0.0, 1.0]]
+    m[entry[0]][entry[1]] = bad
+    with pytest.raises(ValueError, match="finite"):
+        JonesMatrix(m)
+    amps = [1.0, 0.0, 0.0, 0.0]
+    amps[3 * entry[0]] = bad
+    with pytest.raises(ValueError, match="finite"):
+        TwoPhotonState(amps)
+
+
 def test_hwp_rejects_non_finite_angle():
     with pytest.raises(ValueError):
         hwp_jones(math.inf)
+
+
+@pytest.mark.parametrize("value", NOT_ANGLES + [math.nan, np.float64(-math.inf)], ids=repr)
+def test_hwp_rejects_non_angles(value):
+    # True used to pass as 1 rad
+    with pytest.raises(ValueError):
+        hwp_jones(value)
+
+
+@pytest.mark.parametrize("value, angle", [(np.float32(0.3), float(np.float32(0.3))), (np.int64(1), 1.0)], ids=repr)
+def test_hwp_accepts_numpy_reals(value, angle):
+    # np.float32 used to be rejected as "must be finite"
+    assert hwp_jones(value).m.tolist() == hwp_jones(angle).m.tolist()
 
 
 def test_plate_on_channel_a_gives_correlated_pair():
@@ -347,6 +383,20 @@ def test_measure_rejects_u_outside_unit_interval():
         measure_channel(state, Channel.B, 0.0, u=-0.1)
 
 
+@pytest.mark.parametrize("u", [False, True, np.bool_(False), "0.5", None, 0.5j, math.nan], ids=repr)
+def test_measure_rejects_non_draws(u):
+    # False used to be taken as the draw 0
+    with pytest.raises(ValueError):
+        measure_channel(swapped_pair(), Channel.B, 0.0, u=u)
+
+
+@pytest.mark.parametrize("u", [np.float32(0.25), np.float64(0.75), np.int64(0), 0], ids=repr)
+def test_measure_accepts_numpy_real_draws(u):
+    got = measure_channel(swapped_pair(), Channel.B, 0.0, u=u)
+    want = measure_channel(swapped_pair(), Channel.B, 0.0, u=float(u))
+    assert (got.outcome, got.probability) == (want.outcome, want.probability)
+
+
 def test_collapse_probability_matches_marginal():
     rng = np.random.default_rng(23)
     for _ in range(200):
@@ -422,3 +472,51 @@ def test_states_equal_up_to_phase():
     phase = TwoPhotonState(psi.amps * np.exp(1j * 0.8))
     assert states_equal_up_to_phase(psi, phase, 1e-12)
     assert not states_equal_up_to_phase(psi, swapped_pair(), 1e-12)
+
+
+# ---------------------------------------------------------------- no matrix library
+
+def test_scalar_algebra_matches_matrix_products_on_complex_inputs():
+    # the plan path only meets real amplitudes; this covers complex states and
+    # complex unitaries too, against numpy's matrix products.  The sums are the
+    # same but their rounding may differ, hence a tolerance of a few ulps
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        raw = rng.normal(size=4) + 1j * rng.normal(size=4)
+        state = TwoPhotonState(raw / np.linalg.norm(raw))
+        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        unitary = q * (np.diag(r) / np.abs(np.diag(r)))
+        channel = Channel.A if rng.integers(2) else Channel.B
+        alpha, beta = (float(x) for x in rng.uniform(-4, 4, size=2))
+        np.testing.assert_allclose(
+            apply_element(state, channel, unitary).amps,
+            matrix_apply(state.amps, channel, unitary),
+            rtol=0,
+            atol=1e-15,
+        )
+        np.testing.assert_allclose(
+            joint_probabilities(state, alpha, beta).p, matrix_joint(state.amps, alpha, beta), rtol=0, atol=1e-15
+        )
+        for outcome in (PolAxis.X, PolAxis.Y):
+            if marginal(state, channel, alpha)[0 if outcome is PolAxis.X else 1] > 1e-3:
+                np.testing.assert_allclose(
+                    project_channel(state, channel, alpha, outcome).amps,
+                    matrix_project(state.amps, channel, alpha, outcome),
+                    rtol=0,
+                    atol=1e-14,
+                )
+
+
+def test_quantum_algebra_has_no_matrix_products():
+    # the plan's probabilities must be plain scalar arithmetic: no @ and no call
+    # that numpy may hand to BLAS.  Patching np.matmul to raise would prove
+    # nothing, because ``a @ b`` reaches ndarray.__matmul__ without it
+    tree = ast.parse(inspect.getsource(quantum))
+    matmuls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.MatMult)]
+    banned = {"outer", "vdot", "dot", "inner", "einsum", "linalg", "matmul", "tensordot", "kron"}
+    calls = [
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in banned
+    ]
+    assert matmuls == [] and calls == []
