@@ -64,6 +64,7 @@ from .quantum import (
     Channel,
     PolAxis,
     ProbTable,
+    _real,
     apply_element,
     as_setting,
     hwp_jones,
@@ -73,7 +74,7 @@ from .quantum import (
     project_channel,
     reduce_mod_pi,
 )
-from .rng import derive_seed, uniform_array
+from .rng import _integer, derive_seed, uniform_array
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by definition
 
@@ -118,19 +119,16 @@ class OpticalBench:
 
     def __post_init__(self):
         for name in ("d_plate_a", "d_prism_a", "d_prism_b"):
-            d = getattr(self, name)
-            if isinstance(d, bool) or not (isinstance(d, (int, float)) and math.isfinite(d) and d >= 0.0):
+            d = _real(getattr(self, name), name)
+            if d < 0.0:
                 raise ValueError(f"{name} must be a nonnegative distance in meters, got {d!r}")
-            object.__setattr__(self, name, float(d))
+            object.__setattr__(self, name, d)
         for name in ("alpha", "beta"):
             object.__setattr__(self, name, as_setting(getattr(self, name)))
         if not isinstance(self.plate_present, (bool, np.bool_)):
             raise ValueError(f"plate_present must be true or false, got {self.plate_present!r}")
         object.__setattr__(self, "plate_present", bool(self.plate_present))
-        pa = self.plate_angle
-        if isinstance(pa, bool) or not (isinstance(pa, (int, float)) and math.isfinite(pa)):
-            raise ValueError(f"plate_angle must be finite radians, got {pa!r}")
-        object.__setattr__(self, "plate_angle", float(pa))
+        object.__setattr__(self, "plate_angle", _real(self.plate_angle, "plate_angle in radians"))
         if self.plate_present and self.d_plate_a > self.d_prism_a:
             raise ValueError("plate must sit between source and prism: d_plate_a <= d_prism_a")
 
@@ -160,18 +158,13 @@ class OpticalBench:
         for key, (field_name, to_si, _) in cls.CONFIG_KEYS.items():
             if key in config:
                 # the flag goes in as given: __post_init__ rejects anything but a bool
-                kwargs[field_name] = config[key] if to_si is bool else to_si(_config_number(key, config[key]))
+                value = config[key]
+                kwargs[field_name] = value if to_si is bool else to_si(_real(value, f"bench config key {key}"))
         return cls(**kwargs)
 
     def to_config_dict(self) -> dict:
         """The bench as a JSON-ready config dict (lengths _m, angles _deg)."""
         return {key: from_si(getattr(self, name)) for key, (name, _, from_si) in self.CONFIG_KEYS.items()}
-
-
-def _config_number(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"bench config key {key} must be a number, got {value!r}")
-    return float(value)
 
 
 def build_timeline(bench: OpticalBench) -> tuple[TimedEvent, ...]:
@@ -478,9 +471,7 @@ def run_trial(model: str, bench: OpticalBench, master_seed: int, trial_index: in
     so any single trial can be replayed without rerunning its ensemble.
     """
     _check_model(model)
-    if isinstance(trial_index, bool) or not isinstance(trial_index, (int, np.integer)):
-        raise ValueError(f"trial_index must be an integer, got {trial_index!r}")
-    trial_index = int(trial_index)
+    trial_index = _integer(trial_index, "trial_index")
     words, flags = _buffers(1)
     words[0] = trial_index % 2**64
     a_is_x, b_is_x = _kernel(model, bench, master_seed)(words[0], words[1:], flags)
@@ -494,10 +485,10 @@ def run_trial(model: str, bench: OpticalBench, master_seed: int, trial_index: in
 
 
 def _positive_int(name, value):
-    # numpy integers count by value, as seeds and trial indices do
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+    n = _integer(value, name)
+    if n < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
+    return n
 
 
 def _check_run_args(model, n_trials, workers):

@@ -32,7 +32,9 @@ Conventions:
 * the half-wave-plate Jones matrix uses the real convention (the global
   phase is dropped; physical predictions are phase-invariant);
 * sampling threshold: ``u < p_x`` selects X, so a tie at ``u == p_x``
-  deterministically selects Y.
+  deterministically selects Y;
+* ``_real`` is the one rule for every real argument, here and in
+  ``engine``: a finite Python or numpy real, not a bool, or ValueError.
 """
 
 from __future__ import annotations
@@ -63,10 +65,14 @@ class PolAxis(enum.Enum):
 
 
 def _real(value, what: str) -> float:
-    """``value`` as a float; a bool is an int, and float("1") is 1.0, but neither is a number here."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{what} must be a real number, got {value!r}")
-    return float(value)
+    """``value`` as a finite float; a bool, a str and an int beyond float range are not numbers here."""
+    if not isinstance(value, bool) and isinstance(value, (float, numbers.Real)):  # float first: it is quick
+        try:
+            if math.isfinite(x := float(value)):
+                return x
+        except OverflowError:  # an int or a Fraction beyond float range
+            pass
+    raise ValueError(f"{what} must be a finite real number, got {value!r}")
 
 
 def reduce_mod_pi(angle: float) -> float:
@@ -92,7 +98,7 @@ class AnalyzerSetting:
 
     @classmethod
     def from_degrees(cls, degrees: float) -> "AnalyzerSetting":
-        return cls(math.radians(degrees))
+        return cls(math.radians(_real(degrees, "analyzer angle in degrees")))
 
 
 def as_setting(setting: "AnalyzerSetting | float") -> AnalyzerSetting:
@@ -261,8 +267,6 @@ def hwp_jones(plate_angle: float) -> JonesMatrix:
     by pi/2.
     """
     t = _real(plate_angle, "plate angle")
-    if not math.isfinite(t):
-        raise ValueError(f"plate angle must be finite, got {plate_angle!r}")
     c = math.cos(2.0 * t)
     s = math.sin(2.0 * t)
     return JonesMatrix._of(((complex(c), complex(s)), (complex(s), complex(-c))))

@@ -63,11 +63,16 @@ def _splitmix_into(out: np.ndarray, z: np.ndarray, scratch: np.ndarray) -> None:
     out ^= np.right_shift(out, _U64_31, out=scratch)
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int; numpy integers count by value, a bool or a non-integer raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _seed_word(master_seed) -> int:
-    """``master_seed`` as a 64-bit word, mod 2**64; bools and non-integers raise ValueError."""
-    if isinstance(master_seed, bool) or not isinstance(master_seed, (int, np.integer)):
-        raise ValueError(f"master_seed must be an integer, got {master_seed!r}")
-    return int(master_seed) & _MASK
+    """``master_seed`` as a 64-bit word, mod 2**64."""
+    return _integer(master_seed, "master_seed") & _MASK
 
 
 def uniform_array(master_seed: int, trial_indices: np.ndarray, draw_counters, out=None):
@@ -97,5 +102,5 @@ def uniform_array(master_seed: int, trial_indices: np.ndarray, draw_counters, ou
 
 
 def derive_seed(master_seed: int, stream: int) -> int:
-    """Independent child seed for sub-experiment ``stream`` of a run."""
-    return splitmix(splitmix(_seed_word(master_seed) ^ _STREAM_SALT) ^ (stream & _MASK))
+    """Independent child seed for sub-experiment ``stream`` (an integer, mod 2**64) of a run."""
+    return splitmix(splitmix(_seed_word(master_seed) ^ _STREAM_SALT) ^ (_integer(stream, "stream") & _MASK))

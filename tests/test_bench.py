@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -125,9 +126,18 @@ def test_accepts_numpy_bool_plate_flag():
 
 @pytest.mark.parametrize("field", ["d_plate_a", "d_prism_a", "d_prism_b", "alpha", "beta", "plate_angle"])
 def test_rejects_bool_numbers(field):
-    # True would otherwise become 1.0 m or 1.0 rad
-    with pytest.raises(ValueError):
-        OpticalBench(**{field: True})
+    # True would otherwise become 1.0 m or 1.0 rad; an int beyond float range is no number either
+    for value in (True, 10**400):
+        with pytest.raises(ValueError):
+            OpticalBench(**{field: value})
+
+
+@pytest.mark.parametrize("value", [np.float32(0.25), np.int64(1), Fraction(1, 3)], ids=repr)
+@pytest.mark.parametrize("field", ["d_plate_a", "d_prism_a", "d_prism_b", "plate_angle"])
+def test_accepts_any_real_number(field, value):
+    # as alpha and beta do; the plate is left out so that every distance fits
+    bench = OpticalBench(**{field: value}, plate_present=False)
+    assert getattr(bench, field) == float(value) and type(getattr(bench, field)) is float
 
 
 def test_rejects_non_finite_distance():
@@ -198,6 +208,9 @@ def test_from_config_rejects_bad_values():
         OpticalBench.from_config({"plate_present": "yes"})
     with pytest.raises(ValueError):
         OpticalBench.from_config({"alpha_deg": math.nan})
+    for key in ("d_plate_a_m", "d_prism_a_m", "d_prism_b_m", "alpha_deg", "beta_deg", "plate_angle_deg"):
+        with pytest.raises(ValueError, match=key):
+            OpticalBench.from_config({key: 10**400})
 
 
 def test_bench_is_immutable():

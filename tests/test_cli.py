@@ -133,20 +133,26 @@ def test_unallocatable_trial_dump_exits_2(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, exit_code, out_of_memory",
+    "argv, exit_code, out_of_memory, config",
     [
-        (["--trials", "0"], 2, False),
-        (["--model", "bogus"], 3, False),
-        (["--trials", "10000000000000"], 2, True),
+        (["--trials", "0"], 2, False, None),
+        (["--model", "bogus"], 3, False, None),
+        (["--trials", "10000000000000"], 2, True, None),
+        # a float cannot hold it: float() raised OverflowError and a traceback
+        ([], 2, False, {"d_prism_b_m": 10**400}),
+        ([], 2, False, {"alpha_deg": 10**400}),
     ],
-    ids=["zero-trials", "unknown-model", "out-of-memory"],
+    ids=["zero-trials", "unknown-model", "out-of-memory", "huge-config-distance", "huge-config-angle"],
 )
-def test_failed_command_never_creates_out(capsys, monkeypatch, tmp_path, argv, exit_code, out_of_memory):
+def test_failed_command_never_creates_out(capsys, monkeypatch, tmp_path, argv, exit_code, out_of_memory, config):
     if out_of_memory:
         monkeypatch.setattr(cli, "simulate_outcomes", _out_of_memory)
+    if config is not None:
+        (tmp_path / "bench.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "bench.json")]
     path = tmp_path / "dump.csv"
     code, out, err = run_cli(capsys, "pair", "--format", "csv", *argv, "--out", str(path))
-    assert code == exit_code and out == "" and err.startswith("error: ")
+    assert code == exit_code and out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
     assert not path.exists()
 
 

@@ -57,6 +57,7 @@ from biphoton.quantum import (
     measure_channel,
     reduce_mod_pi,
 )
+from biphoton.rng import derive_seed
 from oracles import draw_uniform
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
@@ -615,7 +616,7 @@ def test_run_ensemble_argument_validation():
         run_ensemble("bohm", LATE, 100, master_seed=0)
 
 
-BAD_SEEDS = [True, 1.5, "3"]
+BAD_SEEDS = [True, 1.0, 1.5, "3"]
 
 
 @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
@@ -631,11 +632,14 @@ def test_library_entry_points_reject_non_integer_seeds(seed):
     for run in runs:
         with pytest.raises(ValueError, match="master_seed"):
             run()
+    # True would run as stream 1; 1.0 failed with TypeError inside the RNG
+    with pytest.raises(ValueError, match="stream"):
+        derive_seed(5, seed)
 
 
 @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5)], ids=repr)
 def test_numpy_integer_seeds_run_as_their_value(seed):
-    # so do numpy trial counts and worker counts
+    # so do numpy trial counts, worker counts and derive_seed's stream
     n, workers = type(seed)(100), type(seed)(2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -644,6 +648,8 @@ def test_numpy_integer_seeds_run_as_their_value(seed):
         want = simulate_outcomes("naive", ROTATED, 100, 5, 2)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert run_trial("lhv-sign", ROTATED, seed, 7) == run_trial("lhv-sign", ROTATED, 5, 7)
+        child = derive_seed(1, seed)
+        assert child == derive_seed(1, 5) and type(child) is int
         assert chsh_experiment("qm", CANONICAL_CHSH_ANGLES, n, seed, workers=workers) == chsh_experiment(
             "qm", CANONICAL_CHSH_ANGLES, 100, 5, workers=2
         )

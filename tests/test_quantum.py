@@ -72,7 +72,8 @@ def test_analyzer_setting_reduces_and_converts_degrees():
     assert abs(AnalyzerSetting.from_degrees(45.0).angle - math.pi / 4) < 1e-15
 
 
-NOT_ANGLES = [True, np.bool_(True), "1", None, 1j]
+BEYOND_FLOAT = pytest.param(10**400, id="10**400")
+NOT_ANGLES = [True, np.bool_(True), "1", None, 1j, BEYOND_FLOAT]
 
 
 @pytest.mark.parametrize("value", NOT_ANGLES, ids=repr)
@@ -80,6 +81,8 @@ def test_analyzer_setting_rejects_non_angles(value):
     # True and "1" used to pass through float() as 1 rad
     with pytest.raises(ValueError):
         AnalyzerSetting(value)
+    with pytest.raises(ValueError):
+        AnalyzerSetting.from_degrees(value)
     with pytest.raises(ValueError):
         measure_channel(make_anticorrelated_pair(), Channel.A, value, 0.5)
     with pytest.raises(ValueError):
@@ -383,7 +386,7 @@ def test_measure_rejects_u_outside_unit_interval():
         measure_channel(state, Channel.B, 0.0, u=-0.1)
 
 
-@pytest.mark.parametrize("u", [False, True, np.bool_(False), "0.5", None, 0.5j, math.nan], ids=repr)
+@pytest.mark.parametrize("u", [False, True, np.bool_(False), "0.5", None, 0.5j, math.nan, BEYOND_FLOAT], ids=repr)
 def test_measure_rejects_non_draws(u):
     # False used to be taken as the draw 0
     with pytest.raises(ValueError):
