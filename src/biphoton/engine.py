@@ -48,7 +48,8 @@ from .local import (
     ChshReport,
     chsh_S,
     lhv_outcome,
-    lhv_pair,
+    lhv_photon_a,
+    lhv_photon_b,
     lhv_sample,
     lhv_sign_correlator,
     naive_p_x,
@@ -74,7 +75,7 @@ from .quantum import (
     project_channel,
     reduce_mod_pi,
 )
-from .rng import _integer, derive_seed, uniform_array
+from .rng import _integer, _u64, derive_seed, uniform_array
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by definition
 
@@ -210,9 +211,10 @@ class EnsembleStats:
 
     def __post_init__(self):
         for name in ("n_xx", "n_xy", "n_yx", "n_yy"):
-            c = getattr(self, name)
-            if not isinstance(c, int) or c < 0:
+            c = _integer(getattr(self, name), name)
+            if c < 0:
                 raise ValueError(f"{name} must be a nonnegative integer count, got {c!r}")
+            object.__setattr__(self, name, c)
         if self.n == 0:
             raise ValueError("ensemble has no trials")
 
@@ -275,7 +277,8 @@ def _check_model(model: str) -> str:
 
 def _qm_rules(bench):
     """quantum's per-event rules; the walk's state is the pair's joint state."""
-    plate = hwp_jones(bench.plate_angle)
+    # the plate rule runs only on a timeline that holds the plate
+    plate = hwp_jones(bench.plate_angle) if bench.plate_present else None
     return (
         make_anticorrelated_pair(),
         lambda state: apply_element(state, Channel.A, plate),
@@ -352,10 +355,17 @@ def _draw_threshold(p: float) -> int:
 def _buffers(size: int):
     """One thread's scratch for chunks of up to ``size`` trials.
 
-    Four uint64 rows: the trial indices and three rows of words.  Three
-    bool rows: the outcomes of channels A and B, and scratch.
+    Four uint64 rows: the trial indices of a chunk past the first (chunk
+    0's are a prefix of ``_OFFSETS``) and three rows of words.  Three bool
+    rows: the outcomes of channels A and B, and scratch.
     """
     return np.empty((4, size), dtype=np.uint64), np.empty((3, size), dtype=bool)
+
+
+#: the trial offsets within a chunk, 0 .. CHUNK - 1: made once, read-only,
+#: so no call builds its own (a chunk's indices are these plus its start)
+_OFFSETS = np.arange(CHUNK, dtype=np.uint64)
+_OFFSETS.setflags(write=False)
 
 
 def _kernel(model, bench, master_seed):
@@ -363,32 +373,42 @@ def _kernel(model, bench, master_seed):
 
     The kernel maps trial indices, three uint64 word rows and three bool
     rows of their length to (a_is_x, b_is_x), classified in place into the
-    first two bool rows.  A two-detection model samples its branch plan:
-    draw 0 decides the first detection, draw 1 the second, read only if
-    the plan leaves it uncertain; ``u < p`` is compared as the integer
-    ``k < _draw_threshold(p)``.
+    first two bool rows; the third is scratch.  A two-detection model
+    samples its branch plan: draw 0 decides the first detection, draw 1
+    the second, read only if the plan leaves it uncertain; ``u < p`` is
+    compared as the integer ``k < _draw_threshold(p)``.
     """
     if model == "lhv-sign":
         return _lhv_kernel(bench, master_seed)
     first_ch, p1x, p2x_given_x, p2x_given_y = _branch_plan(model, bench)
-    first_k = _draw_threshold(p1x)
     given_x, given_y = _draw_threshold(p2x_given_x), _draw_threshold(p2x_given_y)
     # a second threshold of 0 or 2^53 needs no draw: the second is Y or X at any k,
     # so k = 0 stands in for draw 1
     certain = {given_x, given_y} <= {0, _DRAWS}
     counters = (0,) if certain else (0, 1)
+    n_draws = len(counters)
+    # the thresholds as 0-d uint64 arrays, which no call has to convert
+    first_k = _u64(_draw_threshold(p1x))
     # where the first is X, the second's threshold is given_y plus this, mod 2^64
-    step = np.uint64((given_x - given_y) % 2**64)
+    step = _u64(given_x - given_y)
+    given_y = _u64(given_y)
+    zero = _u64(0)
+    a_first = first_ch is Channel.A
 
     def outcomes(indices, words, flags):
-        first_is_x, second_is_x, _ = flags
-        draws = uniform_array(master_seed, indices, counters, words[: len(counters) + 1])
+        a_is_x, b_is_x = flags[0], flags[1]
+        first_is_x, second_is_x = (a_is_x, b_is_x) if a_first else (b_is_x, a_is_x)
+        draws = uniform_array(master_seed, indices, counters, words[: n_draws + 1])
         np.less(draws[0], first_k, out=first_is_x)
-        # the row after the draws is free scratch once they are made
-        threshold = np.multiply(first_is_x, step, out=words[len(counters)])
+        # the row after the draws is free scratch once they are made; the
+        # bool row is copied into it, since a ufunc that mixes the two
+        # dtypes casts through a 64 KiB buffer of its own
+        threshold = words[n_draws]
+        np.copyto(threshold, first_is_x)
+        threshold *= step
         threshold += given_y
-        np.less(0 if certain else draws[1], threshold, out=second_is_x)
-        return (first_is_x, second_is_x) if first_ch is Channel.A else (second_is_x, first_is_x)
+        np.less(zero if certain else draws[1], threshold, out=second_is_x)
+        return a_is_x, b_is_x
 
     return outcomes
 
@@ -412,8 +432,10 @@ def _lhv_breakpoints(bench, channel):
     the angle over [0, pi) once, so the channel is X on one arc of the draw
     circle: it opens where the angle crosses the setting - pi/4 and closes
     where it crosses the setting + pi/4.  Each end is estimated in closed
-    form, then pinned to the draw where the scalar rules (``lhv_pair``,
-    ``naive_plate_action``, ``lhv_outcome``) flip, so ties keep their bits.
+    form, then pinned to the draw where the scalar rules (``lhv_photon_a``
+    or ``lhv_photon_b``, the halves of ``lhv_pair``, then
+    ``naive_plate_action`` and ``lhv_outcome``) flip, so ties keep their
+    bits.
     """
     setting = bench.alpha if channel is Channel.A else bench.beta
     turned = channel is Channel.B or bench.plate_present
@@ -423,20 +445,26 @@ def _lhv_breakpoints(bench, channel):
     def is_x(k):
         k %= _DRAWS
         if k not in known:
-            photon_a, photon_b = lhv_pair(lhv_sample(k / _DRAWS))
+            # only the photon this channel reads
+            lam = lhv_sample(k / _DRAWS)
             if channel is Channel.B:
-                photon = photon_b
+                photon = lhv_photon_b(lam)
+            elif bench.plate_present:
+                photon = naive_plate_action(lhv_photon_a(lam))
             else:
-                photon = naive_plate_action(photon_a) if bench.plate_present else photon_a
+                photon = lhv_photon_a(lam)
             known[k] = lhv_outcome(photon, setting) is PolAxis.X
         return known[k]
 
     def pin(edge, to_x):
-        # the draw where the outcome flips to ``to_x``, stepped to from the estimate
-        k = start + round(reduce_mod_pi(edge) / math.pi * _DRAWS)
+        # the draw where the outcome flips to ``to_x``, stepped to from the estimate;
+        # a pin takes two evaluations when the flip is at k or k + 1, where the
+        # rules' rounding puts most opening flips, and most closing ones a draw later
+        k = start + math.floor(reduce_mod_pi(edge) / math.pi * _DRAWS) + (0 if to_x else 1)
         step = -1 if is_x(k) == to_x else 1
         for _ in range(_BREAKPOINT_REACH):
-            if is_x(k - 1) != to_x == is_x(k):
+            # is_x(k) first: it is known, and when it is not to_x, is_x(k - 1) is not needed
+            if is_x(k) == to_x != is_x(k - 1):
                 return k % _DRAWS
             k += step
         raise AssertionError(f"no lhv-sign flip within reach of draw {k % _DRAWS}")
@@ -450,16 +478,22 @@ def _lhv_breakpoints(bench, channel):
 
 def _lhv_kernel(bench, master_seed):
     """Chunk kernel of lhv-sign: each outcome compares the draw with its channel's breakpoints."""
-    plans = [_lhv_breakpoints(bench, channel) for channel in (Channel.A, Channel.B)]
+    plans = []
+    for channel in (Channel.A, Channel.B):
+        x_at_0, flips = _lhv_breakpoints(bench, channel)
+        # X at k = 0, flipped at each breakpoint k has reached; the breakpoints
+        # as 0-d uint64 arrays, which no call has to convert
+        first, *rest = map(_u64, flips)
+        plans.append((np.less if x_at_0 else np.greater_equal, first, rest))
 
     def outcomes(indices, words, flags):
-        (draws,) = uniform_array(master_seed, indices, (0,), words[:2])
-        for is_x, (x_at_0, flips) in zip(flags, plans):
-            # X at k = 0, flipped at each breakpoint k has reached
-            (np.less if x_at_0 else np.greater_equal)(draws, flips[0], out=is_x)
-            for k in flips[1:]:
-                is_x ^= np.greater_equal(draws, k, out=flags[2])
-        return flags[0], flags[1]
+        draws = uniform_array(master_seed, indices, (0,), words[:2])[0]
+        outcome, scratch = (flags[0], flags[1]), flags[2]
+        for is_x, (compare, first, rest) in zip(outcome, plans):
+            compare(draws, first, out=is_x)
+            for k in rest:
+                is_x ^= np.greater_equal(draws, k, out=scratch)
+        return outcome
 
     return outcomes
 
@@ -510,22 +544,22 @@ def _map_chunks(model, bench, n_trials, master_seed, workers, consume):
     chunk independent of execution order, so the results are the same for
     any thread count.  Threads are bounded by the chunk count and the
     cores; with one, the chunks run serially.  Each thread of the call
-    classifies its chunks in one set of buffers, which ``consume`` must be
-    done with when it returns.  At most ``_IN_FLIGHT_PER_THREAD`` chunks
-    per thread are in flight, so memory stays bounded at any trial count.
+    classifies its chunks in one set of ``_buffers``, which ``consume``
+    must be done with when it returns: a serial call makes its set once,
+    up front, and each pool thread makes its own on its first chunk.  A
+    chunk's trial indices are the shared ``_OFFSETS`` plus its start, and
+    chunk 0's are a prefix of them, so a one-chunk call allocates nothing
+    beyond its buffer set.  At most ``_IN_FLIGHT_PER_THREAD`` chunks per
+    thread are in flight, so memory stays bounded at any trial count.
     """
     kernel = _kernel(model, bench, master_seed)
     size = min(n_trials, CHUNK)
-    offsets = np.arange(size, dtype=np.uint64)
-    local = threading.local()
 
-    def task(start: int):
-        if not hasattr(local, "buffers"):
-            local.buffers = _buffers(size)
-        words, flags = local.buffers
+    def task(start: int, buffers):
+        words, flags = buffers
         m = min(size, n_trials - start)
         # chunk 0's trial indices are the offsets themselves
-        indices = np.add(offsets[:m], np.uint64(start), out=words[0, :m]) if start else offsets[:m]
+        indices = np.add(_OFFSETS[:m], np.uint64(start), out=words[0, :m]) if start else _OFFSETS[:m]
         return consume(start, *kernel(indices, words[1:, :m], flags[:, :m]))
 
     starts = range(0, n_trials, CHUNK)
@@ -533,14 +567,24 @@ def _map_chunks(model, bench, n_trials, master_seed, workers, consume):
     if threads > 1:
         threads = min(threads, os.cpu_count() or 1)
     if threads == 1:
-        yield from map(task, starts)
+        buffers = _buffers(size)
+        for start in starts:
+            yield task(start, buffers)
         return
+    local = threading.local()
+
+    def pooled_task(start: int):
+        buffers = getattr(local, "buffers", None)
+        if buffers is None:
+            buffers = local.buffers = _buffers(size)
+        return task(start, buffers)
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         in_flight = deque()
         for start in starts:
             if len(in_flight) == threads * _IN_FLIGHT_PER_THREAD:
                 yield in_flight.popleft().result()
-            in_flight.append(pool.submit(task, start))
+            in_flight.append(pool.submit(pooled_task, start))
         while in_flight:
             yield in_flight.popleft().result()
 
@@ -585,8 +629,9 @@ def run_ensemble(
     n_trials, workers = _check_run_args(model, n_trials, workers)
 
     def count(start: int, a: np.ndarray, b: np.ndarray) -> tuple[int, int, int, int]:
-        xx = int(np.count_nonzero(a & b))
         a_x, b_x = int(np.count_nonzero(a)), int(np.count_nonzero(b))
+        # a is this call's chunk buffer, read already, so it takes a & b in place
+        xx = int(np.count_nonzero(np.logical_and(a, b, out=a)))
         return xx, a_x - xx, b_x - xx, len(a) - a_x - b_x + xx
 
     totals = (0, 0, 0, 0)

@@ -51,9 +51,19 @@ def lhv_sample(u: float) -> float:
     return u * math.pi
 
 
+def lhv_photon_a(lam: float) -> float:
+    """Source photon A: it carries lambda, reduced to [0, pi)."""
+    return reduce_mod_pi(lam)
+
+
+def lhv_photon_b(lam: float) -> float:
+    """Source photon B: it carries lambda + pi/2, reduced to [0, pi)."""
+    return reduce_mod_pi(lam + _HALF_PI)
+
+
 def lhv_pair(lam: float) -> tuple[float, float]:
-    """Source photons: A carries lambda, B lambda + pi/2, both reduced to [0, pi)."""
-    return reduce_mod_pi(lam), reduce_mod_pi(lam + _HALF_PI)
+    """Source photons (A, B) of one hidden angle: the two one-photon rules above."""
+    return lhv_photon_a(lam), lhv_photon_b(lam)
 
 
 def lhv_outcome(lam: float, setting: "AnalyzerSetting | float") -> PolAxis:

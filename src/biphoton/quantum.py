@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -77,7 +78,11 @@ def _real(value, what: str) -> float:
 
 def reduce_mod_pi(angle: float) -> float:
     """Reduce an angle to the canonical analyzer range [0, pi)."""
-    if not math.isfinite(angle):
+    # a CHSH scan makes tens of thousands of calls, nearly all with a
+    # float, so only other values pay for the full check of ``_real``
+    if type(angle) is not float:
+        angle = _real(angle, "angle")
+    elif not math.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle!r}")
     r = math.fmod(angle, math.pi)
     if r < 0.0:
@@ -99,6 +104,12 @@ class AnalyzerSetting:
     @classmethod
     def from_degrees(cls, degrees: float) -> "AnalyzerSetting":
         return cls(math.radians(_real(degrees, "analyzer angle in degrees")))
+
+    @functools.cached_property
+    def _cos_sin(self) -> tuple[complex, complex, complex]:
+        """``_basis`` of this setting, computed on first use and kept with it."""
+        c, s = math.cos(self.angle), math.sin(self.angle)
+        return complex(c), complex(s), complex(-s)
 
 
 def as_setting(setting: "AnalyzerSetting | float") -> AnalyzerSetting:
@@ -293,11 +304,11 @@ def _basis(setting: "AnalyzerSetting | float") -> tuple[complex, complex, comple
 
     Complex, not float, so every product below is complex by complex, whose
     signed zeros do not depend on how the Python version mixes a float into
-    a complex product.
+    a complex product.  An ``AnalyzerSetting`` keeps its triple once made,
+    so the analyzers of a plan, which meet each setting several times, pay
+    for ``cos`` and ``sin`` once per setting.
     """
-    a = as_setting(setting).angle
-    c, s = math.cos(a), math.sin(a)
-    return complex(c), complex(s), complex(-s)
+    return as_setting(setting)._cos_sin
 
 
 def analyzer_basis(setting: "AnalyzerSetting | float") -> np.ndarray:

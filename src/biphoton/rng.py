@@ -37,13 +37,25 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _STREAM_SALT = 0xA5A5A5A5A5A5A5A5
 
-_U64_11 = np.uint64(11)
-_U64_27 = np.uint64(27)
-_U64_30 = np.uint64(30)
-_U64_31 = np.uint64(31)
-_NP_GOLDEN = np.uint64(_GOLDEN)
-_NP_MIX1 = np.uint64(_MIX1)
-_NP_MIX2 = np.uint64(_MIX2)
+
+def _u64(value: int) -> np.ndarray:
+    """``value`` mod 2**64 as a 0-d uint64 array, an operand that no caller writes to.
+
+    A ufunc takes a 0-d array as it is, while it converts a numpy scalar
+    or a Python int operand to an array on every call.  The hashing makes
+    about 30 ufunc calls per chunk, and at one-chunk sizes their fixed
+    cost is a large share of its time.
+    """
+    return np.array(value & _MASK, dtype=np.uint64)
+
+
+_U64_11 = _u64(11)
+_U64_27 = _u64(27)
+_U64_30 = _u64(30)
+_U64_31 = _u64(31)
+_NP_GOLDEN = _u64(_GOLDEN)
+_NP_MIX1 = _u64(_MIX1)
+_NP_MIX2 = _u64(_MIX2)
 
 
 def splitmix(z: int) -> int:
@@ -65,6 +77,8 @@ def _splitmix_into(out: np.ndarray, z: np.ndarray, scratch: np.ndarray) -> None:
 
 def _integer(value, what: str) -> int:
     """``value`` as a Python int; numpy integers count by value, a bool or a non-integer raises ValueError."""
+    if type(value) is int:  # the common case; a bool's type is bool, not int
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
@@ -84,21 +98,23 @@ def uniform_array(master_seed: int, trial_indices: np.ndarray, draw_counters, ou
     ``len(draw_counters)`` rows are returned and the last is scratch.
     uint64 wraparound is the intended modular arithmetic.
     """
+    n_draws = len(draw_counters)
     if out is None:
-        out = np.empty((len(draw_counters) + 1, len(trial_indices)), dtype=np.uint64)
-    *draws, scratch = out
+        out = np.empty((n_draws + 1, len(trial_indices)), dtype=np.uint64)
+    scratch = out[n_draws]
     # h1 lives in the last draw's row, which is filled last
-    h1 = draws[-1]
+    h1 = out[n_draws - 1]
     np.bitwise_xor(
-        trial_indices.astype(np.uint64, copy=False), np.uint64(splitmix(_seed_word(master_seed))), out=h1
+        trial_indices.astype(np.uint64, copy=False), _u64(splitmix(_seed_word(master_seed))), out=h1
     )
     _splitmix_into(h1, h1, scratch)
-    for row, counter in zip(draws, draw_counters):
+    for i, counter in enumerate(draw_counters):
+        row = out[i]
         # counter 0 keys the round with h1 as it is
-        keyed = np.bitwise_xor(h1, np.uint64(counter & _MASK), out=row) if counter & _MASK else h1
+        keyed = np.bitwise_xor(h1, _u64(counter), out=row) if counter & _MASK else h1
         _splitmix_into(row, keyed, scratch)
         row >>= _U64_11
-    return out[:-1]
+    return out[:n_draws]
 
 
 def derive_seed(master_seed: int, stream: int) -> int:

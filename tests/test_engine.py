@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton import engine
+from biphoton import engine, quantum
 from biphoton.engine import (
     CHUNK,
     BenchEvent,
@@ -423,6 +423,52 @@ def test_draw_discipline(monkeypatch, model, bench, counters):
     assert read == counters
 
 
+def test_lhv_plan_pins_take_few_scalar_evaluations(monkeypatch):
+    # a channel reads one photon, and most pins land on their flip in two
+    # evaluations: a plan needs 5 (unturned) or 7 (turned, restart check
+    # included) at the least, and took 8.2 on average when both photons
+    # were made and the estimate fell a draw short of most closing flips
+    evaluations = []
+    outcome = engine.lhv_outcome
+    monkeypatch.setattr(engine, "lhv_outcome", lambda *args: evaluations.append(1) or outcome(*args))
+    plans = 0
+    for alpha in np.random.default_rng(18).uniform(-math.pi, 2 * math.pi, 200):
+        for plate in (False, True):
+            bench = OpticalBench(alpha=float(alpha), beta=float(alpha), plate_present=plate)
+            for channel in (Channel.A, Channel.B):
+                engine._lhv_breakpoints(bench, channel)
+                plans += 1
+    assert len(evaluations) / plans <= 7.0
+
+
+class _CountingMath:
+    """``math`` with its ``cos`` calls counted."""
+
+    def __init__(self):
+        self.cos_calls = 0
+
+    def cos(self, x):
+        self.cos_calls += 1
+        return math.cos(x)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+@pytest.mark.parametrize("plate, cos_calls", [(True, 3), (False, 2)])
+def test_qm_plan_makes_each_analyzer_and_plate_once(monkeypatch, plate, cos_calls):
+    # one cos per analyzer setting however often the walk meets it, and one
+    # for the plate only when the timeline holds one; the plan itself is
+    # unchanged (test_qm_plan_thresholds_are_pinned)
+    counting = _CountingMath()
+    monkeypatch.setattr(quantum, "math", counting)
+    bench = OpticalBench(alpha=0.3, beta=1.1, plate_angle=0.2, plate_present=plate)
+    engine._kernel("qm", bench, 5)
+    assert counting.cos_calls == cos_calls
+    engine._kernel("qm", bench, 6)
+    assert counting.cos_calls == cos_calls + plate
+
+
 # ---------------------------------------------------------------- ensembles
 
 def test_ensemble_counts_match_outcome_arrays():
@@ -601,6 +647,21 @@ def test_ensemble_memory_does_not_grow_with_chunks(model):
     assert peak(32 * CHUNK) <= peak(2 * CHUNK) + CHUNK * np.dtype(np.uint64).itemsize
 
 
+@pytest.mark.parametrize("model", MODELS)
+def test_one_chunk_ensemble_allocates_only_its_buffers(model):
+    # a warm one-chunk call holds four uint64 rows and three bool rows; the
+    # trial offsets are a module constant and the XX count takes no array
+    n = 10_000
+    run_ensemble(model, ROTATED, n, master_seed=8)
+    tracemalloc.start()
+    try:
+        run_ensemble(model, ROTATED, n, master_seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * n + 3 * n + n
+
+
 def test_run_ensemble_argument_validation():
     with pytest.raises(ValueError):
         run_ensemble("qm", LATE, 0, master_seed=0)
@@ -731,6 +792,17 @@ def test_ensemble_stats_validation():
         EnsembleStats(0, 0, 0, 0)
     with pytest.raises(ValueError):
         EnsembleStats(0.5, 0, 0, 5)
+    with pytest.raises(ValueError):
+        EnsembleStats(True, 0, 0, 0)
+    with pytest.raises(ValueError):
+        EnsembleStats(0, np.bool_(True), 0, 0)
+
+
+def test_ensemble_stats_take_numpy_counts_by_value():
+    stats = EnsembleStats(np.int64(3), np.uint8(1), 0, 0)
+    assert stats.counts == (3, 1, 0, 0)
+    assert all(type(c) is int for c in stats.counts)
+    assert type(stats.to_json_dict()["n_xx"]) is int
 
 
 def test_ensemble_stats_json_keys():

@@ -16,6 +16,8 @@ from biphoton.local import (
     fold_distance,
     lhv_outcome,
     lhv_pair,
+    lhv_photon_a,
+    lhv_photon_b,
     lhv_sample,
     lhv_sign_correlator,
     naive_p_x,
@@ -83,6 +85,11 @@ def test_lhv_sample_uniform_chi_square():
     expected = n / bins
     chi2 = float(np.sum((counts - expected) ** 2) / expected)
     assert chi2 < 15.0 + 3.0 * math.sqrt(30.0)
+
+
+def test_lhv_pair_is_its_two_one_photon_rules():
+    for lam in [*np.random.default_rng(6).uniform(-10, 10, 200), 0.0, math.pi / 2, math.pi]:
+        assert lhv_pair(float(lam)) == (lhv_photon_a(float(lam)), lhv_photon_b(float(lam)))
 
 
 def test_lhv_pair_is_crossed():

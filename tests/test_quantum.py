@@ -3,6 +3,7 @@
 import ast
 import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,6 +75,20 @@ def test_analyzer_setting_reduces_and_converts_degrees():
 
 BEYOND_FLOAT = pytest.param(10**400, id="10**400")
 NOT_ANGLES = [True, np.bool_(True), "1", None, 1j, BEYOND_FLOAT]
+
+
+@pytest.mark.parametrize("value", NOT_ANGLES + ["1.0"], ids=repr)
+def test_reduce_mod_pi_rejects_non_angles(value):
+    # True used to reduce to 1.0, 10**400 to raise OverflowError and "1.0" TypeError;
+    # test_reduce_mod_pi_rejects_non_finite has nan and inf
+    with pytest.raises(ValueError):
+        reduce_mod_pi(value)
+
+
+@pytest.mark.parametrize("value", [np.float32(4.5), np.float64(-0.25), np.int64(7), Fraction(22, 7)], ids=repr)
+def test_reduce_mod_pi_takes_any_real(value):
+    assert reduce_mod_pi(value) == reduce_mod_pi(float(value))
+    assert type(reduce_mod_pi(value)) is float
 
 
 @pytest.mark.parametrize("value", NOT_ANGLES, ids=repr)
