@@ -101,6 +101,13 @@ class TimedEvent(NamedTuple):
     event: BenchEvent
 
 
+def _store_changed(obj, checked: dict) -> None:
+    """Set each frozen field of ``obj`` whose checked value is not the object it was given."""
+    for name, value in checked.items():
+        if value is not getattr(obj, name):
+            object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class OpticalBench:
     """Geometry and settings of one run; distances in meters from the source.
@@ -119,19 +126,19 @@ class OpticalBench:
     plate_angle: float = _QUARTER_PI
 
     def __post_init__(self):
+        checked = {}
         for name in ("d_plate_a", "d_prism_a", "d_prism_b"):
-            d = _real(getattr(self, name), name)
+            d = checked[name] = _real(getattr(self, name), name)
             if d < 0.0:
                 raise ValueError(f"{name} must be a nonnegative distance in meters, got {d!r}")
-            object.__setattr__(self, name, d)
-        for name in ("alpha", "beta"):
-            object.__setattr__(self, name, as_setting(getattr(self, name)))
+        checked["alpha"], checked["beta"] = as_setting(self.alpha), as_setting(self.beta)
         if not isinstance(self.plate_present, (bool, np.bool_)):
             raise ValueError(f"plate_present must be true or false, got {self.plate_present!r}")
-        object.__setattr__(self, "plate_present", bool(self.plate_present))
-        object.__setattr__(self, "plate_angle", _real(self.plate_angle, "plate_angle in radians"))
-        if self.plate_present and self.d_plate_a > self.d_prism_a:
+        checked["plate_present"] = bool(self.plate_present)
+        checked["plate_angle"] = _real(self.plate_angle, "plate_angle in radians")
+        if checked["plate_present"] and checked["d_plate_a"] > checked["d_prism_a"]:
             raise ValueError("plate must sit between source and prism: d_plate_a <= d_prism_a")
+        _store_changed(self, checked)
 
     #: config key -> (field, conversion from the config units, conversion
     #: back to them), in layout order
@@ -210,11 +217,12 @@ class EnsembleStats:
     n_yy: int
 
     def __post_init__(self):
+        checked = {}
         for name in ("n_xx", "n_xy", "n_yx", "n_yy"):
-            c = _integer(getattr(self, name), name)
+            c = checked[name] = _integer(getattr(self, name), name)
             if c < 0:
                 raise ValueError(f"{name} must be a nonnegative integer count, got {c!r}")
-            object.__setattr__(self, name, c)
+        _store_changed(self, checked)
         if self.n == 0:
             raise ValueError("ensemble has no trials")
 
@@ -649,19 +657,16 @@ def write_trials_csv(f, bench: OpticalBench, a_is_x, b_is_x) -> None:
     writing anything, unless the two outcome arrays are one-dimensional
     and of one length.
 
-    Rows are written CHUNK at a time, so the text never exists whole.
-    Each run of indices with one digit count is rendered as contiguous
-    slices of a byte template built once for that digit count: the low
-    (up to) four digits of the index cycle with period 10^4 and the tail
-    is ``,Y,Y,flag\\n``, so the template is one period of rows tiled
-    often enough that a chunk starting at offset ``start % 10^4`` fits in
-    one slice. In that slice only the bytes that vary are written in
-    place: each outcome letter as ``'Y' - is_x``, since X is Y - 1, and
-    the higher digits, which are constant over each run of 10^4 rows, by
-    one strided fill per digit and run.
+    Rows are written one period of 10^4 indices at a time (fewer below
+    10^4), so the text never exists whole. For each digit count the writer
+    builds one block of rows: the low (up to) four digits of the index,
+    which cycle with period 10^4, then ``,Y,Y,flag\\n``. For each period
+    only the bytes that vary are written in place: each higher digit that
+    differs from the last period's, by one strided fill, and each outcome
+    letter as ``'Y' - is_x``, since X is Y - 1.
 
-    Each ``f.write`` gets a C-contiguous view of the template, which the
-    next chunk overwrites, so ``f`` must copy or consume the bytes before
+    Each ``f.write`` gets a C-contiguous view of the block, which the next
+    period overwrites, so ``f`` must copy or consume the bytes before
     ``write`` returns (``io.BufferedWriter`` and ``io.BytesIO`` do).
     """
     a_is_x = np.asarray(a_is_x, dtype=bool)
@@ -681,33 +686,31 @@ def write_trials_csv(f, bench: OpticalBench, a_is_x, b_is_x) -> None:
     f.write(b"trial,outcome_a,outcome_b,b_before_plate\n")
     start = 0
     while start < len(a_is_x):
-        # one template serves every index with this many digits
+        # one block serves every index with this many digits
         width = len(str(start))
         low = min(width, 4)
         period = 10**low
         block = np.empty((period, width + len(tail)), dtype=np.uint8)
-        idx = np.arange(period)
+        idx = np.arange(period, dtype=np.uint16)
         for col in range(width - 1, width - 1 - low, -1):
             idx, digit = np.divmod(idx, 10)
             block[:, col] = digit + ord("0")
         block[:, width:] = tail
-        # below 10^4 an index is all low digits and one period holds them;
-        # above, a chunk starts anywhere in a period and the slice from
-        # there must still hold CHUNK rows
-        repeats = 1 if width == low else math.ceil((CHUNK + period - 1) / period)
-        template = np.tile(block, (repeats, 1))
         end = min(len(a_is_x), 10**width)
+        high = bytes(width - low)  # the block's high digits so far: zero bytes, no digit
         while start < end:
-            stop = min(end, (start // CHUNK + 1) * CHUNK)
+            # below 10^4 the indices start partway into their one period;
+            # above, every period starts at row 0 of the block
             offset = start % period
-            rows = template[offset : offset + stop - start]
+            stop = min(end, start - offset + period)
+            rows = block[offset : offset + stop - start]
+            digits = str(start // period).encode("ascii") if width > low else b""
+            for col, (digit, was) in enumerate(zip(digits, high)):
+                if digit != was:  # mostly only the last one
+                    block[:, col] = digit
+            high = digits
             np.subtract(letter_y, a_bytes[start:stop], out=rows[:, width + 1])
             np.subtract(letter_y, b_bytes[start:stop], out=rows[:, width + 3])
-            if width > low:
-                for run in range(start - offset, stop, period):
-                    first, last = max(run - start, 0), run + period - start
-                    for col, digit in enumerate(str(run // period).encode("ascii")):
-                        rows[first:last, col] = digit
             f.write(rows)
             start = stop
 

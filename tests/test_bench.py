@@ -16,6 +16,7 @@ from biphoton.engine import (
     detect_b_before_plate,
     run_trial,
 )
+from biphoton.quantum import AnalyzerSetting
 
 ORDER = {e: i for i, e in enumerate([BenchEvent.PLATE_A, BenchEvent.DETECT_B, BenchEvent.DETECT_A])}
 
@@ -157,6 +158,14 @@ def test_angles_coerced_to_settings():
     bench = OpticalBench(alpha=math.pi + 0.25, beta=-0.1)
     assert abs(bench.alpha.angle - 0.25) < 1e-12
     assert abs(bench.beta.angle - (math.pi - 0.1)) < 1e-12
+
+
+def test_values_that_need_no_conversion_are_kept():
+    # checking stores a field again only when it converted the value
+    alpha, beta, distance, angle = AnalyzerSetting(0.3), AnalyzerSetting(1.1), 0.75, 0.2
+    bench = OpticalBench(alpha=alpha, beta=beta, d_prism_b=distance, plate_angle=angle)
+    assert bench.alpha is alpha and bench.beta is beta
+    assert bench.d_prism_b is distance and bench.plate_angle is angle
 
 
 def test_config_round_trip():

@@ -1025,24 +1025,34 @@ def test_write_trials_csv_eight_digit_indices():
     assert got.getvalue().splitlines()[-CHUNK:] == want.getvalue().splitlines()[1:]
 
 
-class _Discard:
+class _PeriodSink:
+    """A binary sink that counts rows and fails any write of more than one 10^4-row period."""
+
+    def __init__(self):
+        self.rows = 0
+
     def write(self, data):
-        pass
+        rows = bytes(data).count(b"\n")
+        assert rows <= 10_000, f"one write holds {rows} rows"
+        self.rows += rows
 
 
 def test_write_trials_csv_memory_does_not_grow_with_rows():
-    # beyond the two outcome arrays, a dump holds one template and one
-    # chunk of rows, whatever the row count
+    # beyond the two outcome arrays, a dump holds one block of one period
+    # of rows (0.17 MB at 7 digits), whatever the row count, and writes
+    # one period at a time
     n = 4_000_000
     rng = np.random.default_rng(4)
     a, b = rng.integers(2, size=n, dtype=bool), rng.integers(2, size=n, dtype=bool)
+    sink = _PeriodSink()
     tracemalloc.start()
     try:
-        write_trials_csv(_Discard(), EARLY, a, b)
+        write_trials_csv(sink, EARLY, a, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8_000_000
+    assert sink.rows == n + 1  # and the header
+    assert peak <= 1_000_000
 
 
 @pytest.mark.parametrize("n_b", [2, 1, 4], ids=["shorter", "length-1", "longer"])
