@@ -363,11 +363,12 @@ def _draw_threshold(p: float) -> int:
 def _buffers(size: int):
     """One thread's scratch for chunks of up to ``size`` trials.
 
-    Four uint64 rows: the trial indices of a chunk past the first (chunk
-    0's are a prefix of ``_OFFSETS``) and three rows of words.  Three bool
-    rows: the outcomes of channels A and B, and scratch.
+    Three uint64 rows of words; a chunk's trial indices are made in the
+    row that ``uniform_array`` hashes them into.  Three bool rows: the
+    outcomes of channels A and B, and scratch.  A call that classifies
+    into outcome arrays of its own writes only the scratch row.
     """
-    return np.empty((4, size), dtype=np.uint64), np.empty((3, size), dtype=bool)
+    return np.empty((3, size), dtype=np.uint64), np.empty((3, size), dtype=bool)
 
 
 #: the trial offsets within a chunk, 0 .. CHUNK - 1: made once, read-only,
@@ -376,12 +377,24 @@ _OFFSETS = np.arange(CHUNK, dtype=np.uint64)
 _OFFSETS.setflags(write=False)
 
 
+def _trial_indices(start: int, row):
+    """The trial indices start .. start + len(row) - 1, all mod 2^64, made in ``row``.
+
+    Chunk 0's are a prefix of ``_OFFSETS`` instead, and ``row`` is left as it is.
+    """
+    m = len(row)
+    return np.add(_OFFSETS[:m], _u64(start), out=row) if start else _OFFSETS[:m]
+
+
 def _kernel(model, bench, master_seed):
     """Plan the bench once and return its chunk kernel.
 
-    The kernel maps trial indices, three uint64 word rows and three bool
-    rows of their length to (a_is_x, b_is_x), classified in place into the
-    first two bool rows; the third is scratch.  A two-detection model
+    The kernel maps the first trial index of a chunk, three uint64 word
+    rows of the chunk's length and three bool rows of that length to
+    (a_is_x, b_is_x), classified in place into the first two bool rows;
+    the third is scratch.  The trial indices are made in the word row that
+    ``uniform_array`` turns into ``h1``, its ``out[n_draws - 1]``, which
+    hashes them in place.  A two-detection model
     samples its branch plan: draw 0 decides the first detection, draw 1
     the second, read only if the plan leaves it uncertain; ``u < p`` is
     compared as the integer ``k < _draw_threshold(p)``.
@@ -403,9 +416,10 @@ def _kernel(model, bench, master_seed):
     zero = _u64(0)
     a_first = first_ch is Channel.A
 
-    def outcomes(indices, words, flags):
+    def outcomes(start, words, flags):
         a_is_x, b_is_x = flags[0], flags[1]
         first_is_x, second_is_x = (a_is_x, b_is_x) if a_first else (b_is_x, a_is_x)
+        indices = _trial_indices(start, words[n_draws - 1])
         draws = uniform_array(master_seed, indices, counters, words[: n_draws + 1])
         np.less(draws[0], first_k, out=first_is_x)
         # the row after the draws is free scratch once they are made; the
@@ -494,8 +508,8 @@ def _lhv_kernel(bench, master_seed):
         first, *rest = map(_u64, flips)
         plans.append((np.less if x_at_0 else np.greater_equal, first, rest))
 
-    def outcomes(indices, words, flags):
-        draws = uniform_array(master_seed, indices, (0,), words[:2])[0]
+    def outcomes(start, words, flags):
+        draws = uniform_array(master_seed, _trial_indices(start, words[0]), (0,), words[:2])[0]
         outcome, scratch = (flags[0], flags[1]), flags[2]
         for is_x, (compare, first, rest) in zip(outcome, plans):
             compare(draws, first, out=is_x)
@@ -507,16 +521,16 @@ def _lhv_kernel(bench, master_seed):
 
 
 def run_trial(model: str, bench: OpticalBench, master_seed: int, trial_index: int) -> TrialRecord:
-    """Simulate one pair emission under ``model``: its ensemble's kernel on one index.
+    """Simulate one pair emission under ``model``: its ensemble's kernel on a one-trial chunk.
 
     Draw k of trial i is the counter-based uniform at (master_seed, i, k),
     so any single trial can be replayed without rerunning its ensemble.
+    The chunk starts at ``trial_index`` mod 2^64, and its index is made in
+    the word row that the kernel hashes, as an ensemble chunk's are.
     """
     _check_model(model)
     trial_index = _integer(trial_index, "trial_index")
-    words, flags = _buffers(1)
-    words[0] = trial_index % 2**64
-    a_is_x, b_is_x = _kernel(model, bench, master_seed)(words[0], words[1:], flags)
+    a_is_x, b_is_x = _kernel(model, bench, master_seed)(trial_index, *_buffers(1))
     return TrialRecord(
         trial_index,
         model,
@@ -545,7 +559,7 @@ def _check_run_args(model, n_trials, workers):
 _IN_FLIGHT_PER_THREAD = 8
 
 
-def _map_chunks(model, bench, n_trials, master_seed, workers, consume):
+def _map_chunks(model, bench, n_trials, master_seed, workers, consume, into=None):
     """Yield ``consume(start, a_is_x, b_is_x)`` of each CHUNK-sized run of trials, in chunk order.
 
     The bench is planned once per call.  Counter-based draws make each
@@ -554,11 +568,15 @@ def _map_chunks(model, bench, n_trials, master_seed, workers, consume):
     cores; with one, the chunks run serially.  Each thread of the call
     classifies its chunks in one set of ``_buffers``, which ``consume``
     must be done with when it returns: a serial call makes its set once,
-    up front, and each pool thread makes its own on its first chunk.  A
-    chunk's trial indices are the shared ``_OFFSETS`` plus its start, and
-    chunk 0's are a prefix of them, so a one-chunk call allocates nothing
-    beyond its buffer set.  At most ``_IN_FLIGHT_PER_THREAD`` chunks per
-    thread are in flight, so memory stays bounded at any trial count.
+    up front, and each pool thread makes its own on its first chunk.
+    Given ``into``, two bool arrays of ``n_trials``, each chunk is
+    classified straight into its slices of them, which ``consume`` then
+    gets, and the set's bool rows serve only as scratch.  A chunk's trial
+    indices are the shared ``_OFFSETS`` plus its start, made in one of
+    its word rows, and chunk 0's are a prefix of the offsets, so a
+    one-chunk call allocates nothing beyond its buffer set.  At most
+    ``_IN_FLIGHT_PER_THREAD`` chunks per thread are in flight, so memory
+    stays bounded at any trial count.
     """
     kernel = _kernel(model, bench, master_seed)
     size = min(n_trials, CHUNK)
@@ -566,9 +584,10 @@ def _map_chunks(model, bench, n_trials, master_seed, workers, consume):
     def task(start: int, buffers):
         words, flags = buffers
         m = min(size, n_trials - start)
-        # chunk 0's trial indices are the offsets themselves
-        indices = np.add(_OFFSETS[:m], np.uint64(start), out=words[0, :m]) if start else _OFFSETS[:m]
-        return consume(start, *kernel(indices, words[1:, :m], flags[:, :m]))
+        rows = flags[:, :m]
+        if into is not None:
+            rows = (into[0][start : start + m], into[1][start : start + m], rows[2])
+        return consume(start, *kernel(start, words[:, :m], rows))
 
     starts = range(0, n_trials, CHUNK)
     threads = min(workers, len(starts))
@@ -606,20 +625,16 @@ def simulate_outcomes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Boolean outcome arrays (a_is_x, b_is_x) for trials 0 .. n_trials - 1.
 
-    Work is split into fixed-size chunks writing disjoint slices, so the
-    arrays are byte-identical for any worker count.
+    Work is split into fixed-size chunks, each classified straight into
+    its disjoint slices of the two arrays, so the arrays are
+    byte-identical for any worker count.  They are this call's own, made
+    for it and shared with no buffer or other call.
     """
     n_trials, workers = _check_run_args(model, n_trials, workers)
-    a_is_x = np.empty(n_trials, dtype=bool)
-    b_is_x = np.empty(n_trials, dtype=bool)
-
-    def fill(start: int, a: np.ndarray, b: np.ndarray) -> None:
-        a_is_x[start : start + len(a)] = a
-        b_is_x[start : start + len(b)] = b
-
-    for _ in _map_chunks(model, bench, n_trials, master_seed, workers, fill):
+    outcomes = np.empty(n_trials, dtype=bool), np.empty(n_trials, dtype=bool)
+    for _ in _map_chunks(model, bench, n_trials, master_seed, workers, lambda *chunk: None, outcomes):
         pass
-    return a_is_x, b_is_x
+    return outcomes
 
 
 def run_ensemble(

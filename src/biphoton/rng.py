@@ -96,7 +96,9 @@ def uniform_array(master_seed: int, trial_indices: np.ndarray, draw_counters, ou
     is ``len(draw_counters) + 1`` uint64 rows of ``len(trial_indices)``
     words, written in place; without it a new 2-D array is made.  The first
     ``len(draw_counters)`` rows are returned and the last is scratch.
-    uint64 wraparound is the intended modular arithmetic.
+    ``trial_indices`` may be ``out``'s row ``len(draw_counters) - 1``, the
+    row that holds ``h1``: the indices are then hashed in place.  uint64
+    wraparound is the intended modular arithmetic.
     """
     n_draws = len(draw_counters)
     if out is None:

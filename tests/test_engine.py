@@ -2,6 +2,7 @@
 
 import io
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -206,6 +207,21 @@ def test_kernels_and_run_trial_match_per_trial_reference():
                 rec = run_trial(model, bench, master_seed=123, trial_index=i)
                 assert (rec.outcome_a, rec.outcome_b) == want, (model, bench, i)
                 assert rec.trial_index == i
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kernels_match_per_trial_reference_past_chunk_0(monkeypatch, workers):
+    # past chunk 0 the trial indices are made in the word row that is hashed
+    # in place: replay the rows either side of each chunk boundary and the last
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    n = 2 * CHUNK + 7
+    rows = [CHUNK - 1, CHUNK, 2 * CHUNK, n - 1]
+    for bench in REPLAY_BENCHES:
+        for model in MODELS:
+            a_vec, b_vec = simulate_outcomes(model, bench, n, master_seed=123, workers=workers)
+            for i in rows:
+                want = reference_trial(model, bench, lambda k: draw_uniform(123, i, k))
+                assert _axes(a_vec[i], b_vec[i]) == want, (model, bench, i)
 
 
 #: draws k (u = k / 2^53) on and beside the breakpoints of benches with settings
@@ -609,6 +625,42 @@ def test_interleaved_calls_on_one_thread_get_the_serial_counts(monkeypatch):
         assert EnsembleStats(xx, a_x - xx, b_x - xx, len(a) - a_x - b_x + xx) == stats
 
 
+def test_threads_classify_into_disjoint_slices_under_stress(monkeypatch):
+    # more threads than cores, switching often, all writing the same two
+    # output arrays: a chunk written outside its slice would break the bytes
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    n = 6 * CHUNK + 11
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for model in MODELS:
+            want_a, want_b = simulate_outcomes(model, ROTATED, n, master_seed=12)
+            a, b = simulate_outcomes(model, ROTATED, n, master_seed=12, workers=4)
+            assert np.array_equal(a, want_a) and np.array_equal(b, want_b), model
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dump_outputs_are_the_callers_own(monkeypatch, workers):
+    # the chunks land in the two arrays a call returns, which share memory
+    # with nothing: writing to them changes no later call or replay
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    n = 2 * CHUNK + 7
+    want_a, want_b = simulate_outcomes("qm", ROTATED, n, master_seed=4, workers=workers)
+    replay = run_trial("qm", ROTATED, master_seed=4, trial_index=0)
+    a, b = simulate_outcomes("qm", ROTATED, n, master_seed=4, workers=workers)
+    for v in (a, b):
+        assert v.shape == (n,) and v.flags.c_contiguous and v.flags.writeable
+    assert not np.shares_memory(a, b)
+    a[0] = not a[0]
+    a2, b2 = simulate_outcomes("qm", ROTATED, n, master_seed=4, workers=workers)
+    for v in (a, b):
+        assert not np.shares_memory(v, a2) and not np.shares_memory(v, b2)
+    assert np.array_equal(a2, want_a) and np.array_equal(b2, want_b)
+    assert run_trial("qm", ROTATED, master_seed=4, trial_index=0) == replay
+
+
 def test_a_stalled_chunk_does_not_hold_up_the_queued_ones(monkeypatch):
     # chunk 0 stalls until the other thread has run every other chunk of a
     # 10^6-trial call: the in-flight window spans the call, so nothing waits
@@ -649,7 +701,7 @@ def test_ensemble_memory_does_not_grow_with_chunks(model):
 
 @pytest.mark.parametrize("model", MODELS)
 def test_one_chunk_ensemble_allocates_only_its_buffers(model):
-    # a warm one-chunk call holds four uint64 rows and three bool rows; the
+    # a warm one-chunk call holds three uint64 rows and three bool rows; the
     # trial offsets are a module constant and the XX count takes no array
     n = 10_000
     run_ensemble(model, ROTATED, n, master_seed=8)
@@ -659,7 +711,24 @@ def test_one_chunk_ensemble_allocates_only_its_buffers(model):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 8 * n + 3 * n + n
+    assert peak <= 3 * 8 * n + 3 * n + n
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_serial_dump_allocates_its_outputs_and_one_buffer_set(model):
+    # a warm serial call past chunk 0 holds its two outputs and one set of
+    # three uint64 and three bool rows: the indices are hashed in the word
+    # row they are made in, and the chunks are classified into the outputs,
+    # not copied there; 16 KiB covers the plan and the call's small objects
+    n = 2 * CHUNK + 7
+    simulate_outcomes(model, ROTATED, n, master_seed=8)
+    tracemalloc.start()
+    try:
+        simulate_outcomes(model, ROTATED, n, master_seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n + 3 * 8 * CHUNK + 3 * CHUNK + 16 * 1024
 
 
 def test_run_ensemble_argument_validation():

@@ -76,6 +76,17 @@ def test_draws_fill_the_given_rows():
         assert np.all(out[c] < 2**53)
 
 
+@pytest.mark.parametrize("counters", [(0,), (0, 1), (3, 0, 1)])
+def test_indices_in_the_h1_row_hash_in_place(counters):
+    # the trial indices may sit in the row that becomes h1, the last draw's
+    trials = np.arange(2**64 - 150, 2**64 - 1, dtype=np.uint64)
+    want = uniform_array(17, trials, counters)
+    out = np.empty((len(counters) + 1, len(trials)), dtype=np.uint64)
+    out[len(counters) - 1] = trials
+    draws = uniform_array(17, out[len(counters) - 1], counters, out)
+    np.testing.assert_array_equal(draws, want)
+
+
 def test_uniformity_chi_square_16_bins():
     n = 100_000
     bins = 16
