@@ -464,7 +464,11 @@ def main(argv=None) -> int:
         except BrokenPipeError:
             # the reader stopped early (`| head`): drop the rest, and the
             # interpreter's final flush with it, quietly
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, sys.stdout.fileno())
+            finally:
+                os.close(devnull)
         return 0
     try:
         with open(args.out, "wb") as f:

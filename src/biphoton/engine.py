@@ -455,9 +455,8 @@ def _lhv_breakpoints(bench, channel):
     circle: it opens where the angle crosses the setting - pi/4 and closes
     where it crosses the setting + pi/4.  Each end is estimated in closed
     form, then pinned to the draw where the scalar rules (``lhv_photon_a``
-    or ``lhv_photon_b``, the halves of ``lhv_pair``, then
-    ``naive_plate_action`` and ``lhv_outcome``) flip, so ties keep their
-    bits.
+    or ``lhv_photon_b``, then ``naive_plate_action`` and ``lhv_outcome``)
+    flip, so ties keep their bits.
     """
     setting = bench.alpha if channel is Channel.A else bench.beta
     turned = channel is Channel.B or bench.plate_present

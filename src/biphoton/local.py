@@ -61,11 +61,6 @@ def lhv_photon_b(lam: float) -> float:
     return reduce_mod_pi(lam + _HALF_PI)
 
 
-def lhv_pair(lam: float) -> tuple[float, float]:
-    """Source photons (A, B) of one hidden angle: the two one-photon rules above."""
-    return lhv_photon_a(lam), lhv_photon_b(lam)
-
-
 def lhv_outcome(lam: float, setting: "AnalyzerSetting | float") -> PolAxis:
     """Deterministic analyzer answer: X iff cos 2(setting - lambda) >= 0."""
     d = fold_distance(as_setting(setting).angle - lam)

@@ -22,8 +22,8 @@ product is one correctly rounded real product, however the interpreter's
 complex multiply was compiled.  ``math.cos`` and ``math.sin`` still come
 from the platform's C library.  A state holds its amplitudes, and a
 Jones matrix its entries, as Python complex numbers; arrays appear only
-at the edges, where ``amps``, ``m``, ``ProbTable.p`` and
-``analyzer_basis`` hand out read-only numpy values.
+at the edges, where ``amps``, ``m`` and ``ProbTable.p`` hand out
+read-only numpy values.
 
 Conventions:
 
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: tolerance for exact-algebra checks (normalization, unitarity, overlap)
+#: tolerance for exact-algebra checks (normalization, unitarity, probability tables)
 ATOL = 1e-12
 
 #: amplitude / probability index order
@@ -155,20 +155,6 @@ class TwoPhotonState:
     def amps(self) -> np.ndarray:
         """Amplitudes over [XX, XY, YX, YY] (read-only)."""
         return _read_only(self._values, 4)
-
-    def matrix(self) -> np.ndarray:
-        """Amplitudes as a 2x2 array, row = channel-A axis, column = channel-B axis."""
-        return _read_only(self._values, (2, 2))
-
-    def norm(self) -> float:
-        return math.sqrt(_norm2(self._values))
-
-    def overlap(self, other: "TwoPhotonState") -> complex:
-        """Inner product <self|other>."""
-        total = 0j
-        for a, b in zip(self._values, other._values):
-            total += a.conjugate() * b
-        return total
 
     def __repr__(self):
         return f"TwoPhotonState({list(self._values)!r})"
@@ -309,15 +295,6 @@ def _basis(setting: "AnalyzerSetting | float") -> tuple[complex, complex, comple
     for ``cos`` and ``sin`` once per setting.
     """
     return as_setting(setting)._cos_sin
-
-
-def analyzer_basis(setting: "AnalyzerSetting | float") -> np.ndarray:
-    """Orthonormal analyzer basis as the columns of a complex 2x2 array.
-
-    Column 0 is |x'> = (cos a, sin a), column 1 is |y'> = (-sin a, cos a).
-    """
-    c, s, minus_s = _basis(setting)
-    return np.array([[c, minus_s], [s, c]], dtype=np.complex128)
 
 
 def _analyzer_rows(state: TwoPhotonState, channel: Channel, setting) -> tuple[complex, complex, complex, complex]:

@@ -4,6 +4,8 @@ Pytest puts this directory on ``sys.path``, so tests ``import oracles``
 (``tests/`` has no ``__init__.py``).
 """
 
+import math
+
 import numpy as np
 
 from biphoton.quantum import (
@@ -16,7 +18,7 @@ from biphoton.quantum import (
     Channel,
     PolAxis,
     TwoPhotonState,
-    analyzer_basis,
+    as_setting,
     joint_probabilities,
 )
 from biphoton.rng import splitmix
@@ -43,7 +45,7 @@ def correlation_E(
 
 def states_equal_up_to_phase(s1: TwoPhotonState, s2: TwoPhotonState, tol: float = ATOL) -> bool:
     """Whether two unit states coincide as physical states (rays)."""
-    return abs(s1.overlap(s2)) >= 1.0 - tol
+    return abs(np.vdot(s1.amps, s2.amps)) >= 1.0 - tol
 
 
 def matrix_apply(amps, channel: Channel, m) -> np.ndarray:
@@ -52,16 +54,22 @@ def matrix_apply(amps, channel: Channel, m) -> np.ndarray:
     return (m @ psi if channel is Channel.A else psi @ m.T).reshape(4)
 
 
+def _basis(setting) -> np.ndarray:
+    """The analyzer's basis as the columns of a 2x2 array: (cos a, sin a) and (-sin a, cos a)."""
+    a = as_setting(setting).angle
+    return np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]], dtype=np.complex128)
+
+
 def matrix_joint(amps, alpha: float, beta: float) -> np.ndarray:
     """|u^H psi conj(v)|^2 as numpy matrix products: the reference of ``joint_probabilities``."""
     psi = np.asarray(amps, dtype=np.complex128).reshape(2, 2)
-    t = analyzer_basis(alpha).conj().T @ psi @ analyzer_basis(beta).conj()
+    t = _basis(alpha).conj().T @ psi @ _basis(beta).conj()
     return (np.abs(t) ** 2).reshape(4)
 
 
 def matrix_project(amps, channel: Channel, setting: float, outcome: PolAxis) -> np.ndarray:
     """The state projected onto the outcome's analyzer vector and renormalized, with np.outer and norm."""
-    v = analyzer_basis(setting)[:, 0 if outcome is PolAxis.X else 1]
+    v = _basis(setting)[:, 0 if outcome is PolAxis.X else 1]
     psi = np.asarray(amps, dtype=np.complex128).reshape(2, 2)
     proj = np.outer(v, v.conj() @ psi) if channel is Channel.A else np.outer(psi @ v.conj(), v)
     return proj.reshape(4) / np.linalg.norm(proj)

@@ -60,7 +60,7 @@ def test_criterion_2_collapse_propagates_to_the_partner():
     res_y = measure_channel(state, Channel.B, 0.0, u=0.9)
     assert res_y.outcome is PolAxis.Y
     yy = product_state([0.0, 1.0], [0.0, 1.0])
-    assert abs(abs(res_y.collapsed.overlap(yy)) - 1.0) < 1e-12
+    assert abs(abs(np.vdot(res_y.collapsed.amps, yy.amps)) - 1.0) < 1e-12
     follow = measure_channel(res_y.collapsed, Channel.A, 0.0, u=0.999)
     assert follow.outcome is PolAxis.Y
     assert abs(follow.probability - 1.0) < 1e-12
@@ -68,7 +68,7 @@ def test_criterion_2_collapse_propagates_to_the_partner():
     res_x = measure_channel(state, Channel.B, 0.0, u=0.1)
     assert res_x.outcome is PolAxis.X
     xx = product_state([1.0, 0.0], [1.0, 0.0])
-    assert abs(abs(res_x.collapsed.overlap(xx)) - 1.0) < 1e-12
+    assert abs(abs(np.vdot(res_x.collapsed.amps, xx.amps)) - 1.0) < 1e-12
     follow = measure_channel(res_x.collapsed, Channel.A, 0.0, u=0.999)
     assert follow.outcome is PolAxis.X
     assert abs(follow.probability - 1.0) < 1e-12

@@ -168,6 +168,23 @@ def test_reader_closing_early_ends_the_dump_quietly():
     proc.stderr.close()
 
 
+def test_reader_closing_early_leaves_no_descriptor_open(monkeypatch):
+    # in-process, into a pipe whose read end is already closed: the quiet
+    # end points stdout at /dev/null and keeps nothing else open
+    def run_into_closed_pipe():
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", encoding="utf-8") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["pair", "--format", "csv", "--trials", "20000"]) == 0
+
+    run_into_closed_pipe()  # anything opened once, on first use, opens here
+    before = len(os.listdir("/dev/fd"))
+    for _ in range(5):
+        run_into_closed_pipe()
+    assert len(os.listdir("/dev/fd")) == before
+
+
 def test_bad_env_seed_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("ENTANGLE_BENCH_SEED", "not-a-number")
     code, _, _ = run_cli(capsys, "pair", "--trials", "10")

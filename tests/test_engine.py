@@ -38,7 +38,8 @@ from biphoton.local import (
     CANONICAL_CHSH_ANGLES,
     ChshAngles,
     lhv_outcome,
-    lhv_pair,
+    lhv_photon_a,
+    lhv_photon_b,
     lhv_sample,
     naive_p_x,
     naive_partner,
@@ -132,7 +133,8 @@ def reference_trial(model, bench, draw):
             if photons[channel] is None:
                 photons[partner] = naive_partner(setting, out[channel])
     else:
-        photon_a, photon_b = lhv_pair(lhv_sample(draw(0)))
+        lam = lhv_sample(draw(0))
+        photon_a, photon_b = lhv_photon_a(lam), lhv_photon_b(lam)
         for _, event in timeline:
             if event is BenchEvent.PLATE_A:
                 photon_a = naive_plate_action(photon_a)
@@ -278,7 +280,7 @@ def test_lhv_kernel_matches_reference_around_breakpoints(monkeypatch):
 
 def test_turned_hidden_angle_wraps_at_half_the_draws():
     def turned(k):
-        return lhv_pair(lhv_sample(k * 2.0**-53))[1]
+        return lhv_photon_b(lhv_sample(k * 2.0**-53))
 
     assert engine._WRAP == 2**52
     assert turned(engine._WRAP - 1) == math.pi - 2**-51 and turned(engine._WRAP) == 0.0

@@ -21,7 +21,6 @@ from biphoton.quantum import (
     JonesMatrix,
     PolAxis,
     TwoPhotonState,
-    analyzer_basis,
     apply_element,
     hwp_jones,
     joint_probabilities,
@@ -120,7 +119,7 @@ def test_anticorrelated_pair_amplitudes():
 
 
 def test_anticorrelated_pair_norm():
-    assert abs(make_anticorrelated_pair().norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(make_anticorrelated_pair().amps) - 1.0) < 1e-12
 
 
 def test_pair_joint_probabilities_at_zero():
@@ -234,32 +233,36 @@ def test_apply_element_preserves_norm_randomly():
         theta = float(rng.uniform(-4, 4))
         ch = Channel.A if rng.integers(2) else Channel.B
         out = apply_element(state, ch, hwp_jones(theta))
-        assert abs(out.norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------- analyzers
 
+def _registers(setting, x_axis, y_axis) -> bool:
+    """Whether the analyzer at ``setting`` answers X for certain on ``x_axis``, and Y on ``y_axis``, on both channels."""
+    return all(
+        marginal(product_state(axis, [1.0, 0.0]), Channel.A, setting) == want
+        and marginal(product_state([0.0, 1.0], axis), Channel.B, setting) == want
+        for axis, want in ((x_axis, (1.0, 0.0)), (y_axis, (0.0, 1.0)))
+    )
+
+
 def test_analyzer_basis_examples():
-    basis = analyzer_basis(0.0)
-    assert basis.dtype == np.complex128 and basis.shape == (2, 2)
-    x0, y0 = basis.T  # the basis vectors are the columns
-    np.testing.assert_allclose(x0, [1.0, 0.0], atol=0)
-    np.testing.assert_allclose(y0, [0.0, 1.0], atol=0)
-    xq, yq = analyzer_basis(math.pi / 2).T
-    np.testing.assert_allclose(xq, [0.0, 1.0], atol=1e-15)
-    np.testing.assert_allclose(yq, [-1.0, 0.0], atol=1e-15)
-    xh, yh = analyzer_basis(math.pi / 4).T
-    np.testing.assert_allclose(xh, [INV_SQRT2, INV_SQRT2], atol=1e-15)
-    np.testing.assert_allclose(yh, [-INV_SQRT2, INV_SQRT2], atol=1e-15)
+    assert _registers(0.0, [1.0, 0.0], [0.0, 1.0])
+    assert _registers(math.pi / 2, [0.0, 1.0], [-1.0, 0.0])
+    assert _registers(math.pi / 4, [INV_SQRT2, INV_SQRT2], [-INV_SQRT2, INV_SQRT2])
+    assert not _registers(math.pi / 4, [1.0, 0.0], [0.0, 1.0])
 
 
 @pytest.mark.parametrize("alpha", np.linspace(0.0, math.pi, 17))
 def test_analyzer_basis_orthonormal(alpha):
-    basis = analyzer_basis(float(alpha))
-    np.testing.assert_allclose(basis.conj().T @ basis, np.eye(2), rtol=0, atol=1e-12)
-    # columns (cos a, sin a) and (-sin a, cos a), with the setting reduced mod pi
+    # the analyzer measures in the orthonormal basis (cos a, sin a), (-sin a, cos a)
+    # of the setting reduced mod pi: each axis is answered for certain
     a = reduce_mod_pi(float(alpha))
-    assert basis.tolist() == [[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]]
+    x_axis, y_axis = [math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]
+    assert abs(np.vdot(x_axis, y_axis)) < 1e-15
+    assert _registers(float(alpha), x_axis, y_axis)
+    assert _registers(AnalyzerSetting(float(alpha) + math.pi), x_axis, y_axis)
 
 
 # ---------------------------------------------------------------- probabilities
@@ -427,7 +430,7 @@ def test_collapse_probability_matches_marginal():
         p_x, p_y = marginal(state, ch, setting)
         want = p_x if res.outcome is PolAxis.X else p_y
         assert abs(res.probability - want) < 1e-12
-        assert abs(res.collapsed.norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(res.collapsed.amps) - 1.0) < 1e-12
 
 
 def test_law_of_total_probability_both_orders():

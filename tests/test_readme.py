@@ -1,7 +1,9 @@
-"""The README's library example runs against the package as it stands."""
+"""The README's library example runs, and its export list is ``__all__``, against the package as it stands."""
 
 import re
 from pathlib import Path
+
+import biphoton
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,3 +15,12 @@ def test_readme_library_example_runs(capsys):
     e_hat, stderr_e = (float(word) for word in capsys.readouterr().out.split())
     # qm on a plate bench: the outcomes always agree
     assert (e_hat, stderr_e) == (1.0, 0.0)
+
+
+def test_readme_export_sentence_lists_exactly_all():
+    # the public surface cannot grow, or shrink, without the README saying so
+    text = " ".join(README.read_text().split())
+    listed = re.search(r"The top-level `biphoton` package exports only the names [^:]*:(.*?)\. Everything else", text)
+    names = re.findall(r"`([^`]+)`", listed.group(1))
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(biphoton.__all__)
