@@ -7,14 +7,15 @@ digits so every value round-trips exactly.  All randomness hangs off
 --seed (or ENTANGLE_BENCH_SEED when the flag is absent), making each
 invocation reproducible byte for byte, for any worker count.
 
-Exit codes: 0 success, 2 unusable arguments or configuration (an
-unwritable --out file and a run too large to allocate included), 3
-unknown model name.
+Exit codes: 0 success (a reader closing stdout early included), 2
+unusable arguments or configuration (an unwritable --out file or stdout
+and a run too large to allocate included), 3 unknown model name.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -456,28 +457,23 @@ def main(argv=None) -> int:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     write = output if callable(output) else lambda f: f.write(output.encode("utf-8"))
-    if not args.out:
-        try:
+    try:
+        if not args.out:
             sys.stdout.flush()  # text already written to stdout goes first
-            write(sys.stdout.buffer)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader stopped early (`| head`): drop the rest, and the
-            # interpreter's final flush with it, quietly
+        with open(args.out, "wb") if args.out else contextlib.nullcontext(sys.stdout.buffer) as f:
+            write(f)
+            f.flush()
+    except OSError as exc:
+        if not args.out:
+            # drop what is left unwritten, so the interpreter's final flush
+            # of stdout cannot fail a second time
             devnull = os.open(os.devnull, os.O_WRONLY)
             try:
                 os.dup2(devnull, sys.stdout.fileno())
             finally:
                 os.close(devnull)
-        return 0
-    try:
-        with open(args.out, "wb") as f:
-            write(f)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            if isinstance(exc, BrokenPipeError):
+                return 0  # the reader stopped early (`| head`): end quietly
+        print(f"error: cannot write {args.out or 'stdout'}: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -79,8 +79,9 @@ from .rng import _integer, _u64, derive_seed, uniform_array
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by definition
 
-#: trials per vectorized chunk; fixed so the chunking (and therefore the
-#: output) is identical for any worker count
+#: trials per vectorized chunk.  Draws are keyed by trial index, so the
+#: output is the same at any chunk size and worker count; CHUNK sets each
+#: thread's buffer memory and the fixed cost each chunk pays
 CHUNK = 65_536
 
 MODEL_NAMES = ("qm", "lhv-sign", "naive")

@@ -98,7 +98,7 @@ def naive_partner(setting: "AnalyzerSetting | float", outcome: PolAxis) -> float
     return reduce_mod_pi(registered_axis + _HALF_PI)
 
 
-def lhv_sign_correlator(plate_present: bool = False) -> Callable[..., float]:
+def lhv_sign_correlator(plate_present: bool) -> Callable[..., float]:
     """Closed-form correlator of the lhv-sign model.
 
     Without the plate the model is anti-correlated: E = -(1 - 4 d / pi)

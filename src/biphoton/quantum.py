@@ -84,12 +84,9 @@ def reduce_mod_pi(angle: float) -> float:
         angle = _real(angle, "angle")
     elif not math.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle!r}")
-    r = math.fmod(angle, math.pi)
-    if r < 0.0:
-        r += math.pi
-    if r >= math.pi:  # the += above can round up to pi for tiny negatives
-        r -= math.pi
-    return r
+    # float % takes the sign of pi, so a zero remainder is +0.0
+    r = angle % math.pi
+    return 0.0 if r == math.pi else r  # a tiny negative angle rounds up to pi
 
 
 @dataclass(frozen=True)
@@ -233,9 +230,6 @@ class ProbTable:
     @property
     def p(self) -> np.ndarray:
         return self._p
-
-    def __getitem__(self, idx: int) -> float:
-        return float(self._p[idx])
 
     def __repr__(self):
         return f"ProbTable({self._p.tolist()!r})"

@@ -169,8 +169,9 @@ def test_reader_closing_early_ends_the_dump_quietly():
 
 
 def test_reader_closing_early_leaves_no_descriptor_open(monkeypatch):
-    # in-process, into a pipe whose read end is already closed: the quiet
-    # end points stdout at /dev/null and keeps nothing else open
+    # in-process, into a pipe whose read end is already closed and, where
+    # there is one, into /dev/full: the quiet end and the exit 2 each point
+    # stdout at /dev/null and keep nothing else open
     def run_into_closed_pipe():
         read_end, write_end = os.pipe()
         os.close(read_end)
@@ -178,11 +179,38 @@ def test_reader_closing_early_leaves_no_descriptor_open(monkeypatch):
             monkeypatch.setattr(sys, "stdout", stdout)
             assert main(["pair", "--format", "csv", "--trials", "20000"]) == 0
 
-    run_into_closed_pipe()  # anything opened once, on first use, opens here
-    before = len(os.listdir("/dev/fd"))
-    for _ in range(5):
-        run_into_closed_pipe()
-    assert len(os.listdir("/dev/fd")) == before
+    def run_into_full_device():
+        with open("/dev/full", "w", encoding="utf-8") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["pair", "--format", "csv", "--trials", "20000"]) == 2
+
+    runs = [run_into_closed_pipe]
+    if os.path.exists("/dev/full"):
+        runs.append(run_into_full_device)
+    for run in runs:
+        run()  # anything opened once, on first use, opens here
+        before = len(os.listdir("/dev/fd"))
+        for _ in range(5):
+            run()
+        assert len(os.listdir("/dev/fd")) == before
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, target",
+    [([], "stdout"), (["--format", "csv"], "stdout"), (["--out", "/dev/full"], "/dev/full")],
+    ids=["text-stdout", "csv-stdout", "out-file"],
+)
+def test_full_device_exits_2_with_one_error_line(argv, target):
+    # a real process, so the interpreter's final flush of stdout runs too
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    cmd = [sys.executable, "-m", "biphoton", "pair", "--trials", "1000", *argv]
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE, env=env, timeout=120)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_bad_env_seed_exits_2(capsys, monkeypatch):
@@ -302,6 +330,13 @@ def test_pair_csv_is_a_trial_dump(capsys):
         idx, oa, ob, flag = line.split(",")
         assert int(idx) == i
         assert oa in ("X", "Y") and ob in ("X", "Y") and flag in ("true", "false")
+
+
+def test_negative_half_turn_prints_positive_zero(capsys):
+    code, out, _ = run_cli(capsys, "pair", "--alpha=-180", "--trials", "10", "--format", "json")
+    assert code == 0 and '    "alpha_deg": 0,\n' in out
+    code, out, _ = run_cli(capsys, "pair", "--alpha=-180", "--trials", "10")
+    assert code == 0 and "  alpha_deg       0.000000\n" in out
 
 
 def test_pair_json_document(capsys):

@@ -518,6 +518,21 @@ def test_workers_do_not_change_results():
     assert np.array_equal(a1, a4) and np.array_equal(b1, b4)
 
 
+@pytest.mark.parametrize("chunk", [1000, 12_345])
+def test_outputs_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    # draws are keyed by trial index, so a retune of CHUNK cannot move a golden
+    n = 2 * CHUNK + 17
+    expected = [
+        (run_ensemble(m, ROTATED, n, 43, workers=2), simulate_outcomes(m, ROTATED, n, 43, workers=2))
+        for m in MODELS
+    ]
+    monkeypatch.setattr(engine, "CHUNK", chunk)
+    for model, (stats, (a_is_x, b_is_x)) in zip(MODELS, expected):
+        assert run_ensemble(model, ROTATED, n, 43, workers=2) == stats
+        a, b = simulate_outcomes(model, ROTATED, n, 43, workers=2)
+        assert np.array_equal(a, a_is_x) and np.array_equal(b, b_is_x)
+
+
 @pytest.mark.parametrize(
     "cores, n_chunks, threads",
     [(8, 3, 3), (2, 3, 2), (8, 1, None), (1, 3, None), (None, 3, None)],

@@ -59,6 +59,18 @@ def test_reduce_mod_pi_basics():
         assert 0.0 <= r < math.pi
 
 
+def test_angles_reduce_to_positive_zero():
+    # a zero reduces to +0.0 whatever its sign, so no angle prints as -0
+    zeros = (
+        reduce_mod_pi(-0.0),
+        reduce_mod_pi(-math.pi),
+        reduce_mod_pi(-3.0 * math.pi),
+        AnalyzerSetting.from_degrees(-180).angle,
+    )
+    for zero in zeros:
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+
+
 def test_reduce_mod_pi_rejects_non_finite():
     with pytest.raises(ValueError):
         reduce_mod_pi(math.inf)
