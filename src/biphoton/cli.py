@@ -1,11 +1,14 @@
 """Command-line front end: pair ensembles, order tests, CHSH runs, sweeps.
 
-Angles are taken in degrees and distances in meters on the command line;
-internally everything runs in radians and SI units.  Text output rounds
-to six decimals for reading, while json and csv carry 17 significant
-digits so every value round-trips exactly.  All randomness hangs off
---seed (or ENTANGLE_BENCH_SEED when the flag is absent), making each
-invocation reproducible byte for byte, for any worker count.
+Every outside layout lives here: the flags, the JSON bench config file
+(one table, ``_BENCH_KEYS``, drives its keys, the bench flags and the
+printed bench), and the text, json and csv reports.  Angles are taken in
+degrees and distances in meters; the library takes and returns radians
+and SI units only.  Text output rounds to six decimals for reading,
+while json and csv carry 17 significant digits so every value
+round-trips exactly.  All randomness hangs off --seed (or
+ENTANGLE_BENCH_SEED when the flag is absent), making each invocation
+reproducible byte for byte, for any worker count.
 
 Exit codes: 0 success (a reader closing stdout early included), 2
 unusable arguments or configuration (an unwritable --out file or stdout
@@ -35,13 +38,42 @@ from .engine import (
     write_trials_csv,
 )
 from .local import ChshAngles
-from .quantum import XX, XY, YX, YY, AnalyzerSetting
+from .quantum import XX, XY, YX, YY, AnalyzerSetting, _real
 from .rng import derive_seed
 
 _DEFAULT_TRIALS = 100_000
 #: most rows one sweep may plan; each row runs an ensemble
 _MAX_SWEEP_ROWS = 100_000
 _SEED_ENV = "ENTANGLE_BENCH_SEED"
+
+
+def _setting_degrees(setting: AnalyzerSetting) -> float:
+    return math.degrees(setting.angle)
+
+
+#: config key -> (bench field, conversion to SI units and radians, conversion
+#: back, flag, flag help), in layout order.  Each flag stores its value under
+#: its key, so the flags layer over --config; the plate's switch (no
+#: conversion) goes in as given, and OpticalBench rejects anything but a bool
+_BENCH_KEYS = {
+    "d_plate_a_m": (
+        "d_plate_a", float, float, "--d-plate-a", "source-to-plate distance on channel A in meters"
+    ),
+    "d_prism_a_m": (
+        "d_prism_a", float, float, "--d-prism-a", "source-to-prism distance on channel A in meters"
+    ),
+    "d_prism_b_m": (
+        "d_prism_b", float, float, "--d-prism-b", "source-to-prism distance on channel B in meters"
+    ),
+    "alpha_deg": ("alpha", math.radians, _setting_degrees, "--alpha", "channel A analyzer angle in degrees"),
+    "beta_deg": ("beta", math.radians, _setting_degrees, "--beta", "channel B analyzer angle in degrees"),
+    "plate_present": (
+        "plate_present", None, bool, "--plate", "half-wave plate present on channel A (default: present)"
+    ),
+    "plate_angle_deg": (
+        "plate_angle", math.radians, math.degrees, "--plate-angle", "plate fast-axis angle in degrees"
+    ),
+}
 
 
 def _fmt17(x: float) -> str:
@@ -111,20 +143,50 @@ def _load_config(path: str) -> dict:
     return data
 
 
+def _bench(config: dict) -> OpticalBench:
+    """The bench of a config in the file layout; missing keys keep the bench's defaults.
+
+    Unknown keys are rejected rather than silently ignored.
+    """
+    unknown = set(config) - set(_BENCH_KEYS)
+    if unknown:
+        raise ValueError(f"unknown bench config keys: {sorted(unknown)}")
+    kwargs = {}
+    for key, (field, to_si, *_) in _BENCH_KEYS.items():
+        if key in config:
+            value = config[key]
+            kwargs[field] = value if to_si is None else to_si(_real(value, f"bench config key {key}"))
+    return OpticalBench(**kwargs)
+
+
+def _bench_doc(bench: OpticalBench) -> dict:
+    """The bench in the config layout (lengths _m, angles _deg)."""
+    return {key: from_si(getattr(bench, field)) for key, (field, _, from_si, *_) in _BENCH_KEYS.items()}
+
+
 def _bench_config(args) -> dict:
     """Config of --config (if any) with the bench flags given layered on top.
 
     The file must hold a valid bench by itself, before any flag applies.
     """
     cfg = _load_config(args.config) if args.config else {}
-    OpticalBench.from_config(cfg)
-    given = {key: getattr(args, key, None) for key in OpticalBench.CONFIG_KEYS}
+    _bench(cfg)
+    given = {key: getattr(args, key, None) for key in _BENCH_KEYS}
     return {**cfg, **{key: value for key, value in given.items() if value is not None}}
+
+
+def _fields(obj, names: str) -> dict:
+    """``{name: obj.name}`` for each space-separated name, in order."""
+    return {name: getattr(obj, name) for name in names.split()}
+
+
+def _stats_doc(stats) -> dict:
+    return _fields(stats, "n_xx n_xy n_yx n_yy e_hat stderr_e")
 
 
 def _bench_lines(bench: OpticalBench) -> list:
     lines = ["bench:"]
-    for key, value in bench.to_config_dict().items():
+    for key, value in _bench_doc(bench).items():
         text = ("true" if value else "false") if isinstance(value, bool) else f"{value:.6f}"
         lines.append(f"  {key:<15} {text}")
     order = "  ->  ".join(f"{ev.event.name} @ {ev.time:.6e} s" for ev in build_timeline(bench))
@@ -142,7 +204,7 @@ def _cmd_pair(args):
     The dump is simulated here, so its errors surface before any output
     file is opened, and streamed by ``main`` at the write site.
     """
-    bench = OpticalBench.from_config(_bench_config(args))
+    bench = _bench(_bench_config(args))
     if args.format == "csv":
         a_is_x, b_is_x = simulate_outcomes(args.model, bench, args.trials, args.seed, args.workers)
         return lambda f: write_trials_csv(f, bench, a_is_x, b_is_x)
@@ -155,8 +217,8 @@ def _cmd_pair(args):
             "model": args.model,
             "trials": args.trials,
             "seed": args.seed,
-            "bench": bench.to_config_dict(),
-            "stats": stats.to_json_dict(),
+            "bench": _bench_doc(bench),
+            "stats": _stats_doc(stats),
             "analytic_table": table,
             "analytic_e": e_exact,
         }
@@ -177,8 +239,8 @@ def _cmd_pair(args):
 
 def _cmd_order_test(args) -> str:
     cfg = _bench_config(args)
-    bench_early = OpticalBench.from_config({**cfg, "d_prism_b_m": args.d_prism_b_early})
-    bench_late = OpticalBench.from_config({**cfg, "d_prism_b_m": args.d_prism_b_late})
+    bench_early = _bench({**cfg, "d_prism_b_m": args.d_prism_b_early})
+    bench_late = _bench({**cfg, "d_prism_b_m": args.d_prism_b_late})
     report = order_invariance_report(
         args.model, bench_early, bench_late, args.trials, args.seed, args.workers
     )
@@ -186,9 +248,18 @@ def _cmd_order_test(args) -> str:
         doc = {
             "command": "order-test",
             "seed": args.seed,
-            "bench_early": bench_early.to_config_dict(),
-            "bench_late": bench_late.to_config_dict(),
-            "report": report.to_json_dict(),
+            "bench_early": _bench_doc(bench_early),
+            "bench_late": _bench_doc(bench_late),
+            "report": {
+                "model": report.model,
+                "n_per_bench": report.early.n,
+                "early": _stats_doc(report.early),
+                "late": _stats_doc(report.late),
+                **_fields(
+                    report,
+                    "analytic_early analytic_late delta_f combined_stderr delta_e delta_e_stderr verdict",
+                ),
+            },
         }
         return _json_render(doc) + "\n"
     if args.format == "csv":
@@ -242,7 +313,7 @@ def _cmd_chsh(args) -> str:
     plate_present = args.plate_present
     report = chsh_experiment(args.model, angles, args.trials, args.seed, plate_present, args.workers)
     if args.format == "json":
-        return _json_render(report.to_json_dict()) + "\n"
+        return _json_render(_fields(report, "e_ab e_abp e_apb e_apbp s stderr_total")) + "\n"
     term_rows = (
         ("e_ab", report.e_ab, report.se_ab),
         ("e_abp", report.e_abp, report.se_abp),
@@ -288,11 +359,11 @@ def _cmd_sweep(args) -> str:
         raise ValueError(f"sweep range has too many rows: more than {_MAX_SWEEP_ROWS}")
     n_rows = math.floor(span) + 1
     cfg = _bench_config(args)
-    bench = OpticalBench.from_config(cfg)
+    bench = _bench(cfg)
     rows = []
     for i in range(n_rows):
         angle_deg = args.start + i * args.step
-        row_bench = OpticalBench.from_config({**cfg, f"{args.axis}_deg": angle_deg})
+        row_bench = _bench({**cfg, f"{args.axis}_deg": angle_deg})
         e_exact = analytic_E(args.model, row_bench)
         stats = run_ensemble(args.model, row_bench, args.trials, derive_seed(args.seed, i), args.workers)
         rows.append((angle_deg, e_exact, stats.e_hat, stats.stderr_e))
@@ -303,7 +374,7 @@ def _cmd_sweep(args) -> str:
             "axis": args.axis,
             "trials": args.trials,
             "seed": args.seed,
-            "bench": bench.to_config_dict(),
+            "bench": _bench_doc(bench),
             "rows": [
                 {"angle_deg": a, "E_analytic": ex, "E_hat": eh, "stderr": se}
                 for a, ex, eh, se in rows
@@ -348,41 +419,24 @@ def _add_run_flags(p: argparse.ArgumentParser, trials_help: str) -> None:
 
 
 def _add_plate_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--plate",
-        dest="plate_present",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="half-wave plate present on channel A (default: present)",
-    )
+    """--plate/--no-plate, stored under the plate's config key; None when not given."""
+    key = "plate_present"
+    *_, flag, help_text = _BENCH_KEYS[key]
+    p.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction, default=None, help=help_text)
 
 
-def _add_bench_flags(p: argparse.ArgumentParser, with_prism_b: bool = True) -> None:
-    """Bench flags, each stored under its config key so it layers over --config."""
+def _add_bench_flags(p: argparse.ArgumentParser, skip: str = "") -> None:
+    """--config, then one flag per bench config key but ``skip``, in layout order."""
     p.add_argument(
         "--config",
         default=None,
         help="JSON bench config file (keys *_m in meters, *_deg in degrees); explicit flags override it",
     )
-    p.add_argument("--alpha", dest="alpha_deg", type=float, help="channel A analyzer angle in degrees")
-    p.add_argument("--beta", dest="beta_deg", type=float, help="channel B analyzer angle in degrees")
-    _add_plate_flag(p)
-    p.add_argument(
-        "--plate-angle", dest="plate_angle_deg", type=float, help="plate fast-axis angle in degrees"
-    )
-    p.add_argument(
-        "--d-plate-a", dest="d_plate_a_m", type=float, help="source-to-plate distance on channel A in meters"
-    )
-    p.add_argument(
-        "--d-prism-a", dest="d_prism_a_m", type=float, help="source-to-prism distance on channel A in meters"
-    )
-    if with_prism_b:
-        p.add_argument(
-            "--d-prism-b",
-            dest="d_prism_b_m",
-            type=float,
-            help="source-to-prism distance on channel B in meters",
-        )
+    for key, (_, to_si, _, flag, help_text) in _BENCH_KEYS.items():
+        if to_si is None:
+            _add_plate_flag(p)
+        elif key != skip:
+            p.add_argument(flag, dest=key, type=float, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("order-test", help="compare early and late channel-B detection benches")
     _add_run_flags(p, "number of emitted pairs per bench")
-    _add_bench_flags(p, with_prism_b=False)
+    _add_bench_flags(p, skip="d_prism_b_m")  # the two --d-prism-b-* flags set it
     p.add_argument(
         "--d-prism-b-early",
         type=float,

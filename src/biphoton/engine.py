@@ -111,9 +111,11 @@ def _store_changed(obj, checked: dict) -> None:
 
 @dataclass(frozen=True)
 class OpticalBench:
-    """Geometry and settings of one run; distances in meters from the source.
+    """Geometry and settings of one run, in SI units and radians.
 
-    When the plate is present it must sit no farther out than channel A's
+    Distances are in meters from the source, the analyzer and plate angles
+    in radians; the config file's keys and units (meters and degrees)
+    belong to the command line, ``cli``.  When the plate is present it must sit no farther out than channel A's
     prism, so it always acts before A's detection.  Only the qm model reads
     ``plate_angle``: the local models' plate turns a definite photon by pi/2.
     """
@@ -140,40 +142,6 @@ class OpticalBench:
         if checked["plate_present"] and checked["d_plate_a"] > checked["d_prism_a"]:
             raise ValueError("plate must sit between source and prism: d_plate_a <= d_prism_a")
         _store_changed(self, checked)
-
-    #: config key -> (field, conversion from the config units, conversion
-    #: back to them), in layout order
-    CONFIG_KEYS = {
-        "d_plate_a_m": ("d_plate_a", float, float),
-        "d_prism_a_m": ("d_prism_a", float, float),
-        "d_prism_b_m": ("d_prism_b", float, float),
-        "alpha_deg": ("alpha", AnalyzerSetting.from_degrees, lambda s: math.degrees(s.angle)),
-        "beta_deg": ("beta", AnalyzerSetting.from_degrees, lambda s: math.degrees(s.angle)),
-        "plate_present": ("plate_present", bool, bool),
-        "plate_angle_deg": ("plate_angle", math.radians, math.degrees),
-    }
-
-    @classmethod
-    def from_config(cls, config: dict) -> "OpticalBench":
-        """Build a bench from the JSON config layout (lengths _m, angles _deg).
-
-        Missing keys fall back to the defaults; unknown keys are rejected
-        rather than silently ignored.
-        """
-        unknown = set(config) - set(cls.CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown bench config keys: {sorted(unknown)}")
-        kwargs = {}
-        for key, (field_name, to_si, _) in cls.CONFIG_KEYS.items():
-            if key in config:
-                # the flag goes in as given: __post_init__ rejects anything but a bool
-                value = config[key]
-                kwargs[field_name] = value if to_si is bool else to_si(_real(value, f"bench config key {key}"))
-        return cls(**kwargs)
-
-    def to_config_dict(self) -> dict:
-        """The bench as a JSON-ready config dict (lengths _m, angles _deg)."""
-        return {key: from_si(getattr(self, name)) for key, (name, _, from_si) in self.CONFIG_KEYS.items()}
 
 
 def build_timeline(bench: OpticalBench) -> tuple[TimedEvent, ...]:
@@ -262,16 +230,6 @@ class EnsembleStats:
     def marginal_b(self) -> tuple[float, float]:
         n = self.n
         return ((self.n_xx + self.n_yx) / n, (self.n_xy + self.n_yy) / n)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_xx": self.n_xx,
-            "n_xy": self.n_xy,
-            "n_yx": self.n_yx,
-            "n_yy": self.n_yy,
-            "e_hat": self.e_hat,
-            "stderr_e": self.stderr_e,
-        }
 
 
 def _check_model(model: str) -> str:
@@ -790,10 +748,6 @@ class OrderInvarianceReport:
     analytic_late: tuple[float, ...]
 
     @property
-    def n_per_bench(self) -> int:
-        return self.early.n
-
-    @property
     def delta_f(self) -> tuple[float, ...]:
         return tuple(fl - fe for fe, fl in zip(self.early.frequencies, self.late.frequencies))
 
@@ -818,21 +772,6 @@ class OrderInvarianceReport:
     @property
     def verdict(self) -> str:
         return "SAME" if self.same else "DIFFERENT"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "n_per_bench": self.n_per_bench,
-            "early": self.early.to_json_dict(),
-            "late": self.late.to_json_dict(),
-            "analytic_early": list(self.analytic_early),
-            "analytic_late": list(self.analytic_late),
-            "delta_f": list(self.delta_f),
-            "combined_stderr": list(self.combined_stderr),
-            "delta_e": self.delta_e,
-            "delta_e_stderr": self.delta_e_stderr,
-            "verdict": self.verdict,
-        }
 
 
 def order_invariance_report(

@@ -173,16 +173,6 @@ class ChshReport:
         """Whether S clears the local bound of 2 by three standard errors."""
         return self.s - 3.0 * self.stderr_total > 2.0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "e_ab": self.e_ab,
-            "e_abp": self.e_abp,
-            "e_apb": self.e_apb,
-            "e_apbp": self.e_apbp,
-            "s": self.s,
-            "stderr_total": self.stderr_total,
-        }
-
 
 def chsh_S(correlator: Callable[..., float], angles: ChshAngles) -> ChshReport:
     """Evaluate a correlator function at the four CHSH setting pairs.

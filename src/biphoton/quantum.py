@@ -258,6 +258,8 @@ def hwp_jones(plate_angle: float) -> JonesMatrix:
     by pi/2.
     """
     t = _real(plate_angle, "plate angle")
+    if abs(t) >= 2.0**1023:  # 2t would overflow to inf; 2t's sine and cosine repeat with period pi in t
+        t = reduce_mod_pi(t)
     c = math.cos(2.0 * t)
     s = math.sin(2.0 * t)
     return JonesMatrix._of(((complex(c), complex(s)), (complex(s), complex(-c))))

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from biphoton import cli
 from biphoton.engine import (
     MODEL_NAMES,
     SPEED_OF_LIGHT,
@@ -178,8 +179,8 @@ def test_config_round_trip():
         plate_present=False,
         plate_angle=math.pi / 8,
     )
-    doc = bench.to_config_dict()
-    assert set(doc) == {
+    doc = cli._bench_doc(bench)
+    assert list(doc) == [
         "d_plate_a_m",
         "d_prism_a_m",
         "d_prism_b_m",
@@ -187,8 +188,8 @@ def test_config_round_trip():
         "beta_deg",
         "plate_present",
         "plate_angle_deg",
-    }
-    back = OpticalBench.from_config(doc)
+    ]
+    back = cli._bench(doc)
     assert back.d_plate_a == bench.d_plate_a
     assert back.d_prism_a == bench.d_prism_a
     assert back.d_prism_b == bench.d_prism_b
@@ -199,27 +200,27 @@ def test_config_round_trip():
 
 
 def test_from_config_accepts_partial_keys():
-    bench = OpticalBench.from_config({"d_prism_b_m": 0.25, "beta_deg": 22.5})
+    bench = cli._bench({"d_prism_b_m": 0.25, "beta_deg": 22.5})
     assert bench.d_prism_b == 0.25
     assert abs(bench.beta.angle - math.pi / 8) < 1e-12
     assert bench.d_plate_a == 0.5  # untouched default
 
 
 def test_from_config_rejects_unknown_keys():
-    with pytest.raises(ValueError):
-        OpticalBench.from_config({"d_prism_b_m": 0.25, "weird": 1})
+    with pytest.raises(ValueError, match=r"unknown bench config keys: \['weird'\]"):
+        cli._bench({"d_prism_b_m": 0.25, "weird": 1})
 
 
 def test_from_config_rejects_bad_values():
     with pytest.raises(ValueError):
-        OpticalBench.from_config({"d_prism_b_m": "far"})
+        cli._bench({"d_prism_b_m": "far"})
     with pytest.raises(ValueError):
-        OpticalBench.from_config({"plate_present": "yes"})
+        cli._bench({"plate_present": "yes"})
     with pytest.raises(ValueError):
-        OpticalBench.from_config({"alpha_deg": math.nan})
+        cli._bench({"alpha_deg": math.nan})
     for key in ("d_plate_a_m", "d_prism_a_m", "d_prism_b_m", "alpha_deg", "beta_deg", "plate_angle_deg"):
         with pytest.raises(ValueError, match=key):
-            OpticalBench.from_config({key: 10**400})
+            cli._bench({key: 10**400})
 
 
 def test_bench_is_immutable():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -503,6 +504,58 @@ def test_config_file_sets_bench_and_flags_override(capsys, tmp_path):
         "--d-prism-b", "0.25",
     )
     assert plain == from_cfg
+
+
+#: one bench flag and the config key it sets, in the config layout's order
+_FLAG_AND_KEY = [
+    (["--d-plate-a", "0.25"], {"d_plate_a_m": 0.25}),
+    (["--d-prism-a", "2"], {"d_prism_a_m": 2.0}),
+    (["--d-prism-b", "0.25"], {"d_prism_b_m": 0.25}),
+    (["--alpha", "10"], {"alpha_deg": 10.0}),
+    (["--beta", "22.5"], {"beta_deg": 22.5}),
+    (["--no-plate"], {"plate_present": False}),
+    (["--plate-angle", "30"], {"plate_angle_deg": 30.0}),
+]
+_ALL_FLAGS = [flag for flags, _ in _FLAG_AND_KEY for flag in flags]
+_ALL_KEYS = {key: value for _, config in _FLAG_AND_KEY for key, value in config.items()}
+
+
+def test_flag_cases_cover_every_config_key():
+    assert list(_ALL_KEYS) == list(cli._BENCH_KEYS)
+
+
+@pytest.mark.parametrize(
+    "flags, config", [*_FLAG_AND_KEY, (_ALL_FLAGS, _ALL_KEYS)], ids=[*_ALL_KEYS, "all"]
+)
+def test_bench_flag_prints_what_its_config_key_prints(capsys, tmp_path, flags, config):
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    argv = ["pair", "--trials", "2000", "--seed", "4", "--format", "json"]
+    code, by_flag, _ = run_cli(capsys, *argv, *flags)
+    assert code == 0
+    assert run_cli(capsys, *argv, "--config", str(path)) == (0, by_flag, "")
+    assert by_flag != run_cli(capsys, *argv)[1]  # the value took effect
+
+
+#: the flags every bench command has besides the bench flags, and each one's own
+_OTHER_FLAGS = {"-h", "--help", "--model", "--trials", "--seed", "--workers", "--format", "--out", "--config"}
+_OWN_FLAGS = {
+    "pair": set(),
+    "order-test": {"--d-prism-b-early", "--d-prism-b-late"},
+    "sweep": {"--axis", "--start", "--stop", "--step"},
+}
+
+
+@pytest.mark.parametrize("command", ["pair", "order-test", "sweep"])
+def test_help_lists_exactly_the_bench_flags(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    flags = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out))
+    want = {entry[3] for entry in cli._BENCH_KEYS.values()} | {"--no-plate"}
+    if command == "order-test":
+        want.remove("--d-prism-b")  # order-test sets channel B's prism itself
+        assert "--d-prism-b" not in flags
+    assert flags - _OTHER_FLAGS - _OWN_FLAGS[command] == want
 
 
 # ---------------------------------------------------------------- reproducibility

@@ -1,6 +1,7 @@
 """Trial replay, vectorized ensembles, order-invariance and CHSH experiments."""
 
 import io
+import json
 import math
 import sys
 import threading
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton import engine, quantum
+from biphoton import cli, engine, quantum
 from biphoton.engine import (
     CHUNK,
     BenchEvent,
@@ -824,6 +825,14 @@ def test_qm_no_plate_bench_has_no_concordant_counts():
     assert stats.e_hat == -1.0
 
 
+@pytest.mark.parametrize("plate_angle", [1.7e308, -1.7e308])
+def test_qm_runs_at_plate_angles_whose_double_overflows(plate_angle):
+    bench = OpticalBench(plate_angle=plate_angle)
+    reduced = replace(bench, plate_angle=quantum.reduce_mod_pi(plate_angle))
+    assert run_ensemble("qm", bench, 10, 0) == run_ensemble("qm", reduced, 10, 0)
+    assert analytic_joint_table("qm", bench).p.tolist() == analytic_joint_table("qm", reduced).p.tolist()
+
+
 def test_qm_rotated_settings_match_closed_form():
     bench = OpticalBench(alpha=0.0, beta=math.pi / 8)
     stats = run_ensemble("qm", bench, 200_000, master_seed=6)
@@ -888,12 +897,14 @@ def test_ensemble_stats_take_numpy_counts_by_value():
     stats = EnsembleStats(np.int64(3), np.uint8(1), 0, 0)
     assert stats.counts == (3, 1, 0, 0)
     assert all(type(c) is int for c in stats.counts)
-    assert type(stats.to_json_dict()["n_xx"]) is int
+    assert type(cli._stats_doc(stats)["n_xx"]) is int
 
 
 def test_ensemble_stats_json_keys():
-    doc = EnsembleStats(1, 2, 3, 4).to_json_dict()
+    stats = EnsembleStats(1, 2, 3, 4)
+    doc = cli._stats_doc(stats)
     assert list(doc) == ["n_xx", "n_xy", "n_yx", "n_yy", "e_hat", "stderr_e"]
+    assert list(doc.values()) == [1, 2, 3, 4, stats.e_hat, stats.stderr_e]
 
 
 # ---------------------------------------------------------------- analytic tables
@@ -1170,13 +1181,18 @@ def test_order_report_lhv_verdict_same():
     assert report.verdict == "SAME"
 
 
-def test_order_report_json_shape():
-    report = order_invariance_report("naive", EARLY, LATE, 1_000, master_seed=2)
-    doc = report.to_json_dict()
+def test_order_report_json_shape(capsys):
+    argv = ["order-test", "--model", "naive", "--trials", "1000", "--seed", "2", "--format", "json"]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)["report"]
+    assert list(doc) == [
+        "model", "n_per_bench", "early", "late", "analytic_early", "analytic_late",
+        "delta_f", "combined_stderr", "delta_e", "delta_e_stderr", "verdict",
+    ]
     assert doc["verdict"] == "DIFFERENT"
     assert doc["n_per_bench"] == 1_000
     assert len(doc["delta_f"]) == 4 and len(doc["combined_stderr"]) == 4
-    assert set(doc["early"]) == {"n_xx", "n_xy", "n_yx", "n_yy", "e_hat", "stderr_e"}
+    assert list(doc["early"]) == ["n_xx", "n_xy", "n_yx", "n_yy", "e_hat", "stderr_e"]
 
 
 def test_order_report_derives_everything_from_its_ensembles():
@@ -1185,7 +1201,7 @@ def test_order_report_derives_everything_from_its_ensembles():
     assert [f.name for f in fields(report)] == [
         "model", "early", "late", "analytic_early", "analytic_late",
     ]
-    assert report.n_per_bench == 100
+    assert report.early.n == 100
     assert report.delta_f == pytest.approx((-0.05, 0.15, 0.05, -0.15), abs=1e-15)
     want = [math.sqrt(a * a + b * b) for a, b in zip(early.cell_stderr(), late.cell_stderr())]
     assert list(report.combined_stderr) == want

@@ -1,12 +1,13 @@
 """Naive unpolarized model, the sign hidden-variable model, and CHSH evaluation."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from biphoton import engine
+from biphoton import cli, engine
 from biphoton.engine import OpticalBench, chsh_experiment, run_ensemble, run_trial
 from biphoton.local import (
     CANONICAL_CHSH_ANGLES,
@@ -224,10 +225,12 @@ def test_chsh_rejects_out_of_range_correlator():
         chsh_S(lambda a, b: math.nan, CANONICAL_CHSH_ANGLES)
 
 
-def test_chsh_report_json_keys():
-    report = ChshReport(0.5, -0.5, 0.5, 0.5)
-    assert list(report.to_json_dict()) == ["e_ab", "e_abp", "e_apb", "e_apbp", "s", "stderr_total"]
-    assert report.to_json_dict()["s"] == 2.0 and report.to_json_dict()["stderr_total"] == 0.0
+def test_chsh_report_json_keys(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "chsh_experiment", lambda *args: ChshReport(0.5, -0.5, 0.5, 0.5))
+    assert cli.main(["chsh", "--trials", "10", "--seed", "0", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["e_ab", "e_abp", "e_apb", "e_apbp", "s", "stderr_total"]
+    assert doc["s"] == 2.0 and doc["stderr_total"] == 0.0
 
 
 def test_chsh_report_stores_terms_and_errors_only():

@@ -174,6 +174,20 @@ def test_hwp_unitary_and_involutive(theta):
     np.testing.assert_allclose(m @ m, np.eye(2), atol=1e-12)
 
 
+@pytest.mark.parametrize("theta", [1.7e308, -1.7e308, 2.0**1023, -(2.0**1023)], ids=repr)
+def test_hwp_reduces_angles_whose_double_overflows(theta):
+    # 2 * theta is inf for |theta| >= 2^1023, and cos(inf) used to raise
+    m = hwp_jones(theta).m
+    np.testing.assert_allclose(m @ m.conj().T, np.eye(2), atol=1e-12)
+    assert m.tolist() == hwp_jones(reduce_mod_pi(theta)).m.tolist()
+
+
+def test_hwp_keeps_the_bits_of_angles_below_the_overflow():
+    for theta in (math.nextafter(2.0**1023, 0.0), -math.nextafter(2.0**1023, 0.0), 1e300, 123.456):
+        c, s = math.cos(2.0 * theta), math.sin(2.0 * theta)
+        assert hwp_jones(theta).m.tolist() == [[c, s], [s, -c]]
+
+
 def test_jones_matrix_rejects_non_unitary():
     with pytest.raises(ValueError):
         JonesMatrix([[1.0, 0.0], [0.0, 2.0]])

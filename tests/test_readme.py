@@ -1,9 +1,14 @@
-"""The README's library example runs, and its export list is ``__all__``, against the package as it stands."""
+"""The README against the package as it stands.
+
+Its library example runs, its export list is ``__all__``, and its command
+line section names every bench flag.
+"""
 
 import re
 from pathlib import Path
 
 import biphoton
+from biphoton import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -24,3 +29,11 @@ def test_readme_export_sentence_lists_exactly_all():
     names = re.findall(r"`([^`]+)`", listed.group(1))
     assert len(names) == len(set(names))
     assert sorted(names) == sorted(biphoton.__all__)
+
+
+def test_readme_command_line_names_every_bench_flag():
+    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)
+    named = {flag for code in re.findall(r"`([^`]+)`", prose) for flag in code.split("/")}
+    for *_, flag, _ in cli._BENCH_KEYS.values():
+        assert flag in named
