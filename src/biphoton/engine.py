@@ -21,7 +21,10 @@ channel is X on one arc of the circle of draws k mod 2^53, and the arc's
 two ends are pinned with the scalar rules of ``local``.  Either way a
 kernel compares the integer draws k from ``rng.uniform_array`` with
 integer thresholds (u < p is k < ceil(p * 2^53)), in place, in buffers
-that each thread of an ensemble reuses from chunk to chunk.  Draw
+that each thread of an ensemble reuses from chunk to chunk, every row on a
+64-byte boundary.  An ensemble's calling thread and its helper threads
+claim chunks from one shared sequence, each with one chunk in progress
+and one running total, and no executor is involved.  Draw
 discipline per trial, unchanged by the compilation: the hidden-angle
 model reads one draw (the shared angle at emission); the quantum and
 naive models read draw 0 for the first detection in time order and draw
@@ -34,8 +37,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from ctypes import addressof, c_char
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from operator import add
@@ -319,20 +321,44 @@ def _draw_threshold(p: float) -> int:
     return math.ceil(p * _DRAWS)
 
 
+#: the dtypes of the buffer rows, as dtype objects, which the array constructor
+#: takes as they are
+_WORD, _FLAG = np.dtype(np.uint64), np.dtype(bool)
+
+
+def _block(nbytes: int):
+    """An over-allocated uint8 block and the offset in it of ``nbytes`` that start on a 64-byte boundary.
+
+    The heap aligns a block to 16 bytes only, and a row that starts 16 or
+    48 bytes past a cache line is classified measurably slower, so every
+    row is carved from a block like this one, whose address is read once.
+    """
+    block = np.empty(nbytes + 63, dtype=np.uint8)
+    return block, -addressof(c_char.from_buffer(block)) & 63
+
+
 def _buffers(size: int):
-    """One thread's scratch for chunks of up to ``size`` trials.
+    """One thread's scratch for chunks of up to ``size`` trials, every row on a 64-byte boundary.
 
     Three uint64 rows of words; a chunk's trial indices are made in the
     row that ``uniform_array`` hashes them into.  Three bool rows: the
     outcomes of channels A and B, and scratch.  A call that classifies
-    into outcome arrays of its own writes only the scratch row.
+    into outcome arrays of its own writes only the scratch row.  The six
+    rows are carved from one block, each a whole number of 64-byte lines
+    apart.
     """
-    return np.empty((3, size), dtype=np.uint64), np.empty((3, size), dtype=bool)
+    row = (size + 63) & -64
+    block, at = _block(27 * row)
+    return (
+        np.ndarray((3, size), _WORD, block, at, (8 * row, 8)),
+        np.ndarray((3, size), _FLAG, block, at + 24 * row, (row, 1)),
+    )
 
 
 #: the trial offsets within a chunk, 0 .. CHUNK - 1: made once, read-only,
 #: so no call builds its own (a chunk's indices are these plus its start)
-_OFFSETS = np.arange(CHUNK, dtype=np.uint64)
+_OFFSETS = np.ndarray(CHUNK, _WORD, *_block(8 * CHUNK))
+_OFFSETS[:] = np.arange(CHUNK, dtype=np.uint64)
 _OFFSETS.setflags(write=False)
 
 
@@ -511,67 +537,82 @@ def _check_run_args(model, n_trials, workers):
     return _positive_int("n_trials", n_trials), _positive_int("workers", workers)
 
 
-#: chunks submitted to the pool ahead of the one handed over, per thread: deep
-#: enough that while one thread is stalled on a chunk (descheduled, say) the
-#: others keep taking queued chunks instead of waiting on the in-order handover
-_IN_FLIGHT_PER_THREAD = 8
+def _map_chunks(kernel, first, stop, workers, consume, into=None):
+    """Each thread's running total of ``consume(start, a_is_x, b_is_x)`` over trials first .. stop - 1.
 
-
-def _map_chunks(model, bench, n_trials, master_seed, workers, consume, into=None):
-    """Yield ``consume(start, a_is_x, b_is_x)`` of each CHUNK-sized run of trials, in chunk order.
-
-    The bench is planned once per call.  Counter-based draws make each
-    chunk independent of execution order, so the results are the same for
-    any thread count.  Threads are bounded by the chunk count and the
-    cores; with one, the chunks run serially.  Each thread of the call
-    classifies its chunks in one set of ``_buffers``, which ``consume``
-    must be done with when it returns: a serial call makes its set once,
-    up front, and each pool thread makes its own on its first chunk.
-    Given ``into``, two bool arrays of ``n_trials``, each chunk is
+    ``kernel`` is a bench's chunk kernel, and a chunk is a CHUNK-sized run
+    of trials from ``first`` on.  The calling thread classifies chunks
+    itself, next to helper threads up to ``workers``, the chunk count and
+    the cores, one thread in all.  Every thread claims the next chunk start
+    from one shared iterator under a lock, so each has one chunk in
+    progress at a time, and counter-based draws make a chunk's outcomes
+    the same whichever thread runs it: the results are the same for any
+    thread count.  Each thread classifies its chunks in one set of
+    ``_buffers``, which ``consume`` must be done with when it returns, and
+    keeps one running total, the elementwise sum of the integer tuples
+    ``consume`` returns; a thread that got no chunk has none.  No state of
+    a chunk outlives it, so memory stays bounded at any trial count.
+    Given ``into``, two bool arrays of stop - first, each chunk is
     classified straight into its slices of them, which ``consume`` then
     gets, and the set's bool rows serve only as scratch.  A chunk's trial
-    indices are the shared ``_OFFSETS`` plus its start, made in one of
-    its word rows, and chunk 0's are a prefix of the offsets, so a
-    one-chunk call allocates nothing beyond its buffer set.  At most
-    ``_IN_FLIGHT_PER_THREAD`` chunks per thread are in flight, so memory
-    stays bounded at any trial count.
+    indices are the shared ``_OFFSETS`` plus its start, made in one of its
+    word rows, and chunk 0's are a prefix of the offsets, so a one-chunk
+    call allocates nothing beyond its buffer set.  The helpers are joined
+    before the call returns; the first exception raised on any thread,
+    an interrupt of the calling thread included, stops further claims and
+    is raised here.
     """
-    kernel = _kernel(model, bench, master_seed)
-    size = min(n_trials, CHUNK)
-
-    def task(start: int, buffers):
-        words, flags = buffers
-        m = min(size, n_trials - start)
-        rows = flags[:, :m]
-        if into is not None:
-            rows = (into[0][start : start + m], into[1][start : start + m], rows[2])
-        return consume(start, *kernel(start, words[:, :m], rows))
-
-    starts = range(0, n_trials, CHUNK)
+    size = min(stop - first, CHUNK)
+    starts = range(first, stop, CHUNK)
     threads = min(workers, len(starts))
     if threads > 1:
         threads = min(threads, os.cpu_count() or 1)
-    if threads == 1:
-        buffers = _buffers(size)
-        for start in starts:
-            yield task(start, buffers)
-        return
-    local = threading.local()
+    claims = iter(starts)
+    lock = threading.Lock()
+    # appends to a list are atomic, also on a free-threaded build; the lock
+    # guards the claims, which read errors and advance the shared iterator
+    totals, errors = [], []
 
-    def pooled_task(start: int):
-        buffers = getattr(local, "buffers", None)
-        if buffers is None:
-            buffers = local.buffers = _buffers(size)
-        return task(start, buffers)
+    def work():
+        try:
+            words, flags = _buffers(size)
+            total = None
+            while True:
+                with lock:
+                    start = None if errors else next(claims, None)
+                if start is None:
+                    break
+                m = min(size, stop - start)
+                # a full chunk takes the buffers as they are, the last one a prefix
+                chunk_words, rows = (words, flags) if m == size else (words[:, :m], flags[:, :m])
+                if into is not None:
+                    at = start - first
+                    rows = (into[0][at : at + m], into[1][at : at + m], rows[2])
+                cells = consume(start, *kernel(start, chunk_words, rows))
+                total = cells if total is None else tuple(map(add, total, cells))
+            if total is not None:
+                totals.append(total)
+        except BaseException as exc:
+            errors.append(exc)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        in_flight = deque()
-        for start in starts:
-            if len(in_flight) == threads * _IN_FLIGHT_PER_THREAD:
-                yield in_flight.popleft().result()
-            in_flight.append(pool.submit(pooled_task, start))
-        while in_flight:
-            yield in_flight.popleft().result()
+    helpers = []
+    for _ in range(threads - 1):
+        helpers.append(threading.Thread(target=work))
+    try:
+        for helper in helpers:
+            helper.start()
+        work()
+    except BaseException as exc:  # a helper that could not start, or an interrupt between chunks
+        errors.append(exc)
+    for helper in helpers:
+        while helper.is_alive():
+            try:
+                helper.join()
+            except BaseException as exc:  # an interrupt while waiting: no more claims
+                errors.append(exc)
+    if errors:
+        raise errors[0]
+    return totals
 
 
 def simulate_outcomes(
@@ -586,13 +627,16 @@ def simulate_outcomes(
     Work is split into fixed-size chunks, each classified straight into
     its disjoint slices of the two arrays, so the arrays are
     byte-identical for any worker count.  They are this call's own, made
-    for it and shared with no buffer or other call.
+    for it and shared with no buffer or other call, and each starts on a
+    64-byte boundary.
     """
     n_trials, workers = _check_run_args(model, n_trials, workers)
-    outcomes = np.empty(n_trials, dtype=bool), np.empty(n_trials, dtype=bool)
-    for _ in _map_chunks(model, bench, n_trials, master_seed, workers, lambda *chunk: None, outcomes):
-        pass
-    return outcomes
+    row = (n_trials + 63) & -64
+    block, at = _block(2 * row)
+    a_is_x, b_is_x = np.ndarray((2, n_trials), _FLAG, block, at, (row, 1))
+    kernel = _kernel(model, bench, master_seed)
+    _map_chunks(kernel, 0, n_trials, workers, lambda *chunk: (), (a_is_x, b_is_x))
+    return a_is_x, b_is_x
 
 
 def run_ensemble(
@@ -604,21 +648,20 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Monte Carlo ensemble: joint outcome counts over ``n_trials`` emissions.
 
-    Counter-based draws make each chunk independent of execution order, so
-    multi-worker runs return exactly the serial counts.
+    Counter-based draws make each chunk independent of execution order,
+    and the threads' totals are summed as integers, so multi-worker runs
+    return exactly the serial counts.
     """
     n_trials, workers = _check_run_args(model, n_trials, workers)
 
     def count(start: int, a: np.ndarray, b: np.ndarray) -> tuple[int, int, int, int]:
         a_x, b_x = int(np.count_nonzero(a)), int(np.count_nonzero(b))
-        # a is this call's chunk buffer, read already, so it takes a & b in place
+        # a is this thread's chunk buffer, read already, so it takes a & b in place
         xx = int(np.count_nonzero(np.logical_and(a, b, out=a)))
         return xx, a_x - xx, b_x - xx, len(a) - a_x - b_x + xx
 
-    totals = (0, 0, 0, 0)
-    for cells in _map_chunks(model, bench, n_trials, master_seed, workers, count):
-        totals = tuple(map(add, totals, cells))
-    return EnsembleStats(*totals)
+    totals = _map_chunks(_kernel(model, bench, master_seed), 0, n_trials, workers, count)
+    return EnsembleStats(*map(sum, zip(*totals)))
 
 
 def write_trials_csv(f, bench: OpticalBench, a_is_x, b_is_x) -> None:

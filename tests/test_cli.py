@@ -5,11 +5,12 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from biphoton import cli
+from biphoton import cli, engine
 from biphoton.cli import main
 from biphoton.engine import CHUNK, MODEL_NAMES
 from test_golden import CASES, GOLDEN
@@ -131,6 +132,26 @@ def test_unallocatable_trial_dump_exits_2(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "pair", "--format", "csv", "--trials", "10000000000000")
     assert code == 2 and out == ""
     assert err.startswith("error: out of memory: Unable to allocate")
+
+
+def test_out_of_memory_on_a_helper_thread_exits_2(capsys, monkeypatch):
+    # the helper's buffer set cannot be allocated: the MemoryError reaches the
+    # calling thread, which ends the command with exit 2 and no output
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    caller = threading.get_ident()
+    buffers = engine._buffers
+
+    def helper_out_of_memory(size):
+        if threading.get_ident() != caller:
+            raise MemoryError("Unable to allocate 1.69 MiB for the buffers of a helper")
+        return buffers(size)
+
+    monkeypatch.setattr(engine, "_buffers", helper_out_of_memory)
+    before = threading.active_count()
+    code, out, err = run_cli(capsys, "pair", "--format", "csv", "--trials", str(4 * CHUNK), "--workers", "2")
+    assert code == 2 and out == ""
+    assert err == "error: out of memory: Unable to allocate 1.69 MiB for the buffers of a helper\n"
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize(

@@ -3,14 +3,16 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from collections import deque
-from concurrent.futures import Future
 from dataclasses import fields, replace
-from itertools import zip_longest
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -539,108 +541,105 @@ def test_outputs_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     [(8, 3, 3), (2, 3, 2), (8, 1, None), (1, 3, None), (None, 3, None)],
 )
 def test_threads_bounded_by_chunks_and_cores(monkeypatch, cores, n_chunks, threads):
-    # a stand-in pool that records its size and runs every task inline, so
-    # an absurd worker count starts no real thread
-    sizes = []
+    # a stand-in thread that runs its target inline when started, so an
+    # absurd worker count starts no real thread; the calling thread works
+    # too, so a call of ``threads`` threads starts threads - 1 helpers
+    started = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    class InlineThread:
+        def __init__(self, target):
+            self.target = target
 
-        def __enter__(self):
-            return self
+        def start(self):
+            started.append(self)
+            self.target()
 
-        def __exit__(self, *exc):
-            return None
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+        def is_alive(self):
+            return False
 
     n = n_chunks * CHUNK - 5
     serial = run_ensemble("lhv-sign", ROTATED, n, master_seed=3)
     a1, b1 = simulate_outcomes("lhv-sign", ROTATED, n, master_seed=3)
-    monkeypatch.setattr(engine, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(engine.threading, "Thread", InlineThread)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: cores)
+    helpers = 0 if threads is None else threads - 1
     assert run_ensemble("lhv-sign", ROTATED, n, master_seed=3, workers=10**6) == serial
+    assert len(started) == helpers
     a, b = simulate_outcomes("lhv-sign", ROTATED, n, master_seed=3, workers=10**6)
     assert np.array_equal(a, a1) and np.array_equal(b, b1)
-    assert sizes == ([] if threads is None else [threads, threads])
-
-
-def _deferring_pool():
-    """A stand-in pool whose tasks run only when their result is asked for, on the asking thread.
-
-    Returns the pool class and its records: the pool sizes asked for, the
-    tasks in flight, and the number in flight after each submission.
-    """
-    sizes = []
-    in_flight = []
-    most = []
-
-    class Deferred:
-        def __init__(self, fn, args):
-            self.fn, self.args = fn, args
-
-        def result(self):
-            in_flight.remove(self)
-            return self.fn(*self.args)
-
-    class DeferringPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return None
-
-        def submit(self, fn, *args):
-            in_flight.append(Deferred(fn, args))
-            most.append(len(in_flight))
-            return in_flight[-1]
-
-    return DeferringPool, sizes, in_flight, most
+    assert len(started) == 2 * helpers
 
 
 def test_chunks_in_flight_stay_bounded(monkeypatch):
-    # every submitted task stays in flight until its result is handed over
-    DeferringPool, sizes, in_flight, most = _deferring_pool()
+    # four threads over 64 chunks: each makes one buffer set for the call and
+    # has one chunk in progress at a time, from its kernel call until its
+    # consume returns, so at most four chunks are ever in progress
     n = 64 * CHUNK
     serial = run_ensemble("lhv-sign", ROTATED, n, master_seed=5)
     a1, b1 = simulate_outcomes("lhv-sign", ROTATED, n, master_seed=5)
-    monkeypatch.setattr(engine, "ThreadPoolExecutor", DeferringPool)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    buffer_sets = []
+    buffers = engine._buffers
+
+    def counted_buffers(size):
+        buffer_sets.append(size)
+        return buffers(size)
+
+    monkeypatch.setattr(engine, "_buffers", counted_buffers)
     assert run_ensemble("lhv-sign", ROTATED, n, master_seed=5, workers=10**6) == serial
+    assert buffer_sets == [CHUNK] * 4
     a, b = simulate_outcomes("lhv-sign", ROTATED, n, master_seed=5, workers=10**6)
     assert np.array_equal(a, a1) and np.array_equal(b, b1)
-    assert sizes == [4, 4] and not in_flight
-    assert len(most) == 2 * 64 and max(most) == 4 * engine._IN_FLIGHT_PER_THREAD
+    assert buffer_sets == [CHUNK] * 8
+
+    lock = threading.Lock()
+    in_progress, most, starts = [0], [0], []
+    kernel = engine._kernel("lhv-sign", ROTATED, 5)
+
+    def tracked(start, words, flags):
+        with lock:
+            in_progress[0] += 1
+            most[0] = max(most[0], in_progress[0])
+        return kernel(start, words, flags)
+
+    def consume(start, a, b):
+        time.sleep(0.002)  # long enough that the threads' chunks overlap
+        with lock:
+            in_progress[0] -= 1
+            starts.append(start)
+        return int(np.count_nonzero(a)), 1
+
+    totals = engine._map_chunks(tracked, 0, n, 10**6, consume)
+    assert 1 <= len(totals) <= 4 and len(buffer_sets) == 12
+    assert tuple(map(sum, zip(*totals))) == (serial.n_xx + serial.n_xy, 64)
+    assert sorted(starts) == list(range(0, n, CHUNK))
+    assert 1 <= most[0] <= 4 and in_progress == [0]
 
 
 def test_interleaved_calls_on_one_thread_get_the_serial_counts(monkeypatch):
-    # the chunks of three calls run in turn on this thread, each call on its own buffers
-    DeferringPool, sizes, in_flight, _ = _deferring_pool()
+    # three calls at once, each on a real thread of its own and each with
+    # helpers of its own: every call gets its serial bytes and counts
     runs = [("lhv-sign", EARLY, 1000, 21), ("qm", ROTATED, 3 * CHUNK + 5, 22), ("naive", LATE, 2 * CHUNK, 23)]
     serial = [simulate_outcomes(*r) for r in runs]
     counts = [run_ensemble(*r) for r in runs]
-    monkeypatch.setattr(engine, "ThreadPoolExecutor", DeferringPool)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
-    calls = [engine._map_chunks(*r, 10**6, lambda start, a, b: (a.copy(), b.copy())) for r in runs]
-    copied = [[] for _ in runs]
-    # zip_longest takes one chunk of each call in turn
-    for chunks in zip_longest(*calls):
-        for kept, chunk in zip(copied, chunks):
-            if chunk is not None:
-                kept.append(chunk)
-    assert sizes == [4, 2] and not in_flight
-    for (a1, b1), stats, chunks in zip(serial, counts, copied):
-        a, b = np.concatenate([c[0] for c in chunks]), np.concatenate([c[1] for c in chunks])
+    together = threading.Barrier(len(runs))
+    results = [None] * len(runs)
+
+    def call(i):
+        together.wait(timeout=10)
+        results[i] = simulate_outcomes(*runs[i], workers=10**6), run_ensemble(*runs[i], workers=10**6)
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(len(runs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    for (a1, b1), stats, result in zip(serial, counts, results):
+        (a, b), got = result
         assert np.array_equal(a, a1) and np.array_equal(b, b1)
-        xx, a_x, b_x = (int(np.count_nonzero(v)) for v in (a & b, a, b))
-        assert EnsembleStats(xx, a_x - xx, b_x - xx, len(a) - a_x - b_x + xx) == stats
+        assert got == stats
 
 
 def test_threads_classify_into_disjoint_slices_under_stress(monkeypatch):
@@ -681,8 +680,8 @@ def test_dump_outputs_are_the_callers_own(monkeypatch, workers):
 
 def test_a_stalled_chunk_does_not_hold_up_the_queued_ones(monkeypatch):
     # chunk 0 stalls until the other thread has run every other chunk of a
-    # 10^6-trial call: the in-flight window spans the call, so nothing waits
-    # on the in-order handover of chunk 0
+    # 10^6-trial call: chunks are claimed, not handed over in order, so
+    # nothing waits on chunk 0
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
     n = 1_000_000
     others_done = threading.Event()
@@ -696,11 +695,88 @@ def test_a_stalled_chunk_does_not_hold_up_the_queued_ones(monkeypatch):
             consumed.append(start)
             if len(consumed) == math.ceil(n / CHUNK) - 1:
                 others_done.set()
-        return start
+        return (1,)
 
-    starts = list(engine._map_chunks("lhv-sign", ROTATED, n, 5, 2, consume))
+    totals = engine._map_chunks(engine._kernel("lhv-sign", ROTATED, 5), 0, n, 2, consume)
     assert waited == [True]
-    assert starts == list(range(0, n, CHUNK))
+    assert sorted([0, *consumed]) == list(range(0, n, CHUNK))
+    assert sum(t[0] for t in totals) == math.ceil(n / CHUNK)
+
+
+def test_an_exception_on_a_helper_reaches_the_caller(monkeypatch):
+    # the helper raises on its first chunk while the caller waits in its own:
+    # the caller gets the same exception, no chunk is claimed after it, and
+    # the helper has ended by the time the call returns
+    class Boom(Exception):
+        pass
+
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    caller = threading.get_ident()
+    raised = threading.Event()
+    consumed = []
+
+    def consume(start, a, b):
+        consumed.append(start)
+        if threading.get_ident() != caller:
+            raised.set()
+            raise Boom(start)
+        assert raised.wait(timeout=10)
+        return ()
+
+    before = threading.active_count()
+    with pytest.raises(Boom):
+        engine._map_chunks(engine._kernel("naive", ROTATED, 6), 0, 16 * CHUNK, 2, consume)
+    assert threading.active_count() == before
+    assert 1 <= len(consumed) <= 2
+
+
+def test_an_interrupt_of_the_caller_stops_the_helpers(monkeypatch):
+    # the calling thread is interrupted in its chunk while a helper is in its
+    # own: the helper claims no further chunk and is joined, and the caller
+    # gets the KeyboardInterrupt
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    caller = threading.get_ident()
+    helper_busy, interrupted = threading.Event(), threading.Event()
+    consumed = []
+
+    def consume(start, a, b):
+        consumed.append(start)
+        if threading.get_ident() == caller:
+            assert helper_busy.wait(timeout=10)
+            interrupted.set()
+            raise KeyboardInterrupt
+        helper_busy.set()
+        if interrupted.wait(timeout=10):
+            time.sleep(0.05)  # the caller records the interrupt meanwhile
+        return ()
+
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        engine._map_chunks(engine._kernel("qm", ROTATED, 6), 0, 16 * CHUNK, 2, consume)
+    assert threading.active_count() == before
+    assert len(consumed) < 16
+
+
+def test_every_buffer_row_starts_on_a_cache_line():
+    for n in (1, 7, 10**4, 10007, CHUNK):
+        words, flags = engine._buffers(n)
+        assert words.shape == flags.shape == (3, n) and (words.dtype, flags.dtype) == (np.uint64, bool)
+        rows = [*words, *flags]
+        for i, row in enumerate(rows):
+            assert row.ctypes.data % 64 == 0 and row.flags.c_contiguous and row.flags.writeable, (n, i)
+            assert not any(np.shares_memory(row, other) for other in rows[i + 1 :]), (n, i)
+    assert engine._OFFSETS.ctypes.data % 64 == 0
+    assert np.array_equal(engine._OFFSETS, np.arange(CHUNK, dtype=np.uint64))
+    for n in (1, 7, 2 * CHUNK + 7):
+        for v in simulate_outcomes("qm", ROTATED, n, master_seed=4):
+            assert v.ctypes.data % 64 == 0 and v.shape == (n,), n
+
+
+def test_import_leaves_concurrent_futures_out():
+    # the scheduler uses bare threads: importing the package loads no executor
+    env = {**os.environ, "PYTHONPATH": str(Path(engine.__file__).parents[1])}
+    code = "import sys, biphoton; sys.exit('concurrent.futures' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
 @pytest.mark.parametrize("model", MODELS)
