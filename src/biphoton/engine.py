@@ -20,16 +20,18 @@ hidden-angle model compiles to draw thresholds: a draw is k / 2^53, each
 channel is X on one arc of the circle of draws k mod 2^53, and the arc's
 two ends are pinned with the scalar rules of ``local``.  Either way a
 kernel compares the integer draws k from ``rng.uniform_array`` with
-integer thresholds (u < p is k < ceil(p * 2^53)), in place, in buffers
-that each thread of an ensemble reuses from chunk to chunk, every row on a
-64-byte boundary.  An ensemble's calling thread and its helper threads
-claim chunks from one shared sequence, each with one chunk in progress
-and one running total, and no executor is involved.  Draw
-discipline per trial, unchanged by the compilation: the hidden-angle
-model reads one draw (the shared angle at emission); the quantum and
-naive models read draw 0 for the first detection in time order and draw
-1 for the second only if the first leaves it uncertain, which for the
-naive model it never does.
+integer thresholds (u < p is k < ceil(p * 2^53); an lhv-sign outcome
+compares k's offset from one arc end with the arc's width), in place, in
+buffers that each thread of an ensemble reuses from chunk to chunk, every
+row on a 64-byte boundary.  A kernel writes a chunk's two outcome rows,
+the ones it is handed, and returns nothing.  An ensemble's calling thread
+and its helper threads claim chunks from one shared sequence, each with
+one chunk in progress and one running total, and no executor is
+involved.  Draw discipline per trial, unchanged by the compilation: the
+hidden-angle model reads one draw (the shared angle at emission); the
+quantum and naive models read draw 0 for the first detection in time
+order and draw 1 for the second only if the first leaves it uncertain,
+which for the naive model it never does.
 """
 
 from __future__ import annotations
@@ -341,17 +343,16 @@ def _buffers(size: int):
     """One thread's scratch for chunks of up to ``size`` trials, every row on a 64-byte boundary.
 
     Three uint64 rows of words; a chunk's trial indices are made in the
-    row that ``uniform_array`` hashes them into.  Three bool rows: the
-    outcomes of channels A and B, and scratch.  A call that classifies
-    into outcome arrays of its own writes only the scratch row.  The six
-    rows are carved from one block, each a whole number of 64-byte lines
-    apart.
+    row that ``uniform_array`` hashes them into.  Two bool rows: the
+    outcomes of channels A and B, which a call that classifies into
+    outcome arrays of its own never uses.  The five rows are carved from
+    one block, each a whole number of 64-byte lines apart.
     """
     row = (size + 63) & -64
-    block, at = _block(27 * row)
+    block, at = _block(26 * row)
     return (
         np.ndarray((3, size), _WORD, block, at, (8 * row, 8)),
-        np.ndarray((3, size), _FLAG, block, at + 24 * row, (row, 1)),
+        np.ndarray((2, size), _FLAG, block, at + 24 * row, (row, 1)),
     )
 
 
@@ -374,15 +375,16 @@ def _trial_indices(start: int, row):
 def _kernel(model, bench, master_seed):
     """Plan the bench once and return its chunk kernel.
 
-    The kernel maps the first trial index of a chunk, three uint64 word
-    rows of the chunk's length and three bool rows of that length to
-    (a_is_x, b_is_x), classified in place into the first two bool rows;
-    the third is scratch.  The trial indices are made in the word row that
-    ``uniform_array`` turns into ``h1``, its ``out[n_draws - 1]``, which
-    hashes them in place.  A two-detection model
-    samples its branch plan: draw 0 decides the first detection, draw 1
-    the second, read only if the plan leaves it uncertain; ``u < p`` is
-    compared as the integer ``k < _draw_threshold(p)``.
+    The kernel ``outcomes(start, words, a_is_x, b_is_x)`` takes the first
+    trial index of a chunk, three uint64 word rows of the chunk's length
+    and the two bool rows of that length it is handed, writes the chunk's
+    outcomes of channels A and B into those two rows and returns nothing.
+    The trial indices are made in the word row that ``uniform_array``
+    turns into ``h1``, its ``out[n_draws - 1]``, which hashes them in
+    place.  A two-detection model samples its branch plan: draw 0
+    decides the first detection, draw 1 the second, read only if the plan
+    leaves it uncertain; ``u < p`` is compared as the integer
+    ``k < _draw_threshold(p)``.
     """
     if model == "lhv-sign":
         return _lhv_kernel(bench, master_seed)
@@ -401,8 +403,7 @@ def _kernel(model, bench, master_seed):
     zero = _u64(0)
     a_first = first_ch is Channel.A
 
-    def outcomes(start, words, flags):
-        a_is_x, b_is_x = flags[0], flags[1]
+    def outcomes(start, words, a_is_x, b_is_x):
         first_is_x, second_is_x = (a_is_x, b_is_x) if a_first else (b_is_x, a_is_x)
         indices = _trial_indices(start, words[n_draws - 1])
         draws = uniform_array(master_seed, indices, counters, words[: n_draws + 1])
@@ -415,7 +416,6 @@ def _kernel(model, bench, master_seed):
         threshold *= step
         threshold += given_y
         np.less(zero if certain else draws[1], threshold, out=second_is_x)
-        return a_is_x, b_is_x
 
     return outcomes
 
@@ -433,12 +433,13 @@ _WRAP = _DRAWS // 2
 
 
 def _lhv_breakpoints(bench, channel):
-    """One channel of lhv-sign as (outcome X at draw k = 0, the sorted k where it flips).
+    """One channel of lhv-sign as the draws (opens, closes) that end its arc of X.
 
     From the draw where the photon's angle is 0, k going up mod 2^53 sweeps
     the angle over [0, pi) once, so the channel is X on one arc of the draw
     circle: it opens where the angle crosses the setting - pi/4 and closes
-    where it crosses the setting + pi/4.  Each end is estimated in closed
+    where it crosses the setting + pi/4, and it is X at k exactly when k is
+    in [opens, closes), read mod 2^53.  Each end is estimated in closed
     form, then pinned to the draw where the scalar rules (``lhv_photon_a``
     or ``lhv_photon_b``, then ``naive_plate_action`` and ``lhv_outcome``)
     flip, so ties keep their bits.
@@ -475,31 +476,36 @@ def _lhv_breakpoints(bench, channel):
             k += step
         raise AssertionError(f"no lhv-sign flip within reach of draw {k % _DRAWS}")
 
-    arc = {pin(setting.angle - _QUARTER_PI, True), pin(setting.angle + _QUARTER_PI, False)}
+    ends = pin(setting.angle - _QUARTER_PI, True), pin(setting.angle + _QUARTER_PI, False)
     # the restart of a turned angle, from ~pi to 0, flips the outcome only as an arc end
-    if turned and is_x(_WRAP - 1) != is_x(_WRAP) and _WRAP not in arc:
-        raise AssertionError(f"lhv-sign outcome flips at the restart draw {_WRAP}, off its arc {sorted(arc)}")
-    return is_x(0), sorted(arc - {0})
+    if turned and is_x(_WRAP - 1) != is_x(_WRAP) and _WRAP not in ends:
+        raise AssertionError(f"lhv-sign outcome flips at the restart draw {_WRAP}, off its arc {ends}")
+    return ends
 
 
 def _lhv_kernel(bench, master_seed):
-    """Chunk kernel of lhv-sign: each outcome compares the draw with its channel's breakpoints."""
-    plans = []
-    for channel in (Channel.A, Channel.B):
-        x_at_0, flips = _lhv_breakpoints(bench, channel)
-        # X at k = 0, flipped at each breakpoint k has reached; the breakpoints
-        # as 0-d uint64 arrays, which no call has to convert
-        first, *rest = map(_u64, flips)
-        plans.append((np.less if x_at_0 else np.greater_equal, first, rest))
+    """Chunk kernel of lhv-sign: an outcome compares the draw's offset from an arc end with a width.
 
-    def outcomes(start, words, flags):
+    The offset k - end is taken mod 2^64, so a draw below the end lands far
+    above any width.  An arc that does not wrap past draw 0 is X where the
+    offset from its opening is below its width; one that wraps is X where
+    the offset from its closing reaches the width of its gap of Y.
+    """
+
+    def arc(channel):
+        opens, closes = _lhv_breakpoints(bench, channel)
+        # the end and the width as 0-d uint64 arrays, which no call has to convert
+        if opens < closes:
+            return np.less, _u64(opens), _u64(closes - opens)
+        return np.greater_equal, _u64(closes), _u64(opens - closes)
+
+    (compare_a, end_a, width_a), (compare_b, end_b, width_b) = arc(Channel.A), arc(Channel.B)
+
+    def outcomes(start, words, a_is_x, b_is_x):
         draws = uniform_array(master_seed, _trial_indices(start, words[0]), (0,), words[:2])[0]
-        outcome, scratch = (flags[0], flags[1]), flags[2]
-        for is_x, (compare, first, rest) in zip(outcome, plans):
-            compare(draws, first, out=is_x)
-            for k in rest:
-                is_x ^= np.greater_equal(draws, k, out=scratch)
-        return outcome
+        offset = words[1]
+        compare_a(np.subtract(draws, end_a, out=offset), width_a, out=a_is_x)
+        compare_b(np.subtract(draws, end_b, out=offset), width_b, out=b_is_x)
 
     return outcomes
 
@@ -514,7 +520,8 @@ def run_trial(model: str, bench: OpticalBench, master_seed: int, trial_index: in
     """
     _check_model(model)
     trial_index = _integer(trial_index, "trial_index")
-    a_is_x, b_is_x = _kernel(model, bench, master_seed)(trial_index, *_buffers(1))
+    words, (a_is_x, b_is_x) = _buffers(1)
+    _kernel(model, bench, master_seed)(trial_index, words, a_is_x, b_is_x)
     return TrialRecord(
         trial_index,
         model,
@@ -537,36 +544,41 @@ def _check_run_args(model, n_trials, workers):
     return _positive_int("n_trials", n_trials), _positive_int("workers", workers)
 
 
-def _map_chunks(kernel, first, stop, workers, consume, into=None):
-    """Each thread's running total of ``consume(start, a_is_x, b_is_x)`` over trials first .. stop - 1.
+def _cores():
+    """The CPUs this process may run on: its affinity where the platform has one, else the CPU count."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _map_chunks(kernel, n, workers, consume, into=None):
+    """Each thread's running total of ``consume(start, a_is_x, b_is_x)`` over trials 0 .. n - 1.
 
     ``kernel`` is a bench's chunk kernel, and a chunk is a CHUNK-sized run
-    of trials from ``first`` on.  The calling thread classifies chunks
-    itself, next to helper threads up to ``workers``, the chunk count and
-    the cores, one thread in all.  Every thread claims the next chunk start
-    from one shared iterator under a lock, so each has one chunk in
-    progress at a time, and counter-based draws make a chunk's outcomes
-    the same whichever thread runs it: the results are the same for any
-    thread count.  Each thread classifies its chunks in one set of
-    ``_buffers``, which ``consume`` must be done with when it returns, and
+    of trials.  The calling thread classifies chunks itself, next to
+    helper threads up to ``workers``, the chunk count and the CPUs this
+    process may run on, one thread in all.  Every thread claims the next
+    chunk start from one shared iterator under a lock, so each has one
+    chunk in progress at a time, and counter-based draws make a chunk's
+    outcomes the same whichever thread runs it: the results are the same
+    for any thread count.  Each thread classifies its chunks in one set of
+    ``_buffers``, handing the kernel its word rows and two bool rows,
+    which ``consume`` then gets and must be done with when it returns, and
     keeps one running total, the elementwise sum of the integer tuples
     ``consume`` returns; a thread that got no chunk has none.  No state of
     a chunk outlives it, so memory stays bounded at any trial count.
-    Given ``into``, two bool arrays of stop - first, each chunk is
-    classified straight into its slices of them, which ``consume`` then
-    gets, and the set's bool rows serve only as scratch.  A chunk's trial
-    indices are the shared ``_OFFSETS`` plus its start, made in one of its
-    word rows, and chunk 0's are a prefix of the offsets, so a one-chunk
-    call allocates nothing beyond its buffer set.  The helpers are joined
-    before the call returns; the first exception raised on any thread,
-    an interrupt of the calling thread included, stops further claims and
-    is raised here.
+    Given ``into``, two bool arrays of n, the two rows handed over are
+    the chunk's slices of them instead, and the set's bool rows go unused.
+    A chunk's trial indices are the shared ``_OFFSETS`` plus its start,
+    made in one of its word rows, and chunk 0's are a prefix of the
+    offsets, so a one-chunk call allocates nothing beyond its buffer set.
+    The helpers are joined before the call returns; the first exception
+    raised on any thread, an interrupt of the calling thread included,
+    stops further claims and is raised here.
     """
-    size = min(stop - first, CHUNK)
-    starts = range(first, stop, CHUNK)
+    size = min(n, CHUNK)
+    starts = range(0, n, CHUNK)
     threads = min(workers, len(starts))
     if threads > 1:
-        threads = min(threads, os.cpu_count() or 1)
+        threads = min(threads, _cores())
     claims = iter(starts)
     lock = threading.Lock()
     # appends to a list are atomic, also on a free-threaded build; the lock
@@ -582,13 +594,14 @@ def _map_chunks(kernel, first, stop, workers, consume, into=None):
                     start = None if errors else next(claims, None)
                 if start is None:
                     break
-                m = min(size, stop - start)
+                m = min(size, n - start)
                 # a full chunk takes the buffers as they are, the last one a prefix
                 chunk_words, rows = (words, flags) if m == size else (words[:, :m], flags[:, :m])
                 if into is not None:
-                    at = start - first
-                    rows = (into[0][at : at + m], into[1][at : at + m], rows[2])
-                cells = consume(start, *kernel(start, chunk_words, rows))
+                    rows = into[0][start : start + m], into[1][start : start + m]
+                a_is_x, b_is_x = rows
+                kernel(start, chunk_words, a_is_x, b_is_x)
+                cells = consume(start, a_is_x, b_is_x)
                 total = cells if total is None else tuple(map(add, total, cells))
             if total is not None:
                 totals.append(total)
@@ -635,7 +648,7 @@ def simulate_outcomes(
     block, at = _block(2 * row)
     a_is_x, b_is_x = np.ndarray((2, n_trials), _FLAG, block, at, (row, 1))
     kernel = _kernel(model, bench, master_seed)
-    _map_chunks(kernel, 0, n_trials, workers, lambda *chunk: (), (a_is_x, b_is_x))
+    _map_chunks(kernel, n_trials, workers, lambda *chunk: (), (a_is_x, b_is_x))
     return a_is_x, b_is_x
 
 
@@ -660,7 +673,7 @@ def run_ensemble(
         xx = int(np.count_nonzero(np.logical_and(a, b, out=a)))
         return xx, a_x - xx, b_x - xx, len(a) - a_x - b_x + xx
 
-    totals = _map_chunks(_kernel(model, bench, master_seed), 0, n_trials, workers, count)
+    totals = _map_chunks(_kernel(model, bench, master_seed), n_trials, workers, count)
     return EnsembleStats(*map(sum, zip(*totals)))
 
 

@@ -137,7 +137,7 @@ def test_unallocatable_trial_dump_exits_2(capsys, monkeypatch):
 def test_out_of_memory_on_a_helper_thread_exits_2(capsys, monkeypatch):
     # the helper's buffer set cannot be allocated: the MemoryError reaches the
     # calling thread, which ends the command with exit 2 and no output
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine, "_cores", lambda: 2)
     caller = threading.get_ident()
     buffers = engine._buffers
 

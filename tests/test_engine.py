@@ -13,6 +13,7 @@ import warnings
 from collections import deque
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -218,7 +219,7 @@ def test_kernels_and_run_trial_match_per_trial_reference():
 def test_kernels_match_per_trial_reference_past_chunk_0(monkeypatch, workers):
     # past chunk 0 the trial indices are made in the word row that is hashed
     # in place: replay the rows either side of each chunk boundary and the last
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine, "_cores", lambda: 2)
     n = 2 * CHUNK + 7
     rows = [CHUNK - 1, CHUNK, 2 * CHUNK, n - 1]
     for bench in REPLAY_BENCHES:
@@ -239,9 +240,8 @@ def _lhv_plans(bench):
 
 
 def _breakpoint_draws(bench):
-    """The draws k just before, on and just after each compiled lhv-sign breakpoint."""
-    ks = {k + step for _, flips in _lhv_plans(bench) for k in flips for step in (-1, 0, 1)}
-    return [k for k in sorted(ks) if k < 2**53]
+    """The draws k just before, on and just after each compiled lhv-sign arc end, mod 2^53."""
+    return sorted({(k + step) % 2**53 for ends in _lhv_plans(bench) for k in ends for step in (-1, 0, 1)})
 
 
 def _assert_kernel_matches_reference_on(monkeypatch, model, bench, draws):
@@ -311,25 +311,27 @@ _ANGLES = st.one_of(
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(alpha=_ANGLES, beta=_ANGLES, plate=st.booleans())
 def test_lhv_breakpoints_agree_with_scalar_rule(alpha, beta, plate):
-    # the compiled outcome holds from draw 0 and flips at each breakpoint,
-    # read off the per-trial reference on either side of every breakpoint;
-    # the X draws are one arc of the draw circle, so there are one or two
-    # breakpoints, and a turned photon's restart flips the outcome only as one
+    # the compiled outcome is X on the arc [opens, closes) of the draw circle:
+    # the per-trial reference flips to X exactly at the opening and to Y
+    # exactly at the closing, a turned photon's restart flips it only as an
+    # arc end, and the draws on and beside 0 and the restart are on the arc
+    # exactly when the reference reads X there
     bench = OpticalBench(alpha=alpha, beta=beta, plate_present=plate)
-    for side, (x_at_0, flips) in enumerate(_lhv_plans(bench)):
+    for side, (opens, closes) in enumerate(_lhv_plans(bench)):
 
         def is_x(k):
-            return reference_trial("lhv-sign", bench, lambda _: k * 2.0**-53)[side] is PolAxis.X
+            u = k % 2**53 * 2.0**-53
+            return reference_trial("lhv-sign", bench, lambda _: u)[side] is PolAxis.X
 
-        assert 1 <= len(flips) <= 2 and is_x(0) == x_at_0
+        assert 0 <= opens < 2**53 and 0 <= closes < 2**53 and opens != closes, (side, opens, closes)
+        assert is_x(opens) and not is_x(opens - 1), (side, opens)
+        assert not is_x(closes) and is_x(closes - 1), (side, closes)
         turned = side == 1 or plate
         if turned and is_x(engine._WRAP - 1) != is_x(engine._WRAP):
-            assert engine._WRAP in flips, (side, flips)
-        x = x_at_0
-        for k in flips:
-            assert is_x(k - 1) == x != is_x(k), (side, k)
-            x = not x
-        assert is_x(2**53 - 1) == x
+            assert engine._WRAP in (opens, closes), (side, opens, closes)
+        for k in (0, 1, engine._WRAP - 1, engine._WRAP, 2**53 - 1):
+            on_arc = (k - opens) % 2**53 < (closes - opens) % 2**53
+            assert is_x(k) == on_arc, (side, k)
 
 
 @settings(max_examples=500, derandomize=True, deadline=None, database=None)
@@ -446,9 +448,10 @@ def test_draw_discipline(monkeypatch, model, bench, counters):
 
 def test_lhv_plan_pins_take_few_scalar_evaluations(monkeypatch):
     # a channel reads one photon, and most pins land on their flip in two
-    # evaluations: a plan needs 5 (unturned) or 7 (turned, restart check
-    # included) at the least, and took 8.2 on average when both photons
-    # were made and the estimate fell a draw short of most closing flips
+    # evaluations: a plan needs 4 (unturned) or 6 (turned, restart check
+    # included) at the least; it took 8.2 on average when both photons were
+    # made and the estimate fell a draw short of most closing flips, and
+    # 6.74 while it also read the outcome at draw 0
     evaluations = []
     outcome = engine.lhv_outcome
     monkeypatch.setattr(engine, "lhv_outcome", lambda *args: evaluations.append(1) or outcome(*args))
@@ -459,7 +462,7 @@ def test_lhv_plan_pins_take_few_scalar_evaluations(monkeypatch):
             for channel in (Channel.A, Channel.B):
                 engine._lhv_breakpoints(bench, channel)
                 plans += 1
-    assert len(evaluations) / plans <= 7.0
+    assert len(evaluations) / plans <= 6.0
 
 
 class _CountingMath:
@@ -561,13 +564,36 @@ def test_threads_bounded_by_chunks_and_cores(monkeypatch, cores, n_chunks, threa
     serial = run_ensemble("lhv-sign", ROTATED, n, master_seed=3)
     a1, b1 = simulate_outcomes("lhv-sign", ROTATED, n, master_seed=3)
     monkeypatch.setattr(engine.threading, "Thread", InlineThread)
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: cores)
+    if cores is None:  # a platform that reports neither an affinity nor a CPU count
+        monkeypatch.setattr(engine, "os", SimpleNamespace(cpu_count=lambda: None))
+    else:
+        monkeypatch.setattr(engine, "_cores", lambda: cores)
     helpers = 0 if threads is None else threads - 1
     assert run_ensemble("lhv-sign", ROTATED, n, master_seed=3, workers=10**6) == serial
     assert len(started) == helpers
     a, b = simulate_outcomes("lhv-sign", ROTATED, n, master_seed=3, workers=10**6)
     assert np.array_equal(a, a1) and np.array_equal(b, b1)
     assert len(started) == 2 * helpers
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="the platform sets no CPU affinity")
+def test_an_affinity_of_one_cpu_starts_no_helper(monkeypatch):
+    # the machine reports two CPUs, but the calling thread may run on one:
+    # a 4-chunk call at two workers classifies every chunk itself
+    bench, n = OpticalBench(), 4 * CHUNK
+    serial = run_ensemble("qm", bench, n, master_seed=1)
+    started = []
+    thread = engine.threading.Thread
+    monkeypatch.setattr(engine.threading, "Thread", lambda target: started.append(target) or thread(target=target))
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        assert engine._cores() == 1
+        assert run_ensemble("qm", bench, n, master_seed=1, workers=2) == serial
+    finally:
+        os.sched_setaffinity(0, mask)
+    assert started == []
 
 
 def test_chunks_in_flight_stay_bounded(monkeypatch):
@@ -577,7 +603,7 @@ def test_chunks_in_flight_stay_bounded(monkeypatch):
     n = 64 * CHUNK
     serial = run_ensemble("lhv-sign", ROTATED, n, master_seed=5)
     a1, b1 = simulate_outcomes("lhv-sign", ROTATED, n, master_seed=5)
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(engine, "_cores", lambda: 4)
     buffer_sets = []
     buffers = engine._buffers
 
@@ -596,11 +622,11 @@ def test_chunks_in_flight_stay_bounded(monkeypatch):
     in_progress, most, starts = [0], [0], []
     kernel = engine._kernel("lhv-sign", ROTATED, 5)
 
-    def tracked(start, words, flags):
+    def tracked(start, words, a_is_x, b_is_x):
         with lock:
             in_progress[0] += 1
             most[0] = max(most[0], in_progress[0])
-        return kernel(start, words, flags)
+        kernel(start, words, a_is_x, b_is_x)
 
     def consume(start, a, b):
         time.sleep(0.002)  # long enough that the threads' chunks overlap
@@ -609,7 +635,7 @@ def test_chunks_in_flight_stay_bounded(monkeypatch):
             starts.append(start)
         return int(np.count_nonzero(a)), 1
 
-    totals = engine._map_chunks(tracked, 0, n, 10**6, consume)
+    totals = engine._map_chunks(tracked, n, 10**6, consume)
     assert 1 <= len(totals) <= 4 and len(buffer_sets) == 12
     assert tuple(map(sum, zip(*totals))) == (serial.n_xx + serial.n_xy, 64)
     assert sorted(starts) == list(range(0, n, CHUNK))
@@ -622,7 +648,7 @@ def test_interleaved_calls_on_one_thread_get_the_serial_counts(monkeypatch):
     runs = [("lhv-sign", EARLY, 1000, 21), ("qm", ROTATED, 3 * CHUNK + 5, 22), ("naive", LATE, 2 * CHUNK, 23)]
     serial = [simulate_outcomes(*r) for r in runs]
     counts = [run_ensemble(*r) for r in runs]
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(engine, "_cores", lambda: 4)
     together = threading.Barrier(len(runs))
     results = [None] * len(runs)
 
@@ -645,7 +671,7 @@ def test_interleaved_calls_on_one_thread_get_the_serial_counts(monkeypatch):
 def test_threads_classify_into_disjoint_slices_under_stress(monkeypatch):
     # more threads than cores, switching often, all writing the same two
     # output arrays: a chunk written outside its slice would break the bytes
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(engine, "_cores", lambda: 4)
     n = 6 * CHUNK + 11
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -662,7 +688,7 @@ def test_threads_classify_into_disjoint_slices_under_stress(monkeypatch):
 def test_dump_outputs_are_the_callers_own(monkeypatch, workers):
     # the chunks land in the two arrays a call returns, which share memory
     # with nothing: writing to them changes no later call or replay
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine, "_cores", lambda: 2)
     n = 2 * CHUNK + 7
     want_a, want_b = simulate_outcomes("qm", ROTATED, n, master_seed=4, workers=workers)
     replay = run_trial("qm", ROTATED, master_seed=4, trial_index=0)
@@ -682,7 +708,7 @@ def test_a_stalled_chunk_does_not_hold_up_the_queued_ones(monkeypatch):
     # chunk 0 stalls until the other thread has run every other chunk of a
     # 10^6-trial call: chunks are claimed, not handed over in order, so
     # nothing waits on chunk 0
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine, "_cores", lambda: 2)
     n = 1_000_000
     others_done = threading.Event()
     consumed = []
@@ -697,7 +723,7 @@ def test_a_stalled_chunk_does_not_hold_up_the_queued_ones(monkeypatch):
                 others_done.set()
         return (1,)
 
-    totals = engine._map_chunks(engine._kernel("lhv-sign", ROTATED, 5), 0, n, 2, consume)
+    totals = engine._map_chunks(engine._kernel("lhv-sign", ROTATED, 5), n, 2, consume)
     assert waited == [True]
     assert sorted([0, *consumed]) == list(range(0, n, CHUNK))
     assert sum(t[0] for t in totals) == math.ceil(n / CHUNK)
@@ -710,7 +736,7 @@ def test_an_exception_on_a_helper_reaches_the_caller(monkeypatch):
     class Boom(Exception):
         pass
 
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine, "_cores", lambda: 2)
     caller = threading.get_ident()
     raised = threading.Event()
     consumed = []
@@ -725,7 +751,7 @@ def test_an_exception_on_a_helper_reaches_the_caller(monkeypatch):
 
     before = threading.active_count()
     with pytest.raises(Boom):
-        engine._map_chunks(engine._kernel("naive", ROTATED, 6), 0, 16 * CHUNK, 2, consume)
+        engine._map_chunks(engine._kernel("naive", ROTATED, 6), 16 * CHUNK, 2, consume)
     assert threading.active_count() == before
     assert 1 <= len(consumed) <= 2
 
@@ -734,7 +760,7 @@ def test_an_interrupt_of_the_caller_stops_the_helpers(monkeypatch):
     # the calling thread is interrupted in its chunk while a helper is in its
     # own: the helper claims no further chunk and is joined, and the caller
     # gets the KeyboardInterrupt
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine, "_cores", lambda: 2)
     caller = threading.get_ident()
     helper_busy, interrupted = threading.Event(), threading.Event()
     consumed = []
@@ -752,7 +778,7 @@ def test_an_interrupt_of_the_caller_stops_the_helpers(monkeypatch):
 
     before = threading.active_count()
     with pytest.raises(KeyboardInterrupt):
-        engine._map_chunks(engine._kernel("qm", ROTATED, 6), 0, 16 * CHUNK, 2, consume)
+        engine._map_chunks(engine._kernel("qm", ROTATED, 6), 16 * CHUNK, 2, consume)
     assert threading.active_count() == before
     assert len(consumed) < 16
 
@@ -760,7 +786,7 @@ def test_an_interrupt_of_the_caller_stops_the_helpers(monkeypatch):
 def test_every_buffer_row_starts_on_a_cache_line():
     for n in (1, 7, 10**4, 10007, CHUNK):
         words, flags = engine._buffers(n)
-        assert words.shape == flags.shape == (3, n) and (words.dtype, flags.dtype) == (np.uint64, bool)
+        assert (words.shape, flags.shape) == ((3, n), (2, n)) and (words.dtype, flags.dtype) == (np.uint64, bool)
         rows = [*words, *flags]
         for i, row in enumerate(rows):
             assert row.ctypes.data % 64 == 0 and row.flags.c_contiguous and row.flags.writeable, (n, i)
@@ -795,7 +821,7 @@ def test_ensemble_memory_does_not_grow_with_chunks(model):
 
 @pytest.mark.parametrize("model", MODELS)
 def test_one_chunk_ensemble_allocates_only_its_buffers(model):
-    # a warm one-chunk call holds three uint64 rows and three bool rows; the
+    # a warm one-chunk call holds three uint64 rows and two bool rows; the
     # trial offsets are a module constant and the XX count takes no array
     n = 10_000
     run_ensemble(model, ROTATED, n, master_seed=8)
@@ -805,13 +831,13 @@ def test_one_chunk_ensemble_allocates_only_its_buffers(model):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 8 * n + 3 * n + n
+    assert peak <= 3 * 8 * n + 2 * n + n
 
 
 @pytest.mark.parametrize("model", MODELS)
 def test_serial_dump_allocates_its_outputs_and_one_buffer_set(model):
     # a warm serial call past chunk 0 holds its two outputs and one set of
-    # three uint64 and three bool rows: the indices are hashed in the word
+    # three uint64 and two bool rows: the indices are hashed in the word
     # row they are made in, and the chunks are classified into the outputs,
     # not copied there; 16 KiB covers the plan and the call's small objects
     n = 2 * CHUNK + 7
@@ -822,7 +848,7 @@ def test_serial_dump_allocates_its_outputs_and_one_buffer_set(model):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * n + 3 * 8 * CHUNK + 3 * CHUNK + 16 * 1024
+    assert peak <= 2 * n + 3 * 8 * CHUNK + 2 * CHUNK + 16 * 1024
 
 
 def test_run_ensemble_argument_validation():
@@ -1040,10 +1066,10 @@ def _naive_sign_rule_table(bench):
 def _lhv_sampler_table(bench):
     """The exact lhv-sign sampler table: lengths of the compiled draw intervals over 2^53."""
     plans = _lhv_plans(bench)
-    edges = sorted({0, 2**53}.union(*(flips for _, flips in plans)))
+    edges = sorted({0, 2**53}.union(*plans))
     counts = [0, 0, 0, 0]
     for lo, hi in zip(edges, edges[1:]):
-        a_x, b_x = (x_at_0 != (sum(k <= lo for k in flips) % 2 == 1) for x_at_0, flips in plans)
+        a_x, b_x = ((lo - opens) % 2**53 < (closes - opens) % 2**53 for opens, closes in plans)
         counts[2 * (not a_x) + (not b_x)] += hi - lo
     return np.array(counts) / 2**53
 

@@ -77,7 +77,7 @@ CASES.update(
 CASES.update({name: argv + ["--config", BENCH, "--trials", TRIALS] for name, argv in _CONFIGS.items()})
 
 #: cases rerun with --workers 2, which must reproduce the serial golden file
-PARALLEL = ["pair-qm-csv", "order-test-naive-json", "sweep-lhv-sign-csv"]
+PARALLEL = ["pair-qm-csv", "pair-lhv-sign-csv", "pair-naive-csv", "order-test-naive-json", "sweep-lhv-sign-csv"]
 
 #: cases rerun with --out FILE, which must hold the golden stdout bytes
 OUT = ["pair-qm-csv", "pair-config-qm-text", "chsh-naive-json", "sweep-config-lhv-sign-csv"]
