@@ -10,6 +10,8 @@ round-trips exactly.  All randomness hangs off --seed (or
 ENTANGLE_BENCH_SEED when the flag is absent), making each invocation
 reproducible byte for byte, for any worker count.
 
+A subcommand's flags are added to its parser when that subcommand parses.
+
 Exit codes: 0 success (a reader closing stdout early included), 2
 unusable arguments or configuration (an unwritable --out file or stdout
 and a run too large to allocate included), 3 unknown model name.
@@ -19,9 +21,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
+import shutil
+import stat
 import sys
 
 from .engine import (
@@ -358,6 +363,9 @@ def _cmd_sweep(args) -> str:
     if not span < _MAX_SWEEP_ROWS:  # an overflowing span included
         raise ValueError(f"sweep range has too many rows: more than {_MAX_SWEEP_ROWS}")
     n_rows = math.floor(span) + 1
+    # the rows' angles rise to the last one's
+    if not math.isfinite(args.start + (n_rows - 1) * args.step):
+        raise ValueError(f"sweep range overflows: --start + {n_rows - 1} * --step is not finite degrees")
     cfg = _bench_config(args)
     bench = _bench(cfg)
     rows = []
@@ -439,20 +447,13 @@ def _add_bench_flags(p: argparse.ArgumentParser, skip: str = "") -> None:
             p.add_argument(flag, dest=key, type=float, help=help_text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="biphoton",
-        description="Simulate timed polarization measurements on photon pairs "
-        "under the quantum model and two local contrast models.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pair", help="run one bench and report joint outcome statistics")
+def _pair_flags(p: argparse.ArgumentParser) -> None:
     _add_run_flags(p, "number of emitted pairs")
     _add_bench_flags(p)
     p.set_defaults(func=_cmd_pair)
 
-    p = sub.add_parser("order-test", help="compare early and late channel-B detection benches")
+
+def _order_test_flags(p: argparse.ArgumentParser) -> None:
     _add_run_flags(p, "number of emitted pairs per bench")
     _add_bench_flags(p, skip="d_prism_b_m")  # the two --d-prism-b-* flags set it
     p.add_argument(
@@ -469,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_order_test)
 
-    p = sub.add_parser("chsh", help="estimate the CHSH sum S at four setting pairs")
+
+def _chsh_flags(p: argparse.ArgumentParser) -> None:
     _add_run_flags(p, "number of emitted pairs per setting pair")
     p.add_argument(
         "--angles",
@@ -479,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_plate_flag(p)
     p.set_defaults(func=_cmd_chsh, plate_present=True)
 
-    p = sub.add_parser("sweep", help="sweep one analyzer and tabulate the correlator")
+
+def _sweep_flags(p: argparse.ArgumentParser) -> None:
     _add_run_flags(p, "number of emitted pairs per sweep row")
     _add_bench_flags(p)
     p.add_argument("--axis", choices=("alpha", "beta"), default="alpha", help="which analyzer to sweep")
@@ -488,7 +491,96 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=7.5, help="angle increment in degrees")
     p.set_defaults(func=_cmd_sweep)
 
+
+#: subcommand -> (its line in the top-level help, the function adding its flags and defaults)
+_SUBCOMMANDS = {
+    "pair": ("run one bench and report joint outcome statistics", _pair_flags),
+    "order-test": ("compare early and late channel-B detection benches", _order_test_flags),
+    "chsh": ("estimate the CHSH sum S at four setting pairs", _chsh_flags),
+    "sweep": ("sweep one analyzer and tabulate the correlator", _sweep_flags),
+}
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its flags when it first parses.
+
+    A call parses one subcommand, so the others never build their flags
+    (each ``add_argument`` also builds a help formatter).
+    """
+
+    def __init__(self, *args, add_flags, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_flags = add_flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_flags is not None:
+            self._add_flags(self)
+            self._add_flags = None
+        return super().parse_known_args(args, namespace)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # every formatter would read the terminal size; this reads it once, as they would
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = argparse.ArgumentParser(
+        prog="biphoton",
+        description="Simulate timed polarization measurements on photon pairs "
+        "under the quantum model and two local contrast models.",
+        formatter_class=formatter,
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
+    for name, (help_text, add_flags) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=help_text, add_flags=add_flags, formatter_class=formatter)
     return parser
+
+
+# ---------------------------------------------------------------------------
+# output
+
+
+def _is_stdout(st: os.stat_result) -> bool:
+    try:
+        return os.path.samestat(st, os.fstat(1))
+    except OSError:  # stdout is closed
+        return False
+
+
+@contextlib.contextmanager
+def _out_file(path: str):
+    """A binary file for --out: a regular or new file ends up whole, or as it was.
+
+    Such a target (for a symlink, the file it points to) is written as a
+    new file beside it, with the target's permission bits or those a new
+    file gets, which replaces the target only after the block has run;
+    any exception, an interrupt included, removes it instead.  A target
+    that exists and is not a regular file (a device, a FIFO) or is the
+    file open on stdout (``/dev/stdout``) is written in place.
+    """
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and (not stat.S_ISREG(st.st_mode) or _is_stdout(st)):
+        with open(path, "wb") as f:
+            yield f
+        return
+    target = os.path.realpath(path)
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # open(path, "wb")'s bits
+    except OSError as exc:  # name the target, not the file beside it
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "wb") as f:
+            if st is not None:
+                os.chmod(tmp, stat.S_IMODE(st.st_mode))
+            yield f
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def main(argv=None) -> int:
@@ -514,7 +606,7 @@ def main(argv=None) -> int:
     try:
         if not args.out:
             sys.stdout.flush()  # text already written to stdout goes first
-        with open(args.out, "wb") if args.out else contextlib.nullcontext(sys.stdout.buffer) as f:
+        with _out_file(args.out) if args.out else contextlib.nullcontext(sys.stdout.buffer) as f:
             write(f)
             f.flush()
     except OSError as exc:

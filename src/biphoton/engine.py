@@ -339,21 +339,19 @@ def _block(nbytes: int):
     return block, -addressof(c_char.from_buffer(block)) & 63
 
 
-def _buffers(size: int):
+def _buffers(size: int, outcomes: bool = True):
     """One thread's scratch for chunks of up to ``size`` trials, every row on a 64-byte boundary.
 
     Three uint64 rows of words; a chunk's trial indices are made in the
-    row that ``uniform_array`` hashes them into.  Two bool rows: the
-    outcomes of channels A and B, which a call that classifies into
-    outcome arrays of its own never uses.  The five rows are carved from
-    one block, each a whole number of 64-byte lines apart.
+    row that ``uniform_array`` hashes them into.  Two bool rows, the
+    outcomes of channels A and B, or None when ``outcomes`` is false, for
+    a call that classifies into outcome arrays of its own.  The rows are
+    carved from one block, each a whole number of 64-byte lines apart.
     """
     row = (size + 63) & -64
-    block, at = _block(26 * row)
-    return (
-        np.ndarray((3, size), _WORD, block, at, (8 * row, 8)),
-        np.ndarray((2, size), _FLAG, block, at + 24 * row, (row, 1)),
-    )
+    block, at = _block((26 if outcomes else 24) * row)
+    words = np.ndarray((3, size), _WORD, block, at, (8 * row, 8))
+    return words, np.ndarray((2, size), _FLAG, block, at + 24 * row, (row, 1)) if outcomes else None
 
 
 #: the trial offsets within a chunk, 0 .. CHUNK - 1: made once, read-only,
@@ -566,7 +564,8 @@ def _map_chunks(kernel, n, workers, consume, into=None):
     ``consume`` returns; a thread that got no chunk has none.  No state of
     a chunk outlives it, so memory stays bounded at any trial count.
     Given ``into``, two bool arrays of n, the two rows handed over are
-    the chunk's slices of them instead, and the set's bool rows go unused.
+    the chunk's slices of them instead, and the buffer sets have no bool
+    rows.
     A chunk's trial indices are the shared ``_OFFSETS`` plus its start,
     made in one of its word rows, and chunk 0's are a prefix of the
     offsets, so a one-chunk call allocates nothing beyond its buffer set.
@@ -587,7 +586,7 @@ def _map_chunks(kernel, n, workers, consume, into=None):
 
     def work():
         try:
-            words, flags = _buffers(size)
+            words, flags = _buffers(size, into is None)
             total = None
             while True:
                 with lock:
@@ -596,10 +595,11 @@ def _map_chunks(kernel, n, workers, consume, into=None):
                     break
                 m = min(size, n - start)
                 # a full chunk takes the buffers as they are, the last one a prefix
-                chunk_words, rows = (words, flags) if m == size else (words[:, :m], flags[:, :m])
-                if into is not None:
-                    rows = into[0][start : start + m], into[1][start : start + m]
-                a_is_x, b_is_x = rows
+                chunk_words = words if m == size else words[:, :m]
+                if into is None:
+                    a_is_x, b_is_x = flags if m == size else flags[:, :m]
+                else:
+                    a_is_x, b_is_x = into[0][start : start + m], into[1][start : start + m]
                 kernel(start, chunk_words, a_is_x, b_is_x)
                 cells = consume(start, a_is_x, b_is_x)
                 total = cells if total is None else tuple(map(add, total, cells))

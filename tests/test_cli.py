@@ -67,6 +67,16 @@ def test_bad_sweep_step_exits_2(capsys):
         assert err.startswith("error: sweep range has too many rows")
 
 
+def test_overflowing_sweep_angle_names_the_sweep_flags(capsys):
+    # every flag is finite and the range has two rows, but the second row's
+    # angle overflows; the error blamed "bench config key alpha_deg"
+    code, out, err = run_cli(
+        capsys, "sweep", "--start=7.976931348623167e307", "--stop=1.7976931348623157e308", "--step=1e308"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: sweep range overflows: --start + 1 * --step is not finite degrees\n"
+
+
 def test_empty_sweep_range_exits_2(capsys):
     code, _, _ = run_cli(
         capsys, "sweep", "--trials", "10", "--start", "20", "--stop", "10"
@@ -141,10 +151,10 @@ def test_out_of_memory_on_a_helper_thread_exits_2(capsys, monkeypatch):
     caller = threading.get_ident()
     buffers = engine._buffers
 
-    def helper_out_of_memory(size):
+    def helper_out_of_memory(size, *outcomes):
         if threading.get_ident() != caller:
             raise MemoryError("Unable to allocate 1.69 MiB for the buffers of a helper")
-        return buffers(size)
+        return buffers(size, *outcomes)
 
     monkeypatch.setattr(engine, "_buffers", helper_out_of_memory)
     before = threading.active_count()
@@ -235,6 +245,76 @@ def test_full_device_exits_2_with_one_error_line(argv, target):
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+def _old_file(tmp_path, mode=0o640):
+    path = tmp_path / "dump.csv"
+    path.write_bytes(b"precious")
+    path.chmod(mode)
+    return path
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn")
+def test_failed_out_write_leaves_the_old_file(tmp_path):
+    # the file size limit is set in the child only: the dump outgrows it, so
+    # a write fails midway, and the target keeps its old bytes and nothing
+    # is left beside it
+    import resource
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (100 * 1024, 100 * 1024))
+
+    path = _old_file(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    cmd = [sys.executable, "-m", "biphoton", "pair", "--format", "csv", "--trials", "200000", "--out", str(path)]
+    proc = subprocess.run(cmd, capture_output=True, env=env, preexec_fn=limit_file_size, timeout=120)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write {path}: ")
+    assert path.read_bytes() == b"precious" and os.listdir(tmp_path) == [path.name]
+
+
+def test_interrupted_out_write_leaves_the_old_file(monkeypatch, tmp_path):
+    path = _old_file(tmp_path)
+
+    def interrupted(f, *args):
+        f.write(b"trial,")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "write_trials_csv", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["pair", "--format", "csv", "--trials", "10", "--out", str(path)])
+    assert path.read_bytes() == b"precious" and os.listdir(tmp_path) == [path.name]
+
+
+def test_out_replaces_a_file_through_a_symlink_and_keeps_its_mode(capsys, tmp_path):
+    path = _old_file(tmp_path, mode=0o604)
+    link = tmp_path / "link.txt"
+    link.symlink_to(path.name)
+    code, out, err = run_cli(capsys, "pair", "--trials", "10", "--out", str(link))
+    assert (code, out, err) == (0, "", "")
+    assert link.is_symlink() and path.read_bytes().startswith(b"model qm\n")
+    assert path.stat().st_mode & 0o7777 == 0o604
+    # a new file gets the bits open(path, "wb") gives
+    new, reference = tmp_path / "new.txt", tmp_path / "reference.txt"
+    reference.open("wb").close()
+    assert run_cli(capsys, "pair", "--trials", "10", "--out", str(new))[0] == 0
+    assert new.stat().st_mode == reference.stat().st_mode
+    assert sorted(os.listdir(tmp_path)) == ["dump.csv", "link.txt", "new.txt", "reference.txt"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_out_open_on_stdout_is_written_in_place(tmp_path):
+    # --out /dev/stdout with stdout on a regular file writes that file, not a
+    # new one renamed over it
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    cmd = [sys.executable, "-m", "biphoton", "pair", "--trials", "10", "--out", "/dev/stdout"]
+    path = tmp_path / "stdout.txt"
+    with open(path, "wb") as stdout:
+        before = os.fstat(stdout.fileno()).st_ino
+        assert subprocess.run(cmd, stdout=stdout, env=env, timeout=120).returncode == 0
+    assert path.stat().st_ino == before and path.read_bytes().startswith(b"model qm\n")
+    assert os.listdir(tmp_path) == [path.name]
+
+
 def test_bad_env_seed_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("ENTANGLE_BENCH_SEED", "not-a-number")
     code, _, _ = run_cli(capsys, "pair", "--trials", "10")
@@ -274,6 +354,24 @@ def test_help_states_units(capsys, command):
     assert "integer" in text  # the seed flag
     if command != "chsh":
         assert "meters" in text
+
+
+#: help and usage errors of the cli at 9077e1c, which built every
+#: subcommand's flags up front, recorded under COLUMNS=80 on Python 3.10.13,
+#: 3.11.7, 3.12.1, 3.13.0 and 3.13.13; each stderr wording seen is listed
+#: (3.13.13 drops the quotes around an invalid choice's options)
+USAGE = json.loads((GOLDEN / "usage.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", USAGE, ids=lambda case: " ".join(case["argv"]) or "no-command")
+def test_help_and_usage_errors_match_their_recording(capsys, monkeypatch, case):
+    # each subcommand adds its flags when it parses, so nothing may move
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(case["argv"])
+    captured = capsys.readouterr()
+    assert exc.value.code == case["exit"]
+    assert captured.out == case["stdout"] and captured.err in case["stderr"]
 
 
 # ---------------------------------------------------------------- headline outcomes

@@ -607,9 +607,9 @@ def test_chunks_in_flight_stay_bounded(monkeypatch):
     buffer_sets = []
     buffers = engine._buffers
 
-    def counted_buffers(size):
+    def counted_buffers(size, *outcomes):
         buffer_sets.append(size)
-        return buffers(size)
+        return buffers(size, *outcomes)
 
     monkeypatch.setattr(engine, "_buffers", counted_buffers)
     assert run_ensemble("lhv-sign", ROTATED, n, master_seed=5, workers=10**6) == serial
@@ -791,6 +791,9 @@ def test_every_buffer_row_starts_on_a_cache_line():
         for i, row in enumerate(rows):
             assert row.ctypes.data % 64 == 0 and row.flags.c_contiguous and row.flags.writeable, (n, i)
             assert not any(np.shares_memory(row, other) for other in rows[i + 1 :]), (n, i)
+        words, flags = engine._buffers(n, False)  # a dump's set: its outcomes go to the outputs
+        assert flags is None and words.shape == (3, n)
+        assert all(row.ctypes.data % 64 == 0 and row.flags.c_contiguous for row in words), n
     assert engine._OFFSETS.ctypes.data % 64 == 0
     assert np.array_equal(engine._OFFSETS, np.arange(CHUNK, dtype=np.uint64))
     for n in (1, 7, 2 * CHUNK + 7):
@@ -837,7 +840,7 @@ def test_one_chunk_ensemble_allocates_only_its_buffers(model):
 @pytest.mark.parametrize("model", MODELS)
 def test_serial_dump_allocates_its_outputs_and_one_buffer_set(model):
     # a warm serial call past chunk 0 holds its two outputs and one set of
-    # three uint64 and two bool rows: the indices are hashed in the word
+    # three uint64 rows and no bool rows: the indices are hashed in the word
     # row they are made in, and the chunks are classified into the outputs,
     # not copied there; 16 KiB covers the plan and the call's small objects
     n = 2 * CHUNK + 7
@@ -848,7 +851,7 @@ def test_serial_dump_allocates_its_outputs_and_one_buffer_set(model):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * n + 3 * 8 * CHUNK + 2 * CHUNK + 16 * 1024
+    assert peak <= 2 * n + 3 * 8 * CHUNK + 16 * 1024
 
 
 def test_run_ensemble_argument_validation():
