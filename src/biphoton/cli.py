@@ -552,7 +552,8 @@ def _out_file(path: str):
     Such a target (for a symlink, the file it points to) is written as a
     new file beside it, with the target's permission bits or those a new
     file gets, which replaces the target only after the block has run;
-    any exception, an interrupt included, removes it instead.  A target
+    any exception, an interrupt included, removes it instead.  An existing
+    target must open for writing, as ``open(path, "wb")`` would.  A target
     that exists and is not a regular file (a device, a FIFO) or is the
     file open on stdout (``/dev/stdout``) is written in place.
     """
@@ -564,6 +565,8 @@ def _out_file(path: str):
         with open(path, "wb") as f:
             yield f
         return
+    if st is not None:  # a target open() could not write stays refused
+        os.close(os.open(path, os.O_WRONLY))
     target = os.path.realpath(path)
     head, tail = os.path.split(target)
     tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")

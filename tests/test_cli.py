@@ -285,6 +285,36 @@ def test_interrupted_out_write_leaves_the_old_file(monkeypatch, tmp_path):
     assert path.read_bytes() == b"precious" and os.listdir(tmp_path) == [path.name]
 
 
+def _skip_if_permissions_are_overridden(tmp_path):
+    # root (or CAP_DAC_OVERRIDE) writes read-only files and directories
+    probe = tmp_path / "probe"
+    probe.write_bytes(b"")
+    probe.chmod(0o444)
+    try:
+        os.close(os.open(probe, os.O_WRONLY))
+    except PermissionError:
+        return
+    finally:
+        probe.unlink()
+    pytest.skip("this process may write read-only files")
+
+
+@pytest.mark.parametrize("file_mode, dir_mode", [(0o444, 0o755), (0o644, 0o555)])
+def test_read_only_out_file_or_directory_exits_2_and_keeps_the_file(capsys, tmp_path, file_mode, dir_mode):
+    # a read-only target is refused, and so is a writable one in a read-only
+    # directory, since nothing can be made beside it
+    _skip_if_permissions_are_overridden(tmp_path)
+    path = _old_file(tmp_path, mode=file_mode)
+    tmp_path.chmod(dir_mode)
+    try:
+        code, out, err = run_cli(capsys, "pair", "--trials", "10", "--out", str(path))
+    finally:
+        tmp_path.chmod(0o755)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write {path}: ")
+    assert path.read_bytes() == b"precious" and os.listdir(tmp_path) == [path.name]
+
+
 def test_out_replaces_a_file_through_a_symlink_and_keeps_its_mode(capsys, tmp_path):
     path = _old_file(tmp_path, mode=0o604)
     link = tmp_path / "link.txt"
