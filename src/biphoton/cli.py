@@ -14,7 +14,11 @@ A subcommand's flags are added to its parser when that subcommand parses.
 
 Exit codes: 0 success (a reader closing stdout early included), 2
 unusable arguments or configuration (an unwritable --out file or stdout
-and a run too large to allocate included), 3 unknown model name.
+and a run too large to allocate included), 3 unknown model name.  An
+--out naming the file open on stdout is written through stdout.  An
+interrupt raises ``KeyboardInterrupt`` out of ``main``; run as a process
+(``python -m biphoton``, the ``biphoton`` script), it prints one line,
+``error: interrupted``, and the process ends by SIGINT.
 """
 
 from __future__ import annotations
@@ -28,10 +32,12 @@ import os
 import shutil
 import stat
 import sys
+from dataclasses import replace
 
 from .engine import (
     MODEL_NAMES,
     OpticalBench,
+    _ensembles,
     analytic_E,
     analytic_chsh,
     analytic_joint_table,
@@ -44,7 +50,6 @@ from .engine import (
 )
 from .local import ChshAngles
 from .quantum import XX, XY, YX, YY, AnalyzerSetting, _real
-from .rng import derive_seed
 
 _DEFAULT_TRIALS = 100_000
 #: most rows one sweep may plan; each row runs an ensemble
@@ -103,16 +108,13 @@ def _json_render(value, indent: int = 0) -> str:
         return _fmt17(value)
     if isinstance(value, str):
         return json.dumps(value)
+    # every document and list rendered holds at least one entry
     if isinstance(value, dict):
-        if not value:
-            return "{}"
         inner = ",\n".join(
             f"{pad}  {json.dumps(str(k))}: {_json_render(v, indent + 1)}" for k, v in value.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
         inner = ",\n".join(f"{pad}  {_json_render(v, indent + 1)}" for v in value)
         return "[\n" + inner + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
@@ -315,8 +317,7 @@ def _parse_chsh_angles(text: str) -> ChshAngles:
 
 def _cmd_chsh(args) -> str:
     angles = _parse_chsh_angles(args.angles)
-    plate_present = args.plate_present
-    report = chsh_experiment(args.model, angles, args.trials, args.seed, plate_present, args.workers)
+    report = chsh_experiment(args.model, angles, args.trials, args.seed, args.plate_present, args.workers)
     if args.format == "json":
         return _json_render(_fields(report, "e_ab e_abp e_apb e_apbp s stderr_total")) + "\n"
     term_rows = (
@@ -328,17 +329,14 @@ def _cmd_chsh(args) -> str:
     if args.format == "csv":
         return _csv_text("term,value,stderr", [*term_rows, ("s", report.s, report.stderr_total)])
     # only the text format prints the exact terms
-    exact = analytic_chsh(args.model, angles, plate_present)
+    exact = analytic_chsh(args.model, angles, args.plate_present)
     lines = [
         f"model {args.model}",
         f"trials {args.trials} per setting pair",
         f"seed {args.seed}",
-        f"plate {'present' if plate_present else 'absent'}",
+        f"plate {'present' if args.plate_present else 'absent'}",
         "angles_deg: a {:.6f}  a' {:.6f}  b {:.6f}  b' {:.6f}".format(
-            math.degrees(angles.a.angle),
-            math.degrees(angles.a_prime.angle),
-            math.degrees(angles.b.angle),
-            math.degrees(angles.b_prime.angle),
+            *map(_setting_degrees, (angles.a, angles.a_prime, angles.b, angles.b_prime))
         ),
         "term    E_hat      stderr    E_exact",
     ]
@@ -366,15 +364,13 @@ def _cmd_sweep(args) -> str:
     # the rows' angles rise to the last one's
     if not math.isfinite(args.start + (n_rows - 1) * args.step):
         raise ValueError(f"sweep range overflows: --start + {n_rows - 1} * --step is not finite degrees")
-    cfg = _bench_config(args)
-    bench = _bench(cfg)
-    rows = []
-    for i in range(n_rows):
-        angle_deg = args.start + i * args.step
-        row_bench = _bench({**cfg, f"{args.axis}_deg": angle_deg})
-        e_exact = analytic_E(args.model, row_bench)
-        stats = run_ensemble(args.model, row_bench, args.trials, derive_seed(args.seed, i), args.workers)
-        rows.append((angle_deg, e_exact, stats.e_hat, stats.stderr_e))
+    bench = _bench(_bench_config(args))
+    field, to_si, *_ = _BENCH_KEYS[f"{args.axis}_deg"]
+    angles = [args.start + i * args.step for i in range(n_rows)]
+    # each row's bench is made as its row runs
+    benches = (replace(bench, **{field: to_si(angle)}) for angle in angles)
+    runs = _ensembles(args.model, benches, args.trials, args.seed, args.workers)
+    rows = [(a, analytic_E(args.model, row), st.e_hat, st.stderr_e) for a, (row, st) in zip(angles, runs)]
     if args.format == "json":
         doc = {
             "command": "sweep",
@@ -538,10 +534,11 @@ def build_parser() -> argparse.ArgumentParser:
 # output
 
 
-def _is_stdout(st: os.stat_result) -> bool:
+def _on_stdout(path) -> bool:
+    """Whether the output goes to stdout: no --out, or one naming the file open on stdout."""
     try:
-        return os.path.samestat(st, os.fstat(1))
-    except OSError:  # stdout is closed
+        return not path or os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:  # no such file, or stdout is closed
         return False
 
 
@@ -554,14 +551,15 @@ def _out_file(path: str):
     file gets, which replaces the target only after the block has run;
     any exception, an interrupt included, removes it instead.  An existing
     target must open for writing, as ``open(path, "wb")`` would.  A target
-    that exists and is not a regular file (a device, a FIFO) or is the
-    file open on stdout (``/dev/stdout``) is written in place.
+    that exists and is not a regular file (a device, a FIFO) is written in
+    place.  ``main`` writes a target that is the file open on stdout
+    (``/dev/stdout``) through stdout.
     """
     try:
         st = os.stat(path)
     except FileNotFoundError:
         st = None
-    if st is not None and (not stat.S_ISREG(st.st_mode) or _is_stdout(st)):
+    if st is not None and not stat.S_ISREG(st.st_mode):
         with open(path, "wb") as f:
             yield f
         return
@@ -606,14 +604,16 @@ def main(argv=None) -> int:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     write = output if callable(output) else lambda f: f.write(output.encode("utf-8"))
+    # stdout's own file is written at stdout's offset, never reopened and truncated
+    on_stdout = _on_stdout(args.out)
     try:
-        if not args.out:
+        if on_stdout:
             sys.stdout.flush()  # text already written to stdout goes first
-        with _out_file(args.out) if args.out else contextlib.nullcontext(sys.stdout.buffer) as f:
+        with contextlib.nullcontext(sys.stdout.buffer) if on_stdout else _out_file(args.out) as f:
             write(f)
             f.flush()
     except OSError as exc:
-        if not args.out:
+        if on_stdout:
             # drop what is left unwritten, so the interpreter's final flush
             # of stdout cannot fail a second time
             devnull = os.open(os.devnull, os.O_WRONLY)

@@ -236,10 +236,9 @@ class EnsembleStats:
         return ((self.n_xx + self.n_yx) / n, (self.n_xy + self.n_yy) / n)
 
 
-def _check_model(model: str) -> str:
+def _check_model(model: str) -> None:
     if model not in MODEL_NAMES:
         raise ValueError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
-    return model
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +607,7 @@ def _map_chunks(kernel, n, workers, consume, into=None):
         except BaseException as exc:
             errors.append(exc)
 
-    helpers = []
-    for _ in range(threads - 1):
-        helpers.append(threading.Thread(target=work))
+    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
     try:
         for helper in helpers:
             helper.start()
@@ -675,6 +672,16 @@ def run_ensemble(
 
     totals = _map_chunks(_kernel(model, bench, master_seed), n_trials, workers, count)
     return EnsembleStats(*map(sum, zip(*totals)))
+
+
+def _ensembles(model, benches, n_trials, master_seed, workers):
+    """Each bench with its ensemble, bench k under derived child seed k, run as it is drawn.
+
+    ``run_ensemble`` is looked up at each call, so whatever replaces it in
+    this module sees every ensemble.
+    """
+    for k, bench in enumerate(benches):
+        yield bench, run_ensemble(model, bench, n_trials, derive_seed(master_seed, k), workers)
 
 
 def write_trials_csv(f, bench: OpticalBench, a_is_x, b_is_x) -> None:
@@ -851,10 +858,10 @@ def order_invariance_report(
         raise ValueError("early bench must detect B before the plate acts")
     if detect_b_before_plate(bench_late):
         raise ValueError("late bench must detect B after the plate acts")
+    runs = _ensembles(model, (bench_early, bench_late), n_trials, master_seed, workers)
     return OrderInvarianceReport(
         model,
-        run_ensemble(model, bench_early, n_trials, derive_seed(master_seed, 0), workers),
-        run_ensemble(model, bench_late, n_trials, derive_seed(master_seed, 1), workers),
+        *(stats for _, stats in runs),
         tuple(float(p) for p in analytic_joint_table(model, bench_early).p),
         tuple(float(p) for p in analytic_joint_table(model, bench_late).p),
     )
@@ -875,8 +882,6 @@ def chsh_experiment(
     and individually reproducible.
     """
     _check_model(model)
-    stats = [
-        run_ensemble(model, bench, n_per_setting, derive_seed(master_seed, k), workers)
-        for k, bench in enumerate(_chsh_benches(angles, plate_present))
-    ]
+    benches = _chsh_benches(angles, plate_present)
+    stats = [st for _, st in _ensembles(model, benches, n_per_setting, master_seed, workers)]
     return ChshReport(*(st.e_hat for st in stats), *(st.stderr_e for st in stats))

@@ -124,10 +124,8 @@ class ChshAngles:
     b_prime: AnalyzerSetting
 
     def __post_init__(self):
-        object.__setattr__(self, "a", as_setting(self.a))
-        object.__setattr__(self, "a_prime", as_setting(self.a_prime))
-        object.__setattr__(self, "b", as_setting(self.b))
-        object.__setattr__(self, "b_prime", as_setting(self.b_prime))
+        for name in ("a", "a_prime", "b", "b_prime"):
+            object.__setattr__(self, name, as_setting(getattr(self, name)))
 
     def pairs(self) -> tuple[tuple[AnalyzerSetting, AnalyzerSetting], ...]:
         """Setting pairs in report order: (a,b), (a,b'), (a',b), (a',b')."""

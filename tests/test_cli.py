@@ -1,14 +1,20 @@
 """Command-line behavior: formats, exit codes, seeds, reproducibility."""
 
+import contextlib
+import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphoton import cli, engine
 from biphoton.cli import main
@@ -332,17 +338,69 @@ def test_out_replaces_a_file_through_a_symlink_and_keeps_its_mode(capsys, tmp_pa
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
-def test_out_open_on_stdout_is_written_in_place(tmp_path):
-    # --out /dev/stdout with stdout on a regular file writes that file, not a
-    # new one renamed over it
+@pytest.mark.parametrize("mode", ["wb", "ab"])
+def test_out_open_on_stdout_is_written_in_place(tmp_path, mode):
+    # --out /dev/stdout with stdout on a regular file writes through stdout, at
+    # its offset: not a new file renamed over it, and not a reopen that
+    # truncates what the shell opened for appending (`>> F`)
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     cmd = [sys.executable, "-m", "biphoton", "pair", "--trials", "10", "--out", "/dev/stdout"]
     path = tmp_path / "stdout.txt"
-    with open(path, "wb") as stdout:
+    path.write_bytes(b"old\n")
+    with open(path, mode) as stdout:
         before = os.fstat(stdout.fileno()).st_ino
         assert subprocess.run(cmd, stdout=stdout, env=env, timeout=120).returncode == 0
-    assert path.stat().st_ino == before and path.read_bytes().startswith(b"model qm\n")
+    kept = b"old\n" if mode == "ab" else b""
+    assert path.stat().st_ino == before and path.read_bytes().startswith(kept + b"model qm\n")
     assert os.listdir(tmp_path) == [path.name]
+
+
+#: ``python -c`` source: the biphoton command whose dump writer writes one
+#: byte, then waits to be interrupted
+_STALLED_DUMP = """
+import runpy, sys, time
+from biphoton import cli
+
+def stalled(f, *args):
+    f.write(b"t")
+    f.flush()
+    time.sleep(120)
+
+cli.write_trials_csv = stalled
+runpy.run_module("biphoton", run_name="__main__")
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out-file"])
+def test_interrupt_prints_one_line_and_ends_by_sigint(tmp_path, out):
+    # the signal goes only once main is running: the dump's first byte has
+    # reached the stdout pipe, which then fills and blocks the writer, or the
+    # file beside --out has appeared
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = ["pair", "--format", "csv", "--workers", "2"]
+    path = tmp_path / "dump.csv"
+    if out:
+        cmd = [sys.executable, "-c", _STALLED_DUMP, *argv, "--trials", "10", "--out", str(path)]
+    else:
+        cmd = [sys.executable, "-m", "biphoton", *argv, "--trials", "200000"]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        try:
+            if out:
+                deadline = time.monotonic() + 60
+                while not os.listdir(tmp_path) and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                assert os.listdir(tmp_path), "the file beside --out never appeared"
+            else:
+                assert proc.stdout.read(1) == b"t"
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        except BaseException:
+            proc.kill()
+            raise
+    assert proc.returncode == -signal.SIGINT
+    assert err == b"error: interrupted\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_bad_env_seed_exits_2(capsys, monkeypatch):
@@ -768,3 +826,92 @@ def test_chsh_json_and_csv_do_not_compute_exact_terms(capsys, monkeypatch, model
     code, out, _ = run_cli(capsys, *CASES[name])
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+# ---------------------------------------------------------------- generated commands
+
+#: bench and sweep flag values at the edges: signed zeros, subnormals, the
+#: largest doubles, nan and the infinities, a 400-digit integer (inf as a
+#: double), and two that are no float at all
+_EDGE_VALUES = (
+    "0", "-0", "5e-324", "-5e-324", "1e-310", "22.5", "-90", "180", "1e308", "-1e308",
+    "nan", "inf", "-inf", "1" + "0" * 400, "", "0x10",
+)  # fmt: skip
+_BENCH_FLAGS = tuple(flag for _, to_si, _, flag, _ in cli._BENCH_KEYS.values() if to_si is not None)
+_FLOAT_FLAGS = {
+    "pair": _BENCH_FLAGS,
+    "order-test": (*(f for f in _BENCH_FLAGS if f != "--d-prism-b"), "--d-prism-b-early", "--d-prism-b-late"),
+    "chsh": (),
+    "sweep": _BENCH_FLAGS,
+}
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def _commands(draw):
+    """An argv of one subcommand without --workers, and the values its float flags get."""
+    command = draw(st.sampled_from(sorted(_FLOAT_FLAGS)))
+    # some runs cross a chunk boundary
+    trials = draw(st.one_of(st.integers(1, 100), st.sampled_from((CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7))))
+    argv = [
+        command,
+        f"--model={draw(st.sampled_from((*MODEL_NAMES, 'bohm')))}",
+        f"--format={draw(st.sampled_from(('text', 'json', 'csv')))}",
+        f"--trials={trials}",
+    ]
+    seed = draw(st.one_of(st.none(), st.integers(-(2**70), 2**70), st.sampled_from((-1, 2**64, 2**64 + 1))))
+    if seed is not None:
+        argv.append(f"--seed={seed}")
+    flags = _FLOAT_FLAGS[command]
+    chosen = draw(st.lists(st.sampled_from(flags), unique=True, max_size=2)) if flags else []
+    values = {flag: draw(st.sampled_from(_EDGE_VALUES)) for flag in chosen}
+    argv += draw(st.lists(st.sampled_from(("--plate", "--no-plate")), max_size=1))
+    if command == "chsh" and draw(st.booleans()):
+        argv.append("--angles=" + ",".join(draw(st.lists(st.sampled_from(_EDGE_VALUES), min_size=3, max_size=4))))
+    if command == "sweep":
+        argv.append(f"--axis={draw(st.sampled_from(('alpha', 'beta')))}")
+        if draw(st.booleans()):  # a step that leaves at most two rows, or none
+            start, stop = draw(st.sampled_from(_EDGE_VALUES)), draw(st.sampled_from(_EDGE_VALUES))
+            step = draw(st.sampled_from(("0", "-0", "-90", "1e308", "5e-324", "nan", "inf", "", "0x10")))
+        else:  # a range of one to three rows
+            start = draw(st.sampled_from(("0", "-0", "5e-324", "22.5", "-90", "1e308")))
+            step = draw(st.sampled_from(("7.5", "45", "5e-324", "1e-310", "1e308")))
+            stop = repr(float(start) + draw(st.integers(0, 2)) * float(step))
+        values.update({"--start": start, "--stop": stop, "--step": step})
+    return argv + [f"{flag}={value}" for flag, value in values.items()], values
+
+
+def _run_in_process(argv):
+    stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        stdout.flush()
+    return code, stdout.buffer.getvalue(), stderr.getvalue()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(command=_commands())
+def test_generated_commands_keep_the_exit_code_and_output_contract(command):
+    argv, values = command
+    unknown_model = "--model=bohm" in argv
+    usage_error = not all(map(_is_float, values.values()))  # argparse rejects the flag's value
+    runs = [_run_in_process([*argv, f"--workers={workers}"]) for workers in (1, 2, 3)]
+    code, out, err = runs[0]
+    assert code in ({2} if usage_error else {3} if unknown_model else {0, 2})
+    assert "Traceback" not in err
+    if code:
+        assert out == b""
+        assert usage_error or len(err.splitlines()) == 1
+    else:
+        assert out and err == ""
+    assert all(run == runs[0] for run in runs[1:])

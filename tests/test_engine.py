@@ -1373,3 +1373,30 @@ def test_chsh_experiment_no_plate_source():
     report = chsh_experiment("qm", CANONICAL_CHSH_ANGLES, 50_000, master_seed=12, plate_present=False)
     want = analytic_chsh("qm", CANONICAL_CHSH_ANGLES, plate_present=False).s
     assert abs(report.s - want) <= 3.0 * report.stderr_total
+
+
+def test_each_experiment_ensemble_goes_through_run_ensemble(monkeypatch, capsys):
+    # perfbench injects its faults by replacing engine.run_ensemble, so every
+    # ensemble of chsh, order-test and sweep must reach that name: bench k
+    # once, under derived child seed k
+    calls = []
+    real = engine.run_ensemble
+
+    def counted(model, bench, n_trials, master_seed, workers=1):
+        calls.append((bench, master_seed))
+        return real(model, bench, n_trials, master_seed, workers)
+
+    def assert_ran(benches):
+        assert calls == [(bench, derive_seed(seed, k)) for k, bench in enumerate(benches)]
+        calls.clear()
+
+    monkeypatch.setattr(engine, "run_ensemble", counted)
+    seed = 2**64 + 5
+    chsh_experiment("qm", CANONICAL_CHSH_ANGLES, 100, seed)
+    assert_ran([OpticalBench(alpha=a, beta=b) for a, b in CANONICAL_CHSH_ANGLES.pairs()])
+    order_invariance_report("naive", EARLY, LATE, 100, seed)
+    assert_ran([EARLY, LATE])
+    argv = ["sweep", "--model", "lhv-sign", "--trials", "10", "--seed", str(seed), "--step", "45", "--no-plate"]
+    assert cli.main([*argv, "--format", "csv"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6  # the header and five rows
+    assert_ran([OpticalBench(alpha=math.radians(45.0 * k), plate_present=False) for k in range(5)])
