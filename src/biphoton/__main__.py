@@ -2,7 +2,10 @@
 
 An interrupt prints one line, ``error: interrupted``, and the process then
 ends by SIGINT, as an interrupt nothing catches would end it (130 in a
-shell).  ``cli.main`` called in-process still raises ``KeyboardInterrupt``.
+shell).  From the first interrupt on, SIGINT is ignored, so a second one
+cannot cut the clean-up short (the file beside ``--out`` is still
+removed) or print a traceback.  ``cli.main`` called in-process still
+raises ``KeyboardInterrupt``.
 """
 
 import signal
@@ -11,7 +14,15 @@ import sys
 from .cli import main
 
 
+def _interrupted(signum, frame):
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    raise KeyboardInterrupt
+
+
 def _main() -> int:
+    # a process started with SIGINT ignored keeps ignoring it
+    if signal.getsignal(signal.SIGINT) is signal.default_int_handler:
+        signal.signal(signal.SIGINT, _interrupted)
     try:
         return main()
     except KeyboardInterrupt:

@@ -18,7 +18,8 @@ and a run too large to allocate included), 3 unknown model name.  An
 --out naming the file open on stdout is written through stdout.  An
 interrupt raises ``KeyboardInterrupt`` out of ``main``; run as a process
 (``python -m biphoton``, the ``biphoton`` script), it prints one line,
-``error: interrupted``, and the process ends by SIGINT.
+``error: interrupted``, and the process ends by SIGINT.  A bad bench
+value is reported under the flag or config key it came from.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from dataclasses import replace
 from .engine import (
     MODEL_NAMES,
     OpticalBench,
+    _distance,
     _ensembles,
     analytic_E,
     analytic_chsh,
@@ -174,12 +176,15 @@ def _bench_doc(bench: OpticalBench) -> dict:
 def _bench_config(args) -> dict:
     """Config of --config (if any) with the bench flags given layered on top.
 
-    The file must hold a valid bench by itself, before any flag applies.
+    The file must hold a valid bench by itself, before any flag applies,
+    and a flag's non-finite value is reported under the flag.
     """
     cfg = _load_config(args.config) if args.config else {}
     _bench(cfg)
-    given = {key: getattr(args, key, None) for key in _BENCH_KEYS}
-    return {**cfg, **{key: value for key, value in given.items() if value is not None}}
+    for key, (_, to_si, _, flag, _) in _BENCH_KEYS.items():
+        if (value := getattr(args, key, None)) is not None:
+            cfg[key] = value if to_si is None else _real(value, flag)
+    return cfg
 
 
 def _fields(obj, names: str) -> dict:
@@ -246,8 +251,8 @@ def _cmd_pair(args):
 
 def _cmd_order_test(args) -> str:
     cfg = _bench_config(args)
-    bench_early = _bench({**cfg, "d_prism_b_m": args.d_prism_b_early})
-    bench_late = _bench({**cfg, "d_prism_b_m": args.d_prism_b_late})
+    bench_early = _bench({**cfg, "d_prism_b_m": _distance(args.d_prism_b_early, "--d-prism-b-early")})
+    bench_late = _bench({**cfg, "d_prism_b_m": _distance(args.d_prism_b_late, "--d-prism-b-late")})
     report = order_invariance_report(
         args.model, bench_early, bench_late, args.trials, args.seed, args.workers
     )

@@ -52,8 +52,6 @@ from .local import (
     ChshReport,
     chsh_S,
     lhv_outcome,
-    lhv_photon_a,
-    lhv_photon_b,
     lhv_sample,
     lhv_sign_correlator,
     naive_p_x,
@@ -113,6 +111,14 @@ def _store_changed(obj, checked: dict) -> None:
             object.__setattr__(obj, name, value)
 
 
+def _distance(value, what: str) -> float:
+    """``value`` as a finite, nonnegative distance in meters."""
+    d = _real(value, what)
+    if d < 0.0:
+        raise ValueError(f"{what} must be a nonnegative distance in meters, got {d!r}")
+    return d
+
+
 @dataclass(frozen=True)
 class OpticalBench:
     """Geometry and settings of one run, in SI units and radians.
@@ -135,9 +141,7 @@ class OpticalBench:
     def __post_init__(self):
         checked = {}
         for name in ("d_plate_a", "d_prism_a", "d_prism_b"):
-            d = checked[name] = _real(getattr(self, name), name)
-            if d < 0.0:
-                raise ValueError(f"{name} must be a nonnegative distance in meters, got {d!r}")
+            checked[name] = _distance(getattr(self, name), name)
         checked["alpha"], checked["beta"] = as_setting(self.alpha), as_setting(self.beta)
         if not isinstance(self.plate_present, (bool, np.bool_)):
             raise ValueError(f"plate_present must be true or false, got {self.plate_present!r}")
@@ -436,10 +440,12 @@ def _lhv_breakpoints(bench, channel):
     the angle over [0, pi) once, so the channel is X on one arc of the draw
     circle: it opens where the angle crosses the setting - pi/4 and closes
     where it crosses the setting + pi/4, and it is X at k exactly when k is
-    in [opens, closes), read mod 2^53.  Each end is estimated in closed
-    form, then pinned to the draw where the scalar rules (``lhv_photon_a``
-    or ``lhv_photon_b``, then ``naive_plate_action`` and ``lhv_outcome``)
-    flip, so ties keep their bits.
+    in [opens, closes), read mod 2^53.  Photon A is the hidden angle and
+    photon B that angle turned by the plate rule, ``naive_plate_action``,
+    which a plate on channel A applies to photon A.  Each end is estimated
+    in closed form, then pinned to the draw where the scalar rules (the
+    photon, turned or not, then ``lhv_outcome``) flip, so ties keep their
+    bits.
     """
     setting = bench.alpha if channel is Channel.A else bench.beta
     turned = channel is Channel.B or bench.plate_present
@@ -449,15 +455,8 @@ def _lhv_breakpoints(bench, channel):
     def is_x(k):
         k %= _DRAWS
         if k not in known:
-            # only the photon this channel reads
-            lam = lhv_sample(k / _DRAWS)
-            if channel is Channel.B:
-                photon = lhv_photon_b(lam)
-            elif bench.plate_present:
-                photon = naive_plate_action(lhv_photon_a(lam))
-            else:
-                photon = lhv_photon_a(lam)
-            known[k] = lhv_outcome(photon, setting) is PolAxis.X
+            lam = lhv_sample(k / _DRAWS)  # photon A at the source, in [0, pi)
+            known[k] = lhv_outcome(naive_plate_action(lam) if turned else lam, setting) is PolAxis.X
         return known[k]
 
     def pin(edge, to_x):

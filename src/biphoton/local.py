@@ -14,10 +14,12 @@ Two contrast models are implemented:
   test.
 
 * the "lhv-sign" model: each pair leaves the source with a shared hidden
-  angle lambda (photon B carries lambda + pi/2, matching the
-  anti-correlated source), and every analyzer answer is the deterministic
-  sign of cos 2(setting - angle).  It reproduces perfect correlations at
-  aligned settings yet can never exceed the CHSH bound of 2.
+  angle lambda in [0, pi).  Photon A carries lambda and photon B carries
+  lambda turned by the plate rule, ``naive_plate_action`` (lambda + pi/2
+  mod pi, matching the anti-correlated source), and every analyzer answer
+  is the deterministic sign of cos 2(setting - angle).  It reproduces
+  perfect correlations at aligned settings yet can never exceed the CHSH
+  bound of 2.
 
 A local photon is a plain angle in [0, pi), or None while it has no
 polarization; every rule that makes an angle reduces it mod pi.
@@ -47,18 +49,8 @@ def fold_distance(delta: float) -> float:
 
 
 def lhv_sample(u: float) -> float:
-    """Hidden angle lambda = u * pi shared by a pair at the source."""
+    """Hidden angle lambda = u * pi shared by a pair at the source, in [0, pi) for u in [0, 1)."""
     return u * math.pi
-
-
-def lhv_photon_a(lam: float) -> float:
-    """Source photon A: it carries lambda, reduced to [0, pi)."""
-    return reduce_mod_pi(lam)
-
-
-def lhv_photon_b(lam: float) -> float:
-    """Source photon B: it carries lambda + pi/2, reduced to [0, pi)."""
-    return reduce_mod_pi(lam + _HALF_PI)
 
 
 def lhv_outcome(lam: float, setting: "AnalyzerSetting | float") -> PolAxis:

@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -102,6 +103,42 @@ def test_invalid_bench_geometry_exits_2(capsys):
         capsys, "pair", "--trials", "10", "--d-plate-a", "5", "--d-prism-a", "1"
     )
     assert code == 2
+
+
+#: command, config file (or None), the error it prints
+_BAD_BENCH_VALUES = {
+    # a flag's bad value is reported under the flag the user gave
+    "order-test --d-prism-b-early=inf": (None, "--d-prism-b-early must be a finite real number, got inf"),
+    "order-test --d-prism-b-late=nan": (None, "--d-prism-b-late must be a finite real number, got nan"),
+    "order-test --d-prism-b-late=-1": (None, "--d-prism-b-late must be a nonnegative distance in meters, got -1.0"),
+    "order-test --d-prism-b-early=-0.5": (None, "--d-prism-b-early must be a nonnegative distance in meters, got -0.5"),
+    "pair --alpha=inf": (None, "--alpha must be a finite real number, got inf"),
+    "pair --d-plate-a=-inf": (None, "--d-plate-a must be a finite real number, got -inf"),
+    "sweep --plate-angle=nan": (None, "--plate-angle must be a finite real number, got nan"),
+    "order-test --beta=1e999": (None, "--beta must be a finite real number, got inf"),
+    # a config file's value keeps its key, even under a bad flag, and a relation keeps its wording
+    "pair --alpha=inf --config": (
+        '{"alpha_deg": NaN}',
+        "bench config key alpha_deg must be a finite real number, got nan",
+    ),
+    "order-test --config": (
+        '{"d_prism_a_m": -1e999}',
+        "bench config key d_prism_a_m must be a finite real number, got -inf",
+    ),
+    "pair --d-plate-a=5 --d-prism-a=1": (None, "plate must sit between source and prism: d_plate_a <= d_prism_a"),
+}
+
+
+@pytest.mark.parametrize("command", _BAD_BENCH_VALUES)
+def test_bad_bench_value_names_the_flag_or_key_it_came_from(capsys, tmp_path, command):
+    config, message = _BAD_BENCH_VALUES[command]
+    argv = command.split()
+    if config is not None:
+        path = tmp_path / "bench.json"
+        path.write_text(config, encoding="utf-8")
+        argv.append(str(path))
+    code, out, err = run_cli(capsys, *argv, "--trials", "10")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_missing_config_file_exits_2(capsys, tmp_path):
@@ -356,9 +393,10 @@ def test_out_open_on_stdout_is_written_in_place(tmp_path, mode):
 
 
 #: ``python -c`` source: the biphoton command whose dump writer writes one
-#: byte, then waits to be interrupted
+#: byte, then waits to be interrupted; the clean-up's removal of the file
+#: beside --out prints ``c`` to stdout, then waits for the file $RESUME
 _STALLED_DUMP = """
-import runpy, sys, time
+import os, runpy, sys, time
 from biphoton import cli
 
 def stalled(f, *args):
@@ -366,7 +404,14 @@ def stalled(f, *args):
     f.flush()
     time.sleep(120)
 
+def waiting_unlink(path, unlink=os.unlink):
+    print("c", end="", flush=True)
+    while not os.path.exists(os.environ["RESUME"]):
+        time.sleep(0.005)
+    unlink(path)
+
 cli.write_trials_csv = stalled
+os.unlink = waiting_unlink
 runpy.run_module("biphoton", run_name="__main__")
 """
 
@@ -376,10 +421,13 @@ runpy.run_module("biphoton", run_name="__main__")
 def test_interrupt_prints_one_line_and_ends_by_sigint(tmp_path, out):
     # the signal goes only once main is running: the dump's first byte has
     # reached the stdout pipe, which then fills and blocks the writer, or the
-    # file beside --out has appeared
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    # file beside --out has appeared; with --out, a second signal lands while
+    # the clean-up waits to remove that file, and must change nothing
+    out_dir, resume = tmp_path / "out", tmp_path / "resume"
+    out_dir.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "RESUME": str(resume)}
     argv = ["pair", "--format", "csv", "--workers", "2"]
-    path = tmp_path / "dump.csv"
+    path = out_dir / "dump.csv"
     if out:
         cmd = [sys.executable, "-c", _STALLED_DUMP, *argv, "--trials", "10", "--out", str(path)]
     else:
@@ -388,19 +436,23 @@ def test_interrupt_prints_one_line_and_ends_by_sigint(tmp_path, out):
         try:
             if out:
                 deadline = time.monotonic() + 60
-                while not os.listdir(tmp_path) and time.monotonic() < deadline:
+                while not os.listdir(out_dir) and time.monotonic() < deadline:
                     time.sleep(0.005)
-                assert os.listdir(tmp_path), "the file beside --out never appeared"
+                assert os.listdir(out_dir), "the file beside --out never appeared"
             else:
                 assert proc.stdout.read(1) == b"t"
             proc.send_signal(signal.SIGINT)
+            if out:
+                assert proc.stdout.read(1) == b"c"
+                proc.send_signal(signal.SIGINT)
+                resume.touch()
             _, err = proc.communicate(timeout=60)
         except BaseException:
             proc.kill()
             raise
     assert proc.returncode == -signal.SIGINT
     assert err == b"error: interrupted\n"
-    assert os.listdir(tmp_path) == []
+    assert os.listdir(out_dir) == []
 
 
 def test_bad_env_seed_exits_2(capsys, monkeypatch):
@@ -854,9 +906,35 @@ def _is_float(text):
     return True
 
 
+def _json_value(text):
+    """An edge value, or true or false, as a JSON token: nan and the infinities as Python's json writes them."""
+    special = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "true": "true", "false": "false"}
+    return special.get(text, text if _is_float(text) else json.dumps(text))
+
+
+@st.composite
+def _config_files(draw):
+    """A --config file's kind (valid, json, object or keys) and text, its values from the edge pool."""
+    kind = draw(st.sampled_from(("valid", "json", "object", "keys")))
+    keys = draw(st.lists(st.sampled_from(sorted(cli._BENCH_KEYS)), unique=True, max_size=3))
+    if kind == "keys":
+        keys.append("d_prism_c_m")
+    values = st.sampled_from((*_EDGE_VALUES, "true", "false"))
+    text = "{" + ", ".join(f'"{key}": {_json_value(draw(values))}' for key in keys) + "}"
+    if kind == "json":  # cut short, or empty
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    elif kind == "object":
+        text = draw(st.sampled_from(("[]", "[" + text + "]", "null", '"{}"', _json_value(draw(values)))))
+    return kind, text
+
+
 @st.composite
 def _commands(draw):
-    """An argv of one subcommand without --workers, and the values its float flags get."""
+    """An argv of one subcommand without --workers, --config or --out, and what goes with it.
+
+    That is the values its float flags get, its --config file (a kind and
+    a text) or None, and whether it writes to --out.
+    """
     command = draw(st.sampled_from(sorted(_FLOAT_FLAGS)))
     # some runs cross a chunk boundary
     trials = draw(st.one_of(st.integers(1, 100), st.sampled_from((CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7))))
@@ -885,7 +963,9 @@ def _commands(draw):
             step = draw(st.sampled_from(("7.5", "45", "5e-324", "1e-310", "1e308")))
             stop = repr(float(start) + draw(st.integers(0, 2)) * float(step))
         values.update({"--start": start, "--stop": stop, "--step": step})
-    return argv + [f"{flag}={value}" for flag, value in values.items()], values
+    config = draw(st.one_of(st.none(), _config_files())) if flags else None
+    argv += [f"{flag}={value}" for flag, value in values.items()]
+    return argv, values, config, draw(st.booleans())
 
 
 def _run_in_process(argv):
@@ -902,16 +982,35 @@ def _run_in_process(argv):
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(command=_commands())
 def test_generated_commands_keep_the_exit_code_and_output_contract(command):
-    argv, values = command
+    # the run at one worker prints to stdout; with --out, those at two and
+    # three write a file each, which holds exactly the first run's stdout
+    argv, values, config, to_out = command
     unknown_model = "--model=bohm" in argv
     usage_error = not all(map(_is_float, values.values()))  # argparse rejects the flag's value
-    runs = [_run_in_process([*argv, f"--workers={workers}"]) for workers in (1, 2, 3)]
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = os.path.join(tmp, "out")
+        os.mkdir(out_dir)
+        if config is not None:
+            path = os.path.join(tmp, "bench.json")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(config[1])
+            argv = [*argv, f"--config={path}"]
+        outs = {workers: os.path.join(out_dir, f"w{workers}") for workers in (2, 3) if to_out}
+        runs = []
+        for workers in (1, 2, 3):
+            out_flag = [f"--out={outs[workers]}"] if workers in outs else []
+            runs.append(_run_in_process([*argv, f"--workers={workers}", *out_flag]))
+        written = {name: Path(out_dir, name).read_bytes() for name in os.listdir(out_dir)}
     code, out, err = runs[0]
     assert code in ({2} if usage_error else {3} if unknown_model else {0, 2})
+    if config is not None and config[0] != "valid" and code != 3:
+        assert code == 2
     assert "Traceback" not in err
     if code:
         assert out == b""
         assert usage_error or len(err.splitlines()) == 1
+        assert written == {}  # neither the file nor one beside it
     else:
         assert out and err == ""
-    assert all(run == runs[0] for run in runs[1:])
+        assert written == {os.path.basename(path): out for path in outs.values()}
+    assert all(run == (code, b"" if workers in outs else out, err) for workers, run in zip((2, 3), runs[1:]))

@@ -42,8 +42,6 @@ from biphoton.local import (
     CANONICAL_CHSH_ANGLES,
     ChshAngles,
     lhv_outcome,
-    lhv_photon_a,
-    lhv_photon_b,
     lhv_sample,
     naive_p_x,
     naive_partner,
@@ -138,7 +136,9 @@ def reference_trial(model, bench, draw):
                 photons[partner] = naive_partner(setting, out[channel])
     else:
         lam = lhv_sample(draw(0))
-        photon_a, photon_b = lhv_photon_a(lam), lhv_photon_b(lam)
+        # the source's two photons as lhv-sign first wrote them: A carries
+        # lambda, B lambda + pi/2, each reduced to [0, pi)
+        photon_a, photon_b = reduce_mod_pi(lam), reduce_mod_pi(lam + math.pi / 2)
         for _, event in timeline:
             if event is BenchEvent.PLATE_A:
                 photon_a = naive_plate_action(photon_a)
@@ -283,7 +283,7 @@ def test_lhv_kernel_matches_reference_around_breakpoints(monkeypatch):
 
 def test_turned_hidden_angle_wraps_at_half_the_draws():
     def turned(k):
-        return lhv_photon_b(lhv_sample(k * 2.0**-53))
+        return reduce_mod_pi(lhv_sample(k * 2.0**-53) + math.pi / 2)
 
     assert engine._WRAP == 2**52
     assert turned(engine._WRAP - 1) == math.pi - 2**-51 and turned(engine._WRAP) == 0.0
