@@ -152,6 +152,11 @@ def _load_config(path: str) -> dict:
     return data
 
 
+def _checked(key: str, value, what: str) -> float:
+    """A bench flag's or config key's value as a finite float, a distance (``_m``) also nonnegative."""
+    return _distance(value, what) if key.endswith("_m") else _real(value, what)
+
+
 def _bench(config: dict) -> OpticalBench:
     """The bench of a config in the file layout; missing keys keep the bench's defaults.
 
@@ -164,7 +169,7 @@ def _bench(config: dict) -> OpticalBench:
     for key, (field, to_si, *_) in _BENCH_KEYS.items():
         if key in config:
             value = config[key]
-            kwargs[field] = value if to_si is None else to_si(_real(value, f"bench config key {key}"))
+            kwargs[field] = value if to_si is None else to_si(_checked(key, value, f"bench config key {key}"))
     return OpticalBench(**kwargs)
 
 
@@ -177,13 +182,14 @@ def _bench_config(args) -> dict:
     """Config of --config (if any) with the bench flags given layered on top.
 
     The file must hold a valid bench by itself, before any flag applies,
-    and a flag's non-finite value is reported under the flag.
+    and a flag's non-finite value or negative distance is reported under
+    the flag.
     """
     cfg = _load_config(args.config) if args.config else {}
     _bench(cfg)
     for key, (_, to_si, _, flag, _) in _BENCH_KEYS.items():
         if (value := getattr(args, key, None)) is not None:
-            cfg[key] = value if to_si is None else _real(value, flag)
+            cfg[key] = value if to_si is None else _checked(key, value, flag)
     return cfg
 
 
@@ -282,10 +288,10 @@ def _cmd_order_test(args) -> str:
         return _csv_text("bench,n_xx,n_xy,n_yx,n_yy,e_hat,stderr_e", rows)
     lines = [f"model {args.model}", f"trials {args.trials} per bench", f"seed {args.seed}"]
     lines.append(
-        f"early bench: d_prism_b_m {args.d_prism_b_early:.6f}  (B detected before the plate acts)"
+        f"early bench: d_prism_b_m {bench_early.d_prism_b:.6f}  (B detected before the plate acts)"
     )
     lines.append(
-        f"late bench:  d_prism_b_m {args.d_prism_b_late:.6f}  (B detected after the plate acts)"
+        f"late bench:  d_prism_b_m {bench_late.d_prism_b:.6f}  (B detected after the plate acts)"
     )
     lines += _bench_lines(bench_early)
     lines.append("cell  f_early   f_late    exact_e   exact_l   delta_f     4*stderr")

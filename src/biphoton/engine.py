@@ -18,10 +18,16 @@ the timeline through each model's four rules (the pair at emission, the
 plate, P(X) at one analyzer, the pair after a detection); the
 hidden-angle model compiles to draw thresholds: a draw is k / 2^53, each
 channel is X on one arc of the circle of draws k mod 2^53, and the arc's
-two ends are pinned with the scalar rules of ``local``.  Either way a
-kernel compares the integer draws k from ``rng.uniform_array`` with
-integer thresholds (u < p is k < ceil(p * 2^53); an lhv-sign outcome
-compares k's offset from one arc end with the arc's width), in place, in
+two ends are pinned with the scalar rules of ``local``.  A plan that
+reads one draw is two arcs of it and runs one kernel, ``_arc_kernel``:
+lhv-sign's plan, and a branch plan whose second outcome is certain
+(naive's always, qm's where the first detection fixes the second), whose
+first channel is X below its threshold and whose second is X where the
+first is, where it is not, always or never.  Only an uncertain branch
+plan reads draw 1, on the two-draw kernel.  Either way a kernel compares
+the integer draws k from ``rng.uniform_array`` with integer thresholds
+(u < p is k < ceil(p * 2^53); an arc outcome compares k's offset from
+one arc end with the arc's width), in place, in
 buffers that each thread of an ensemble reuses from chunk to chunk, every
 row on a 64-byte boundary.  A kernel writes a chunk's two outcome rows,
 the ones it is handed, and returns nothing.  An ensemble's calling thread
@@ -112,11 +118,11 @@ def _store_changed(obj, checked: dict) -> None:
 
 
 def _distance(value, what: str) -> float:
-    """``value`` as a finite, nonnegative distance in meters."""
+    """``value`` as a finite, nonnegative distance in meters; a zero is +0.0."""
     d = _real(value, what)
     if d < 0.0:
         raise ValueError(f"{what} must be a nonnegative distance in meters, got {d!r}")
-    return d
+    return d or 0.0  # -0.0 is false: a zero is +0.0, any other value kept as it is
 
 
 @dataclass(frozen=True)
@@ -146,7 +152,8 @@ class OpticalBench:
         if not isinstance(self.plate_present, (bool, np.bool_)):
             raise ValueError(f"plate_present must be true or false, got {self.plate_present!r}")
         checked["plate_present"] = bool(self.plate_present)
-        checked["plate_angle"] = _real(self.plate_angle, "plate_angle in radians")
+        # -0.0 is false, so a zero angle is stored as +0.0, which prints without a sign
+        checked["plate_angle"] = _real(self.plate_angle, "plate_angle in radians") or 0.0
         if checked["plate_present"] and checked["d_plate_a"] > checked["d_prism_a"]:
             raise ValueError("plate must sit between source and prism: d_plate_a <= d_prism_a")
         _store_changed(self, checked)
@@ -381,42 +388,42 @@ def _kernel(model, bench, master_seed):
     and the two bool rows of that length it is handed, writes the chunk's
     outcomes of channels A and B into those two rows and returns nothing.
     The trial indices are made in the word row that ``uniform_array``
-    turns into ``h1``, its ``out[n_draws - 1]``, which hashes them in
-    place.  A two-detection model samples its branch plan: draw 0
-    decides the first detection, draw 1 the second, read only if the plan
-    leaves it uncertain; ``u < p`` is compared as the integer
-    ``k < _draw_threshold(p)``.
+    turns into ``h1``, the row of its last draw, which hashes them in
+    place.  A two-detection model samples its branch plan, ``u < p``
+    compared as the integer ``k < _draw_threshold(p)``: draw 0 decides
+    the first detection, and draw 1 the second when the plan leaves it
+    uncertain.  A plan whose second outcome is certain (naive's always)
+    reads draw 0 only, as two arcs of it on lhv-sign's ``_arc_kernel``:
+    the first is X below the first threshold, and the second is X where
+    the first is, where it is not, or everywhere or nowhere.
     """
     if model == "lhv-sign":
-        return _lhv_kernel(bench, master_seed)
-    first_ch, p1x, p2x_given_x, p2x_given_y = _branch_plan(model, bench)
-    given_x, given_y = _draw_threshold(p2x_given_x), _draw_threshold(p2x_given_y)
-    # a second threshold of 0 or 2^53 needs no draw: the second is Y or X at any k,
-    # so k = 0 stands in for draw 1
-    certain = {given_x, given_y} <= {0, _DRAWS}
-    counters = (0,) if certain else (0, 1)
-    n_draws = len(counters)
+        return _arc_kernel(_lhv_breakpoints(bench, Channel.A), _lhv_breakpoints(bench, Channel.B), master_seed)
+    first_ch, *probabilities = _branch_plan(model, bench)
+    first_k, given_x, given_y = map(_draw_threshold, probabilities)
+    a_first = first_ch is Channel.A
+    if {given_x, given_y} <= {0, _DRAWS}:
+        first = (0, first_k)
+        second = first if given_x > given_y else (first_k, _DRAWS) if given_y > given_x else (0, given_x)
+        return _arc_kernel(*((first, second) if a_first else (second, first)), master_seed)
     # the thresholds as 0-d uint64 arrays, which no call has to convert
-    first_k = _u64(_draw_threshold(p1x))
+    first_k = _u64(first_k)
     # where the first is X, the second's threshold is given_y plus this, mod 2^64
     step = _u64(given_x - given_y)
     given_y = _u64(given_y)
-    zero = _u64(0)
-    a_first = first_ch is Channel.A
 
     def outcomes(start, words, a_is_x, b_is_x):
         first_is_x, second_is_x = (a_is_x, b_is_x) if a_first else (b_is_x, a_is_x)
-        indices = _trial_indices(start, words[n_draws - 1])
-        draws = uniform_array(master_seed, indices, counters, words[: n_draws + 1])
+        draws = uniform_array(master_seed, _trial_indices(start, words[1]), (0, 1), words)
         np.less(draws[0], first_k, out=first_is_x)
         # the row after the draws is free scratch once they are made; the
         # bool row is copied into it, since a ufunc that mixes the two
         # dtypes casts through a 64 KiB buffer of its own
-        threshold = words[n_draws]
+        threshold = words[2]
         np.copyto(threshold, first_is_x)
         threshold *= step
         threshold += given_y
-        np.less(zero if certain else draws[1], threshold, out=second_is_x)
+        np.less(draws[1], threshold, out=second_is_x)
 
     return outcomes
 
@@ -479,23 +486,28 @@ def _lhv_breakpoints(bench, channel):
     return ends
 
 
-def _lhv_kernel(bench, master_seed):
-    """Chunk kernel of lhv-sign: an outcome compares the draw's offset from an arc end with a width.
+def _arc_kernel(arc_a, arc_b, master_seed):
+    """Chunk kernel of a one-draw plan: each channel is X on one arc ``(opens, closes)`` of draw 0.
 
+    An outcome compares the draw's offset from an arc end with a width.
     The offset k - end is taken mod 2^64, so a draw below the end lands far
     above any width.  An arc that does not wrap past draw 0 is X where the
-    offset from its opening is below its width; one that wraps is X where
-    the offset from its closing reaches the width of its gap of Y.
+    offset from its opening is below its width, and an empty one
+    (``opens == closes``) is never X; one that wraps is X where the offset
+    from its closing reaches the width of its gap of Y.  Every plan that
+    reads one draw runs here: lhv-sign's, whose arcs are never empty, and a
+    branch plan whose second outcome is certain, whose arcs lie within
+    [0, 2^53]; only an uncertain branch plan reads draw 1, on the two-draw
+    kernel of ``_kernel``.
     """
 
-    def arc(channel):
-        opens, closes = _lhv_breakpoints(bench, channel)
+    def arc(opens, closes):
         # the end and the width as 0-d uint64 arrays, which no call has to convert
-        if opens < closes:
+        if opens <= closes:
             return np.less, _u64(opens), _u64(closes - opens)
         return np.greater_equal, _u64(closes), _u64(opens - closes)
 
-    (compare_a, end_a, width_a), (compare_b, end_b, width_b) = arc(Channel.A), arc(Channel.B)
+    (compare_a, end_a, width_a), (compare_b, end_b, width_b) = arc(*arc_a), arc(*arc_b)
 
     def outcomes(start, words, a_is_x, b_is_x):
         draws = uniform_array(master_seed, _trial_indices(start, words[0]), (0,), words[:2])[0]

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import signal
@@ -116,6 +117,8 @@ _BAD_BENCH_VALUES = {
     "pair --d-plate-a=-inf": (None, "--d-plate-a must be a finite real number, got -inf"),
     "sweep --plate-angle=nan": (None, "--plate-angle must be a finite real number, got nan"),
     "order-test --beta=1e999": (None, "--beta must be a finite real number, got inf"),
+    "pair --d-plate-a=-1": (None, "--d-plate-a must be a nonnegative distance in meters, got -1.0"),
+    "sweep --d-prism-a=-1e308": (None, "--d-prism-a must be a nonnegative distance in meters, got -1e+308"),
     # a config file's value keeps its key, even under a bad flag, and a relation keeps its wording
     "pair --alpha=inf --config": (
         '{"alpha_deg": NaN}',
@@ -124,6 +127,10 @@ _BAD_BENCH_VALUES = {
     "order-test --config": (
         '{"d_prism_a_m": -1e999}',
         "bench config key d_prism_a_m must be a finite real number, got -inf",
+    ),
+    "sweep --config": (
+        '{"d_prism_a_m": -1}',
+        "bench config key d_prism_a_m must be a nonnegative distance in meters, got -1.0",
     ),
     "pair --d-plate-a=5 --d-prism-a=1": (None, "plate must sit between source and prism: d_plate_a <= d_prism_a"),
 }
@@ -139,6 +146,23 @@ def test_bad_bench_value_names_the_flag_or_key_it_came_from(capsys, tmp_path, co
         argv.append(str(path))
     code, out, err = run_cli(capsys, *argv, "--trials", "10")
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command, printed",
+    [
+        ("pair --d-prism-b=-0 --format json", '    "d_prism_b_m": 0,'),
+        ("pair --plate-angle=-0 --format json", '    "plate_angle_deg": 0'),
+        ("pair --d-prism-b=-0", "  d_prism_b_m     0.000000"),
+        ("pair --d-prism-b=-0", "DETECT_B @ 0.000000e+00 s"),
+        ("pair --plate-angle=-0", "  plate_angle_deg 0.000000"),
+        ("order-test --d-prism-b-early=-0", "early bench: d_prism_b_m 0.000000  (B detected before the plate acts)"),
+    ],
+)
+def test_a_zero_distance_or_plate_angle_prints_without_a_sign(capsys, command, printed):
+    code, out, err = run_cli(capsys, *command.split(), "--trials", "10")
+    assert (code, err) == (0, "")
+    assert printed in out, out
 
 
 def test_missing_config_file_exits_2(capsys, tmp_path):
@@ -968,6 +992,15 @@ def _commands(draw):
     return argv, values, config, draw(st.booleans())
 
 
+def _numbers(value):
+    """Every number in a parsed JSON document."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in _numbers(item)]
+    return [value] if isinstance(value, float) else []
+
+
 def _run_in_process(argv):
     stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -1013,4 +1046,7 @@ def test_generated_commands_keep_the_exit_code_and_output_contract(command):
     else:
         assert out and err == ""
         assert written == {os.path.basename(path): out for path in outs.values()}
+        if "--format=json" in argv:  # every number read as a float, so "-0" is -0.0
+            zeros = [x for x in _numbers(json.loads(out, parse_int=float)) if x == 0.0]
+            assert all(math.copysign(1.0, x) > 0 for x in zeros), out
     assert all(run == (code, b"" if workers in outs else out, err) for workers, run in zip((2, 3), runs[1:]))

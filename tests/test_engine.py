@@ -425,6 +425,47 @@ def test_certain_second_detection_has_no_rounding_residue(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "model, bench",
+    [
+        *(("naive", bench) for bench in BENCHES),
+        ("qm", LATE),  # aligned: the first detection fixes the second
+        ("qm", OpticalBench(alpha=5 * math.pi / 8, beta=math.pi / 8)),  # alpha - beta = pi/2
+    ],
+)
+def test_certain_plan_runs_the_arc_kernel_on_draw_0(monkeypatch, model, bench):
+    # a plan whose second outcome is certain is two arcs of draw 0; on draws
+    # either side of the first threshold its outcomes are the two-draw rule's,
+    # with k_second = 0 standing in for draw 1
+    first_ch, *probabilities = engine._branch_plan(model, bench)
+    first_k, given_x, given_y = map(engine._draw_threshold, probabilities)
+    assert {given_x, given_y} <= {0, 2**53}
+    draws = [0, first_k - 1, first_k, 2**53 - 1]
+    table = np.array(draws, dtype=np.uint64)
+    read = set()
+
+    def crafted(master_seed, trial_indices, draw_counters, out=None):
+        read.update(draw_counters)
+        return np.array([table[trial_indices] for _ in draw_counters])
+
+    monkeypatch.setattr(engine, "uniform_array", crafted)
+    assert engine._kernel(model, bench, 0).__qualname__ == "_arc_kernel.<locals>.outcomes"
+    a_vec, b_vec = simulate_outcomes(model, bench, len(draws), master_seed=0)
+    for k, a_is_x, b_is_x in zip(draws, a_vec, b_vec):
+        first = k < first_k
+        k_second = 0
+        second = k_second < (given_x if first else given_y)
+        assert (a_is_x, b_is_x) == ((first, second) if first_ch is Channel.A else (second, first)), k
+    assert read == {0}
+
+
+def test_arc_kernel_reads_an_empty_arc_as_never_x():
+    # (opens, opens) is empty, and (0, 2^53) holds every draw
+    a_is_x, b_is_x = np.ones(100, dtype=bool), np.zeros(100, dtype=bool)
+    engine._arc_kernel((5, 5), (0, 2**53), 9)(0, engine._buffers(100)[0], a_is_x, b_is_x)
+    assert not a_is_x.any() and b_is_x.all()
+
+
+@pytest.mark.parametrize(
     "model, bench, counters",
     [
         ("qm", OpticalBench(alpha=0.3, beta=1.1), {0, 1}),
