@@ -83,8 +83,11 @@ def naive_partner(setting: "AnalyzerSetting | float", outcome: PolAxis) -> float
     """The angle an unpolarized photon's detection paints onto its partner.
 
     The partner becomes definite, orthogonal to the axis the analyzer at
-    ``setting`` registered for ``outcome``.
+    ``setting`` registered for ``outcome``.  An outcome that is not a
+    ``PolAxis`` raises ValueError.
     """
+    if not isinstance(outcome, PolAxis):
+        raise ValueError(f"outcome must be PolAxis.X or PolAxis.Y, got {outcome!r}")
     setting = as_setting(setting)
     registered_axis = setting.angle if outcome is PolAxis.X else setting.angle + _HALF_PI
     return reduce_mod_pi(registered_axis + _HALF_PI)

@@ -12,7 +12,10 @@ functions on immutable values; randomness enters only through an explicit
 
 The algebra is written out entry by entry on Python numbers: every 2x2
 product, projection and norm is a fixed sequence of scalar operations,
-each sum of two terms added left to right.  Nothing goes to numpy's
+each sum of two terms added left to right.  A 2x2 acting on one photon
+of the pair, the plate or an analyzer, is written once, in ``_act``,
+which is also the one check that a channel is ``Channel.A`` or
+``Channel.B``.  Nothing goes to numpy's
 matrix routines or its BLAS, whose kernels may order or fuse the same
 sums differently from one CPU to the next, so the probabilities that
 qm's plan is compiled from are the result of fixed-order IEEE-754
@@ -65,6 +68,12 @@ class PolAxis(enum.Enum):
     Y = "Y"
 
 
+#: the channels as module names: Python 3.11 looks ``Channel.A`` up through a
+#: descriptor, several times slower than a module name, and one qm plan reads
+#: the channel about ten times in ``_act`` and ``_in_order``
+_A, _B = Channel.A, Channel.B
+
+
 def _real(value, what: str) -> float:
     """``value`` as a finite float; a bool, a str and an int beyond float range are not numbers here."""
     if not isinstance(value, bool) and isinstance(value, (float, numbers.Real)):  # float first: it is quick
@@ -104,7 +113,7 @@ class AnalyzerSetting:
 
     @functools.cached_property
     def _cos_sin(self) -> tuple[complex, complex, complex]:
-        """``_basis`` of this setting, computed on first use and kept with it."""
+        """(cos a, sin a, -sin a) of this setting as complex numbers, computed on first use and kept with it."""
         c, s = math.cos(self.angle), math.sin(self.angle)
         return complex(c), complex(s), complex(-s)
 
@@ -265,6 +274,29 @@ def hwp_jones(plate_angle: float) -> JonesMatrix:
     return JonesMatrix._of(((complex(c), complex(s)), (complex(s), complex(-c))))
 
 
+def _act(values: tuple, channel: Channel, m00: complex, m01: complex, m10: complex, m11: complex) -> tuple:
+    """The 2x2 ``[[m00, m01], [m10, m11]]`` applied to ``channel``'s photon of the amplitudes ``values``.
+
+    The one place where a matrix meets one photon of the pair, and so the
+    one place that checks the channel: anything but ``Channel.A`` or
+    ``Channel.B`` raises ValueError.  Each entry is the coefficient times
+    the amplitude, two products added left to right.  The result lists
+    ``channel``'s new axis first: for channel A the usual [XX, XY, YX, YY],
+    for channel B its transpose, B's new axis against A's x and y.
+    """
+    xx, xy, yx, yy = values
+    if channel is _B:  # B's axis first: A's x and y become the other index
+        xy, yx = yx, xy
+    elif channel is not _A:
+        raise ValueError(f"channel must be Channel.A or Channel.B, got {channel!r}")
+    return m00 * xx + m01 * yx, m00 * xy + m01 * yy, m10 * xx + m11 * yx, m10 * xy + m11 * yy
+
+
+def _in_order(values: tuple, channel: Channel) -> tuple:
+    """Amplitudes that list ``channel``'s axis first, put back in [XX, XY, YX, YY] order."""
+    return values if channel is _A else (values[0], values[2], values[1], values[3])
+
+
 def apply_element(state: TwoPhotonState, channel: Channel, element: JonesMatrix) -> TwoPhotonState:
     """Apply a one-photon unitary to the chosen channel of the joint state.
 
@@ -273,38 +305,21 @@ def apply_element(state: TwoPhotonState, channel: Channel, element: JonesMatrix)
     """
     j = element if isinstance(element, JonesMatrix) else JonesMatrix(element)
     (j00, j01), (j10, j11) = j._rows
-    xx, xy, yx, yy = state._values
-    if channel is Channel.A:  # J psi: J mixes the rows of the amplitude matrix
-        out = (j00 * xx + j01 * yx, j00 * xy + j01 * yy, j10 * xx + j11 * yx, j10 * xy + j11 * yy)
-    else:  # psi J^T: J mixes its columns
-        out = (xx * j00 + xy * j01, xx * j10 + xy * j11, yx * j00 + yy * j01, yx * j10 + yy * j11)
-    return TwoPhotonState._of(out)
+    return TwoPhotonState._of(_in_order(_act(state._values, channel, j00, j01, j10, j11), channel))
 
 
-def _basis(setting: "AnalyzerSetting | float") -> tuple[complex, complex, complex]:
-    """(cos a, sin a, -sin a) of the setting as complex numbers.
+def _analyzer_rows(values: tuple, channel: Channel, setting) -> tuple[complex, complex, complex, complex]:
+    """``basis^H psi`` on ``channel``: its analyzer's <x'| row against the other channel's x and y, then <y'|.
 
-    Complex, not float, so every product below is complex by complex, whose
+    The basis is real, so ``basis^H`` is its transpose.  Its entries are
+    complex, not float, so every product is complex by complex, whose
     signed zeros do not depend on how the Python version mixes a float into
-    a complex product.  An ``AnalyzerSetting`` keeps its triple once made,
-    so the analyzers of a plan, which meet each setting several times, pay
-    for ``cos`` and ``sin`` once per setting.
+    a complex product.  An ``AnalyzerSetting`` keeps them once made, so the
+    analyzers of a plan, which meet each setting several times, pay for
+    ``cos`` and ``sin`` once per setting.
     """
-    return as_setting(setting)._cos_sin
-
-
-def _analyzer_rows(state: TwoPhotonState, channel: Channel, setting) -> tuple[complex, complex, complex, complex]:
-    """``basis^H psi`` (``psi`` transposed for channel B), flattened.
-
-    The first two entries are <x'| of ``channel`` against the other
-    channel's x and y, the last two <y'|.  The basis is real, so ``basis^H``
-    is its transpose.
-    """
-    c, s, minus_s = _basis(setting)
-    xx, xy, yx, yy = state._values
-    if channel is Channel.A:
-        return c * xx + s * yx, c * xy + s * yy, minus_s * xx + c * yx, minus_s * xy + c * yy
-    return c * xx + s * xy, c * yx + s * yy, minus_s * xx + c * xy, minus_s * yx + c * yy
+    c, s, minus_s = as_setting(setting)._cos_sin
+    return _act(values, channel, c, s, minus_s, c)
 
 
 def joint_probabilities(
@@ -315,13 +330,11 @@ def joint_probabilities(
     """Born-rule probabilities of the four detector pairs at settings (alpha, beta).
 
     The amplitudes are ``u^H psi conj(v)`` for the analyzer bases ``u`` at
-    ``alpha`` and ``v`` at ``beta``: channel A's rows first, then channel
-    B's basis on the right.
+    ``alpha`` and ``v`` at ``beta``: channel A's analyzer first, then
+    channel B's on its result.
     """
-    r0, r1, r2, r3 = _analyzer_rows(state, Channel.A, alpha)
-    c, s, minus_s = _basis(beta)
-    t = (r0 * c + r1 * s, r0 * minus_s + r1 * c, r2 * c + r3 * s, r2 * minus_s + r3 * c)
-    return ProbTable([z.real * z.real + z.imag * z.imag for z in t])
+    t = _analyzer_rows(_analyzer_rows(state._values, _A, alpha), _B, beta)
+    return ProbTable([z.real * z.real + z.imag * z.imag for z in _in_order(t, _B)])
 
 
 def marginal(
@@ -331,12 +344,12 @@ def marginal(
 ) -> tuple[float, float]:
     """(p_x, p_y) for one channel: the squared norms of the analyzer's rows.
 
-    The rows of ``basis^H @ psi`` (``psi`` transposed for channel B) give
-    the joint table at the other channel's setting 0, summed over it, bit
-    for bit.  A probability below ``ATOL`` is a rounding residue: the pair
-    is then exactly (1, 0) or (0, 1).
+    The rows of ``basis^H psi`` on the channel give the joint table at the
+    other channel's setting 0, summed over it, bit for bit.  A probability
+    below ``ATOL`` is a rounding residue: the pair is then exactly (1, 0)
+    or (0, 1).
     """
-    x0, x1, y0, y1 = _analyzer_rows(state, channel, setting)
+    x0, x1, y0, y1 = _analyzer_rows(state._values, channel, setting)
     p_x = (x0.real * x0.real + x0.imag * x0.imag) + (x1.real * x1.real + x1.imag * x1.imag)
     p_y = (y0.real * y0.real + y0.imag * y0.imag) + (y1.real * y1.real + y1.imag * y1.imag)
     if min(p_x, p_y) < ATOL:
@@ -378,18 +391,16 @@ def project_channel(
     """The joint state after ``channel``'s analyzer at ``setting`` registers ``outcome``.
 
     The state is projected onto the outcome's analyzer vector on that
-    channel and renormalized.  Raises ValueError if the outcome has zero
-    probability.
+    channel and renormalized.  Raises ValueError if the outcome is not a
+    ``PolAxis`` or has zero probability.
     """
-    c, s, minus_s = _basis(setting)
-    v0, v1 = (c, s) if outcome is PolAxis.X else (minus_s, c)
-    xx, xy, yx, yy = state._values
-    if channel is Channel.A:  # |v> (<v| psi): v times the analyzer's row
-        w0, w1 = v0 * xx + v1 * yx, v0 * xy + v1 * yy
-        proj = (v0 * w0, v0 * w1, v1 * w0, v1 * w1)
-    else:  # (psi |v>) <v|: the analyzer's column times v
-        w0, w1 = xx * v0 + xy * v1, yx * v0 + yy * v1
-        proj = (w0 * v0, w0 * v1, w1 * v0, w1 * v1)
+    c, s, minus_s = as_setting(setting)._cos_sin
+    x0, x1, y0, y1 = _act(state._values, channel, c, s, minus_s, c)
+    if not isinstance(outcome, PolAxis):
+        raise ValueError(f"outcome must be PolAxis.X or PolAxis.Y, got {outcome!r}")
+    v0, v1, w0, w1 = (c, s, x0, x1) if outcome is PolAxis.X else (minus_s, c, y0, y1)
+    # |v> (<v| psi): the outcome's vector times its row, the channel's axis first
+    proj = _in_order((v0 * w0, v0 * w1, v1 * w0, v1 * w1), channel)
     nrm = complex(math.sqrt(_norm2(proj)))
     if nrm == 0.0:
         raise ValueError("degenerate projection: selected branch has zero probability")

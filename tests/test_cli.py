@@ -1012,7 +1012,7 @@ def _run_in_process(argv):
     return code, stdout.buffer.getvalue(), stderr.getvalue()
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(command=_commands())
 def test_generated_commands_keep_the_exit_code_and_output_contract(command):
     # the run at one worker prints to stdout; with --out, those at two and

@@ -144,6 +144,13 @@ def test_naive_measure_unpolarized_forces_partner():
     assert naive_partner(0.0, PolAxis.X) == math.pi / 2
 
 
+@pytest.mark.parametrize("outcome", ["X", None, 0, True], ids=repr)
+def test_naive_partner_rejects_an_outcome_that_is_not_an_axis(outcome):
+    # anything but a PolAxis raises instead of being read as Y
+    with pytest.raises(ValueError, match=r"^outcome must be PolAxis\.X or PolAxis\.Y, got "):
+        naive_partner(0.0, outcome)
+
+
 def test_naive_measure_threshold_tie_goes_to_y(monkeypatch):
     # X iff u < P(X) = 1/2: a first draw k = 2^52 (u = 1/2) answers Y, the one below it X
     bench = OpticalBench(d_prism_b=0.25)  # B is detected first

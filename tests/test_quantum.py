@@ -251,6 +251,24 @@ def test_apply_element_channel_b_acts_on_second_slot():
     np.testing.assert_allclose(out.amps, [0.0, 1.0, 0.0, 0.0], atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda state: apply_element(state, None, hwp_jones(0.3)),
+        lambda state: marginal(state, "A", 0.2),
+        lambda state: measure_channel(state, "B", 0.2, 0.5),
+        lambda state: project_channel(state, Channel.A, 0.2, "X"),
+        lambda state: project_channel(state, Channel.B, 0.2, None),
+    ],
+    ids=["apply_element", "marginal", "measure_channel", "project_channel", "project_channel-None"],
+)
+def test_a_channel_or_outcome_of_another_type_is_rejected(call):
+    # any channel but Channel.A or Channel.B, and any outcome but a PolAxis,
+    # raises instead of being read as B or Y
+    with pytest.raises(ValueError, match=r"^(channel must be Channel\.A or Channel\.B|outcome must be PolAxis)"):
+        call(make_anticorrelated_pair())
+
+
 def test_apply_element_preserves_norm_randomly():
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -552,6 +570,145 @@ def test_scalar_algebra_matches_matrix_products_on_complex_inputs():
                     rtol=0,
                     atol=1e-14,
                 )
+
+
+# ---------------------------------------------------------------- bit identity
+# The one-photon algebra as the entry-by-entry formulas it replaced, one per
+# function and channel.  Each qm draw threshold is compiled from these bits,
+# so the package must reproduce them exactly, signed zeros included.
+
+
+def _reference_basis(setting):
+    c, s = math.cos(setting.angle), math.sin(setting.angle)
+    return complex(c), complex(s), complex(-s)
+
+
+def _reference_apply(values, channel, rows):
+    (j00, j01), (j10, j11) = rows
+    xx, xy, yx, yy = values
+    if channel is Channel.A:
+        return j00 * xx + j01 * yx, j00 * xy + j01 * yy, j10 * xx + j11 * yx, j10 * xy + j11 * yy
+    return xx * j00 + xy * j01, xx * j10 + xy * j11, yx * j00 + yy * j01, yx * j10 + yy * j11
+
+
+def _reference_rows(values, channel, setting):
+    c, s, minus_s = _reference_basis(setting)
+    xx, xy, yx, yy = values
+    if channel is Channel.A:
+        return c * xx + s * yx, c * xy + s * yy, minus_s * xx + c * yx, minus_s * xy + c * yy
+    return c * xx + s * xy, c * yx + s * yy, minus_s * xx + c * xy, minus_s * yx + c * yy
+
+
+def _reference_marginal(values, channel, setting):
+    x0, x1, y0, y1 = _reference_rows(values, channel, setting)
+    p_x = (x0.real * x0.real + x0.imag * x0.imag) + (x1.real * x1.real + x1.imag * x1.imag)
+    p_y = (y0.real * y0.real + y0.imag * y0.imag) + (y1.real * y1.real + y1.imag * y1.imag)
+    if min(p_x, p_y) < ATOL:
+        return (1.0, 0.0) if p_x > p_y else (0.0, 1.0)
+    return p_x, p_y
+
+
+def _reference_joint(values, alpha, beta):
+    r0, r1, r2, r3 = _reference_rows(values, Channel.A, alpha)
+    c, s, minus_s = _reference_basis(beta)
+    t = (r0 * c + r1 * s, r0 * minus_s + r1 * c, r2 * c + r3 * s, r2 * minus_s + r3 * c)
+    return [z.real * z.real + z.imag * z.imag for z in t]
+
+
+def _reference_project(values, channel, setting, outcome):
+    c, s, minus_s = _reference_basis(setting)
+    v0, v1 = (c, s) if outcome is PolAxis.X else (minus_s, c)
+    xx, xy, yx, yy = values
+    if channel is Channel.A:
+        w0, w1 = v0 * xx + v1 * yx, v0 * xy + v1 * yy
+        proj = (v0 * w0, v0 * w1, v1 * w0, v1 * w1)
+    else:
+        w0, w1 = xx * v0 + xy * v1, yx * v0 + yy * v1
+        proj = (w0 * v0, w0 * v1, w1 * v0, w1 * v1)
+    total = 0.0
+    for z in proj:
+        total += z.real * z.real + z.imag * z.imag
+    nrm = complex(math.sqrt(total))
+    if nrm == 0.0:
+        return None
+    return tuple(z / nrm for z in proj)
+
+
+def _bits(values) -> list:
+    """Each real and imaginary part as ``float.hex``, so -0.0 and 0.0 differ."""
+    return [(float(complex(z).real).hex(), float(complex(z).imag).hex()) for z in values]
+
+
+def _assert_same_bits_as_the_reference(state, channel, setting, beta, element):
+    values = tuple(state.amps.tolist())
+    assert _bits(apply_element(state, channel, element).amps.tolist()) == _bits(
+        _reference_apply(values, channel, element.m.tolist())
+    )
+    assert _bits(marginal(state, channel, setting)) == _bits(_reference_marginal(values, channel, setting))
+    assert _bits(joint_probabilities(state, setting, beta).p.tolist()) == _bits(
+        _reference_joint(values, setting, beta)
+    )
+    for outcome in PolAxis:
+        want = _reference_project(values, channel, setting, outcome)
+        if want is None:
+            with pytest.raises(ValueError, match="degenerate projection"):
+                project_channel(state, channel, setting, outcome)
+        else:
+            assert _bits(project_channel(state, channel, setting, outcome).amps.tolist()) == _bits(want)
+
+
+def _random_setting(rng) -> AnalyzerSetting:
+    """A lattice angle (a multiple of pi/8, where cos and sin meet exact zeros and ones) or a random one."""
+    if rng.integers(2):
+        return AnalyzerSetting(float(rng.integers(-8, 17)) * math.pi / 8)
+    return AnalyzerSetting(float(rng.uniform(-4.0, 4.0)))
+
+
+def _plan_path_state(rng) -> TwoPhotonState:
+    """A real state as the plan meets one: the source pair, turned by a plate and collapsed, or drawn.
+
+    A drawn state has about a third of its amplitudes at +0.0 or -0.0.
+    """
+    if rng.integers(2):
+        raw = rng.normal(size=4) * (rng.uniform(size=4) > 0.35)
+        if not raw.any():
+            raw[rng.integers(4)] = 1.0
+        return TwoPhotonState(np.where(raw == 0.0, rng.choice([0.0, -0.0], size=4), raw / np.linalg.norm(raw)))
+    state = make_anticorrelated_pair()
+    if rng.integers(2):
+        state = apply_element(state, Channel.A, hwp_jones(float(_random_setting(rng).angle)))
+    channel, outcome = rng.choice(list(Channel)), rng.choice(list(PolAxis))
+    setting = _random_setting(rng)
+    if rng.integers(2) and marginal(state, channel, setting)[0 if outcome is PolAxis.X else 1] > 0.0:
+        state = project_channel(state, channel, setting, outcome)
+    return state
+
+
+def test_one_photon_algebra_keeps_its_bits_on_plan_path_values():
+    # real states, analyzer settings and half-wave plates: the values every qm plan meets
+    rng = np.random.default_rng(30)
+    for _ in range(400):
+        channel = Channel.A if rng.integers(2) else Channel.B
+        plate = hwp_jones(float(_random_setting(rng).angle))
+        state, alpha, beta = _plan_path_state(rng), _random_setting(rng), _random_setting(rng)
+        _assert_same_bits_as_the_reference(state, channel, alpha, beta, plate)
+
+
+def test_one_photon_algebra_keeps_its_bits_on_complex_values():
+    # complex states and unitary Jones matrices.  On channel B the package
+    # multiplies a complex plate entry by an amplitude where the formula above
+    # multiplies the other way round; the two orders give the same bits where
+    # the interpreter's complex product is compiled without fused
+    # multiply-adds, so the cross-CPU CI job runs only the plan-path test,
+    # whose products all have a real factor
+    rng = np.random.default_rng(31)
+    for _ in range(400):
+        raw = rng.normal(size=4) + 1j * rng.normal(size=4)
+        state = TwoPhotonState(raw / np.linalg.norm(raw))
+        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        unitary = JonesMatrix(q * (np.diag(r) / np.abs(np.diag(r))))
+        channel = Channel.A if rng.integers(2) else Channel.B
+        _assert_same_bits_as_the_reference(state, channel, _random_setting(rng), _random_setting(rng), unitary)
 
 
 def test_quantum_algebra_has_no_matrix_products():
