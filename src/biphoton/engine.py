@@ -15,7 +15,8 @@ trial indices and ``run_trial`` to a single index, so a replayed trial is
 its ensemble's trial by construction.  The quantum and naive models
 compile to a branch plan of outcome probabilities, made by one walk of
 the timeline through each model's four rules (the pair at emission, the
-plate, P(X) at one analyzer, the pair after a detection); the
+plate, P(X) at one analyzer, and a detection: P(X) and the pair after
+each outcome, which qm reads from one set of analyzer rows); the
 hidden-angle model compiles to draw thresholds: a draw is k / 2^53, each
 channel is X on one arc of the circle of draws k mod 2^53, and the arc's
 two ends are pinned with the scalar rules of ``local``.  A plan that
@@ -37,7 +38,10 @@ involved.  Draw discipline per trial, unchanged by the compilation: the
 hidden-angle model reads one draw (the shared angle at emission); the
 quantum and naive models read draw 0 for the first detection in time
 order and draw 1 for the second only if the first leaves it uncertain,
-which for the naive model it never does.
+which for the naive model it never does.  Planning reads enum members
+through module names (``_A``, ``_X``, ``_PLATE_A`` and the rest), which
+Python 3.11 looks up several times faster than ``Channel.A``, and starts
+every walk from one source pair, ``_PAIR``, an immutable value.
 """
 
 from __future__ import annotations
@@ -69,10 +73,14 @@ from .quantum import (
     XY,
     YX,
     YY,
+    _A,
+    _B,
+    _X,
+    _Y,
     AnalyzerSetting,
-    Channel,
     PolAxis,
     ProbTable,
+    _detection,
     _real,
     apply_element,
     as_setting,
@@ -80,7 +88,6 @@ from .quantum import (
     make_anticorrelated_pair,
     marginal,
     measure_channel,  # unused here, but perfbench/tracer.py times it through this name
-    project_channel,
     reduce_mod_pi,
 )
 from .rng import _integer, _u64, derive_seed, uniform_array
@@ -103,6 +110,10 @@ class BenchEvent(IntEnum):
     PLATE_A = 0
     DETECT_B = 1
     DETECT_A = 2
+
+
+#: the bench events as module names, read as ``quantum`` reads ``_A`` and ``_B``
+_PLATE_A, _DETECT_B, _DETECT_A = BenchEvent.PLATE_A, BenchEvent.DETECT_B, BenchEvent.DETECT_A
 
 
 class TimedEvent(NamedTuple):
@@ -145,28 +156,36 @@ class OpticalBench:
     plate_angle: float = _QUARTER_PI
 
     def __post_init__(self):
-        checked = {}
-        for name in ("d_plate_a", "d_prism_a", "d_prism_b"):
-            checked[name] = _distance(getattr(self, name), name)
-        checked["alpha"], checked["beta"] = as_setting(self.alpha), as_setting(self.beta)
+        d_plate_a = _distance(self.d_plate_a, "d_plate_a")
+        d_prism_a = _distance(self.d_prism_a, "d_prism_a")
+        d_prism_b = _distance(self.d_prism_b, "d_prism_b")
+        alpha, beta = as_setting(self.alpha), as_setting(self.beta)
         if not isinstance(self.plate_present, (bool, np.bool_)):
             raise ValueError(f"plate_present must be true or false, got {self.plate_present!r}")
-        checked["plate_present"] = bool(self.plate_present)
+        plate_present = bool(self.plate_present)
         # -0.0 is false, so a zero angle is stored as +0.0, which prints without a sign
-        checked["plate_angle"] = _real(self.plate_angle, "plate_angle in radians") or 0.0
-        if checked["plate_present"] and checked["d_plate_a"] > checked["d_prism_a"]:
+        plate_angle = _real(self.plate_angle, "plate_angle in radians") or 0.0
+        if plate_present and d_plate_a > d_prism_a:
             raise ValueError("plate must sit between source and prism: d_plate_a <= d_prism_a")
-        _store_changed(self, checked)
+        _store_changed(self, {
+            "d_plate_a": d_plate_a,
+            "d_prism_a": d_prism_a,
+            "d_prism_b": d_prism_b,
+            "alpha": alpha,
+            "beta": beta,
+            "plate_present": plate_present,
+            "plate_angle": plate_angle,
+        })
 
 
 def build_timeline(bench: OpticalBench) -> tuple[TimedEvent, ...]:
     """Events of one trial at time distance / c, sorted by time, ties by event precedence."""
     events = [
-        TimedEvent(bench.d_prism_b / SPEED_OF_LIGHT, BenchEvent.DETECT_B),
-        TimedEvent(bench.d_prism_a / SPEED_OF_LIGHT, BenchEvent.DETECT_A),
+        TimedEvent(bench.d_prism_b / SPEED_OF_LIGHT, _DETECT_B),
+        TimedEvent(bench.d_prism_a / SPEED_OF_LIGHT, _DETECT_A),
     ]
     if bench.plate_present:
-        events.append(TimedEvent(bench.d_plate_a / SPEED_OF_LIGHT, BenchEvent.PLATE_A))
+        events.append(TimedEvent(bench.d_plate_a / SPEED_OF_LIGHT, _PLATE_A))
     return tuple(sorted(events))
 
 
@@ -177,7 +196,7 @@ def detect_b_before_plate(bench: OpticalBench) -> bool:
     never acts after A's detection and wins ties, so B beats it exactly
     when B's detection is the first event.
     """
-    return bench.plate_present and build_timeline(bench)[0].event is BenchEvent.DETECT_B
+    return bench.plate_present and build_timeline(bench)[0].event is _DETECT_B
 
 
 @dataclass(frozen=True)
@@ -256,30 +275,44 @@ def _check_model(model: str) -> None:
 # per-bench plans: each model compiles a bench into one chunk kernel
 
 
+#: the pair at emission: an immutable value, made once
+_PAIR = make_anticorrelated_pair()
+
+
+def _qm_detection(state, channel, setting):
+    """P(X) at ``channel``'s analyzer and the pair after each outcome, from one set of analyzer rows."""
+    p_x, _, after_x, after_y = _detection(state, channel, setting, (_X, _Y))
+    return p_x, after_x, after_y
+
+
 def _qm_rules(bench):
     """quantum's per-event rules; the walk's state is the pair's joint state."""
     # the plate rule runs only on a timeline that holds the plate
     plate = hwp_jones(bench.plate_angle) if bench.plate_present else None
     return (
-        make_anticorrelated_pair(),
-        lambda state: apply_element(state, Channel.A, plate),
+        _PAIR,
+        lambda state: apply_element(state, _A, plate),
         lambda state, channel, setting: marginal(state, channel, setting)[0],
-        project_channel,
+        _qm_detection,
     )
+
+
+def _naive_detection(photons, channel, setting):
+    """P(X) of ``channel``'s photon and the photons after each outcome, which paints the partner."""
+    a, b = photons
+    x, y = naive_partner(setting, _X), naive_partner(setting, _Y)
+    if channel is _A:
+        return naive_p_x(a, setting), (a, x), (a, y)
+    return naive_p_x(b, setting), (x, b), (y, b)
 
 
 def _naive_rules(bench):
     """local's naive rules; the walk's state is the photon angles (A, B), None while unpolarized."""
-
-    def registered(photons, channel, setting, outcome):
-        partner = naive_partner(setting, outcome)
-        return (photons[0], partner) if channel is Channel.A else (partner, photons[1])
-
     return (
         (None, None),
         lambda photons: (naive_plate_action(photons[0]), photons[1]),
-        lambda photons, channel, setting: naive_p_x(photons[0 if channel is Channel.A else 1], setting),
-        registered,
+        lambda photons, channel, setting: naive_p_x(photons[0 if channel is _A else 1], setting),
+        _naive_detection,
     )
 
 
@@ -292,32 +325,33 @@ def _branch_plan(model, bench):
     """Branch plan of a two-detection model, walking the bench's timeline through its rules.
 
     The model's rules give the pair at emission, the plate's action on it,
-    P(X) at one analyzer, and the pair after an analyzer registers an
-    outcome.  P(first = X) is 1/2 up to rounding on every bench (the first
-    detection always meets an unpolarized photon or half of a maximally
-    entangled pair), so both branches are live.
+    P(X) at one analyzer, for the second detection, and a detection, for
+    the first: P(X) at one analyzer and the pair after each outcome (qm
+    reads all three from one set of analyzer rows, ``quantum._detection``).
+    P(first = X) is 1/2 up to rounding on every bench (the first detection
+    always meets an unpolarized photon or half of a maximally entangled
+    pair), so both branches are live.
     """
-    state, plate, p_x, registered = _RULES[model](bench)
+    state, plate, p_x, detection = _RULES[model](bench)
     timeline = build_timeline(bench)
     i = 0
-    while timeline[i].event is BenchEvent.PLATE_A:
+    while timeline[i].event is _PLATE_A:
         state = plate(state)
         i += 1
-    first_ch = Channel.A if timeline[i].event is BenchEvent.DETECT_A else Channel.B
-    second_ch = Channel.B if first_ch is Channel.A else Channel.A
-    first_setting = bench.alpha if first_ch is Channel.A else bench.beta
-    second_setting = bench.alpha if second_ch is Channel.A else bench.beta
-    p1x = p_x(state, first_ch, first_setting)
+    if timeline[i].event is _DETECT_A:
+        first_ch, first_setting, second_ch, second_setting = _A, bench.alpha, _B, bench.beta
+    else:
+        first_ch, first_setting, second_ch, second_setting = _B, bench.beta, _A, bench.alpha
+    p1x, after_x, after_y = detection(state, first_ch, first_setting)
     tail = timeline[i + 1 :]
 
-    def second_p_x(first_outcome: PolAxis) -> float:
-        branch = registered(state, first_ch, first_setting, first_outcome)
+    def second_p_x(branch):
         for ev in tail:
-            if ev.event is BenchEvent.PLATE_A:
+            if ev.event is _PLATE_A:
                 branch = plate(branch)
         return p_x(branch, second_ch, second_setting)
 
-    return first_ch, p1x, second_p_x(PolAxis.X), second_p_x(PolAxis.Y)
+    return first_ch, p1x, second_p_x(after_x), second_p_x(after_y)
 
 
 #: draws per unit: a draw is u = k / DRAWS for an integer k in [0, DRAWS)
@@ -398,10 +432,10 @@ def _kernel(model, bench, master_seed):
     the first is, where it is not, or everywhere or nowhere.
     """
     if model == "lhv-sign":
-        return _arc_kernel(_lhv_breakpoints(bench, Channel.A), _lhv_breakpoints(bench, Channel.B), master_seed)
+        return _arc_kernel(_lhv_breakpoints(bench, _A), _lhv_breakpoints(bench, _B), master_seed)
     first_ch, *probabilities = _branch_plan(model, bench)
     first_k, given_x, given_y = map(_draw_threshold, probabilities)
-    a_first = first_ch is Channel.A
+    a_first = first_ch is _A
     if {given_x, given_y} <= {0, _DRAWS}:
         first = (0, first_k)
         second = first if given_x > given_y else (first_k, _DRAWS) if given_y > given_x else (0, given_x)
@@ -454,8 +488,8 @@ def _lhv_breakpoints(bench, channel):
     photon, turned or not, then ``lhv_outcome``) flip, so ties keep their
     bits.
     """
-    setting = bench.alpha if channel is Channel.A else bench.beta
-    turned = channel is Channel.B or bench.plate_present
+    setting = bench.alpha if channel is _A else bench.beta
+    turned = channel is _B or bench.plate_present
     start = _WRAP if turned else 0
     known = {}
 
@@ -463,7 +497,7 @@ def _lhv_breakpoints(bench, channel):
         k %= _DRAWS
         if k not in known:
             lam = lhv_sample(k / _DRAWS)  # photon A at the source, in [0, pi)
-            known[k] = lhv_outcome(naive_plate_action(lam) if turned else lam, setting) is PolAxis.X
+            known[k] = lhv_outcome(naive_plate_action(lam) if turned else lam, setting) is _X
         return known[k]
 
     def pin(edge, to_x):
@@ -533,8 +567,8 @@ def run_trial(model: str, bench: OpticalBench, master_seed: int, trial_index: in
     return TrialRecord(
         trial_index,
         model,
-        PolAxis.X if a_is_x[0] else PolAxis.Y,
-        PolAxis.X if b_is_x[0] else PolAxis.Y,
+        _X if a_is_x[0] else _Y,
+        _X if b_is_x[0] else _Y,
         detect_b_before_plate(bench),
     )
 
@@ -783,7 +817,7 @@ def analytic_joint_table(model: str, bench: OpticalBench) -> ProbTable:
     # first outcome, then second: XX, XY, YX, YY
     xx, xy = p1x * p2x_given_x, p1x * (1.0 - p2x_given_x)
     yx, yy = p1y * p2x_given_y, p1y * (1.0 - p2x_given_y)
-    return ProbTable([xx, xy, yx, yy] if first_ch is Channel.A else [xx, yx, xy, yy])
+    return ProbTable([xx, xy, yx, yy] if first_ch is _A else [xx, yx, xy, yy])
 
 
 def analytic_E(model: str, bench: OpticalBench) -> float:

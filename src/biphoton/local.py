@@ -9,7 +9,10 @@ Two contrast models are implemented:
   partner; a definite photon answers analyzers deterministically by the
   sign rule below.  These are quantum collapse's two rules, P(X) at one
   analyzer and the pair after a detection, made local, and the engine
-  compiles both models through them alike.  This model's prediction
+  compiles both models through them alike: its naive detection is
+  ``naive_p_x`` with ``naive_partner`` for each outcome, as its quantum
+  one is P(X) and both collapsed states from one evaluation of the
+  analyzer.  This model's prediction
   depends on the order of bench events, which is the point of the order
   test.
 
@@ -22,7 +25,10 @@ Two contrast models are implemented:
   bound of 2.
 
 A local photon is a plain angle in [0, pi), or None while it has no
-polarization; every rule that makes an angle reduces it mod pi.
+polarization; every rule that makes an angle reduces it mod pi.  The
+rules name the outcomes ``_X`` and ``_Y``, ``quantum``'s module names for
+``PolAxis.X`` and ``PolAxis.Y``, because every plan calls them many times
+and a module name is read several times faster than an enum member.
 
 Sign rule: outcome X iff the folded angular distance between setting and
 hidden angle is <= pi/4, which is the sign of cos 2(setting - angle) with
@@ -36,7 +42,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .quantum import AnalyzerSetting, PolAxis, as_setting, reduce_mod_pi
+from .quantum import _X, _Y, AnalyzerSetting, PolAxis, as_setting, reduce_mod_pi
 
 _HALF_PI = math.pi / 2.0
 _QUARTER_PI = math.pi / 4.0
@@ -56,7 +62,7 @@ def lhv_sample(u: float) -> float:
 def lhv_outcome(lam: float, setting: "AnalyzerSetting | float") -> PolAxis:
     """Deterministic analyzer answer: X iff cos 2(setting - lambda) >= 0."""
     d = fold_distance(as_setting(setting).angle - lam)
-    return PolAxis.X if d <= _QUARTER_PI else PolAxis.Y
+    return _X if d <= _QUARTER_PI else _Y
 
 
 def naive_plate_action(photon: Optional[float]) -> Optional[float]:
@@ -76,7 +82,7 @@ def naive_p_x(photon: Optional[float], setting: "AnalyzerSetting | float") -> fl
     """P(X) of a naive-model photon: 1/2 while unpolarized, else 1 or 0 by the sign rule."""
     if photon is None:
         return 0.5
-    return float(lhv_outcome(photon, setting) is PolAxis.X)
+    return float(lhv_outcome(photon, setting) is _X)
 
 
 def naive_partner(setting: "AnalyzerSetting | float", outcome: PolAxis) -> float:
@@ -86,10 +92,10 @@ def naive_partner(setting: "AnalyzerSetting | float", outcome: PolAxis) -> float
     ``setting`` registered for ``outcome``.  An outcome that is not a
     ``PolAxis`` raises ValueError.
     """
-    if not isinstance(outcome, PolAxis):
+    if outcome is not _X and outcome is not _Y:
         raise ValueError(f"outcome must be PolAxis.X or PolAxis.Y, got {outcome!r}")
-    setting = as_setting(setting)
-    registered_axis = setting.angle if outcome is PolAxis.X else setting.angle + _HALF_PI
+    angle = as_setting(setting).angle
+    registered_axis = angle if outcome is _X else angle + _HALF_PI
     return reduce_mod_pi(registered_axis + _HALF_PI)
 
 

@@ -15,7 +15,10 @@ product, projection and norm is a fixed sequence of scalar operations,
 each sum of two terms added left to right.  A 2x2 acting on one photon
 of the pair, the plate or an analyzer, is written once, in ``_act``,
 which is also the one check that a channel is ``Channel.A`` or
-``Channel.B``.  Nothing goes to numpy's
+``Channel.B``.  A detection, P(X) and P(Y) at one analyzer and the state
+after each outcome, is read from one such product, in ``_detection``,
+which ``marginal``, ``project_channel``, ``measure_channel`` and qm's
+plan share.  Nothing goes to numpy's
 matrix routines or its BLAS, whose kernels may order or fuse the same
 sums differently from one CPU to the next, so the probabilities that
 qm's plan is compiled from are the result of fixed-order IEEE-754
@@ -37,7 +40,10 @@ Conventions:
 * sampling threshold: ``u < p_x`` selects X, so a tie at ``u == p_x``
   deterministically selects Y;
 * ``_real`` is the one rule for every real argument, here and in
-  ``engine``: a finite Python or numpy real, not a bool, or ValueError.
+  ``engine``: a finite Python or numpy real, not a bool, or ValueError;
+  ``_complex`` is the one rule for every amplitude and Jones entry given
+  to ``TwoPhotonState`` or ``JonesMatrix``: a finite Python or numpy
+  number, not a bool, or ValueError.
 """
 
 from __future__ import annotations
@@ -68,21 +74,36 @@ class PolAxis(enum.Enum):
     Y = "Y"
 
 
-#: the channels as module names: Python 3.11 looks ``Channel.A`` up through a
-#: descriptor, several times slower than a module name, and one qm plan reads
-#: the channel about ten times in ``_act`` and ``_in_order``
+#: the enum members as module names: Python 3.11 looks ``Channel.A`` up
+#: through a descriptor, several times slower than a module name, and every
+#: plan reads channels and outcomes many times; ``engine`` names its bench
+#: events the same way
 _A, _B = Channel.A, Channel.B
+_X, _Y = PolAxis.X, PolAxis.Y
 
 
 def _real(value, what: str) -> float:
     """``value`` as a finite float; a bool, a str and an int beyond float range are not numbers here."""
-    if not isinstance(value, bool) and isinstance(value, (float, numbers.Real)):  # float first: it is quick
+    if type(value) is float and math.isfinite(value):  # nearly every call: a finite float is kept as it is
+        return value
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
         try:
             if math.isfinite(x := float(value)):
                 return x
         except OverflowError:  # an int or a Fraction beyond float range
             pass
     raise ValueError(f"{what} must be a finite real number, got {value!r}")
+
+
+def _complex(value, what: str) -> complex:
+    """``value`` as a finite complex; a bool, a str and a number beyond complex range are not numbers here."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Number):
+        try:
+            if cmath.isfinite(z := complex(value)):
+                return z
+        except (OverflowError, TypeError, ValueError):  # beyond float range, or a Number that is not complex
+            pass
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
 def reduce_mod_pi(angle: float) -> float:
@@ -148,7 +169,8 @@ class TwoPhotonState:
     __slots__ = ("_values",)
 
     def __init__(self, amps):
-        self._values = _unit_amplitudes(tuple(np.array(amps, dtype=np.complex128).reshape(4).tolist()))
+        amps = np.array(amps, dtype=object).reshape(4).tolist()
+        self._values = _unit_amplitudes(tuple(_complex(z, "state amplitude") for z in amps))
 
     @classmethod
     def _of(cls, values: tuple) -> "TwoPhotonState":
@@ -185,7 +207,8 @@ class JonesMatrix:
     __slots__ = ("_rows",)
 
     def __init__(self, m):
-        (m00, m01), (m10, m11) = np.array(m, dtype=np.complex128).reshape(2, 2).tolist()
+        entries = np.array(m, dtype=object).reshape(4).tolist()
+        m00, m01, m10, m11 = (_complex(z, "Jones matrix entry") for z in entries)
         self._rows = _unitary_rows(((m00, m01), (m10, m11)))
 
     @classmethod
@@ -337,6 +360,39 @@ def joint_probabilities(
     return ProbTable([z.real * z.real + z.imag * z.imag for z in _in_order(t, _B)])
 
 
+def _detection(state: TwoPhotonState, channel: Channel, setting, outcomes: tuple = ()) -> tuple:
+    """``(p_x, p_y, *after)``: a detection on ``channel`` at ``setting``, from one set of analyzer rows.
+
+    ``p_x`` and ``p_y`` are the squared norms of the analyzer's rows of the
+    state.  A probability below ``ATOL`` is a rounding residue: the pair is
+    then exactly (1, 0) or (0, 1).  ``after`` holds, for each of
+    ``outcomes``, the state projected onto that outcome's analyzer vector
+    on the channel and renormalized, or None where the projection is zero.
+    An outcome that is not a ``PolAxis`` raises ValueError.  ``marginal``,
+    ``project_channel``, ``measure_channel`` and the qm plan's first
+    detection all read a detection here, so its arithmetic is written once.
+    """
+    c, s, minus_s = as_setting(setting)._cos_sin
+    x0, x1, y0, y1 = _act(state._values, channel, c, s, minus_s, c)
+    p_x = (x0.real * x0.real + x0.imag * x0.imag) + (x1.real * x1.real + x1.imag * x1.imag)
+    p_y = (y0.real * y0.real + y0.imag * y0.imag) + (y1.real * y1.real + y1.imag * y1.imag)
+    if min(p_x, p_y) < ATOL:
+        p_x, p_y = (1.0, 0.0) if p_x > p_y else (0.0, 1.0)
+    result = [p_x, p_y]
+    for outcome in outcomes:
+        if outcome is _X:
+            v0, v1, w0, w1 = c, s, x0, x1
+        elif outcome is _Y:
+            v0, v1, w0, w1 = minus_s, c, y0, y1
+        else:
+            raise ValueError(f"outcome must be PolAxis.X or PolAxis.Y, got {outcome!r}")
+        # |v> (<v| psi): the outcome's vector times its row, the channel's axis first
+        p0, p1, p2, p3 = proj = _in_order((v0 * w0, v0 * w1, v1 * w0, v1 * w1), channel)
+        nrm = complex(math.sqrt(_norm2(proj)))
+        result.append(None if nrm == 0.0 else TwoPhotonState._of((p0 / nrm, p1 / nrm, p2 / nrm, p3 / nrm)))
+    return tuple(result)
+
+
 def marginal(
     state: TwoPhotonState,
     channel: Channel,
@@ -349,12 +405,7 @@ def marginal(
     below ``ATOL`` is a rounding residue: the pair is then exactly (1, 0)
     or (0, 1).
     """
-    x0, x1, y0, y1 = _analyzer_rows(state._values, channel, setting)
-    p_x = (x0.real * x0.real + x0.imag * x0.imag) + (x1.real * x1.real + x1.imag * x1.imag)
-    p_y = (y0.real * y0.real + y0.imag * y0.imag) + (y1.real * y1.real + y1.imag * y1.imag)
-    if min(p_x, p_y) < ATOL:
-        return (1.0, 0.0) if p_x > p_y else (0.0, 1.0)
-    return p_x, p_y
+    return _detection(state, channel, setting)
 
 
 def measure_channel(
@@ -372,14 +423,12 @@ def measure_channel(
     draw = _real(u, "u")
     if not 0.0 <= draw < 1.0:
         raise ValueError(f"u must lie in [0, 1), got {u!r}")
-    p_x, p_y = marginal(state, channel, setting)
+    p_x, p_y, after_x, after_y = _detection(state, channel, setting, (_X, _Y))
+    # the selected state is never None: a rounding residue is an exact 0,
+    # which no u in [0, 1) selects (u < 0.0 is false, u < 1.0 true)
     if draw < p_x:
-        outcome, prob = PolAxis.X, p_x
-    else:
-        outcome, prob = PolAxis.Y, p_y
-    # unreachable degenerate projection: marginal returns a rounding residue
-    # as an exact 0, which no u in [0, 1) selects (u < 0.0 is false, u < 1.0 true)
-    return MeasurementResult(outcome, project_channel(state, channel, setting, outcome), prob)
+        return MeasurementResult(_X, after_x, p_x)
+    return MeasurementResult(_Y, after_y, p_y)
 
 
 def project_channel(
@@ -394,15 +443,7 @@ def project_channel(
     channel and renormalized.  Raises ValueError if the outcome is not a
     ``PolAxis`` or has zero probability.
     """
-    c, s, minus_s = as_setting(setting)._cos_sin
-    x0, x1, y0, y1 = _act(state._values, channel, c, s, minus_s, c)
-    if not isinstance(outcome, PolAxis):
-        raise ValueError(f"outcome must be PolAxis.X or PolAxis.Y, got {outcome!r}")
-    v0, v1, w0, w1 = (c, s, x0, x1) if outcome is PolAxis.X else (minus_s, c, y0, y1)
-    # |v> (<v| psi): the outcome's vector times its row, the channel's axis first
-    proj = _in_order((v0 * w0, v0 * w1, v1 * w0, v1 * w1), channel)
-    nrm = complex(math.sqrt(_norm2(proj)))
-    if nrm == 0.0:
+    _, _, after = _detection(state, channel, setting, (outcome,))
+    if after is None:
         raise ValueError("degenerate projection: selected branch has zero probability")
-    p0, p1, p2, p3 = proj
-    return TwoPhotonState._of((p0 / nrm, p1 / nrm, p2 / nrm, p3 / nrm))
+    return after

@@ -59,6 +59,7 @@ from biphoton.quantum import (
     make_anticorrelated_pair,
     marginal,
     measure_channel,
+    project_channel,
     reduce_mod_pi,
 )
 from biphoton.rng import derive_seed
@@ -399,6 +400,86 @@ def test_qm_plan_thresholds_are_pinned(bench, plan):
     first_ch, p1x, p2x_given_x, p2x_given_y = engine._branch_plan("qm", bench)
     got = (first_ch.value, *map(engine._draw_threshold, (p1x, p2x_given_x, p2x_given_y)))
     assert got == plan
+
+
+def _walked_plan(model, bench):
+    """A bench's branch plan walked over one rule per step: P(X) and the state after one outcome apart.
+
+    qm reads ``marginal`` and ``project_channel``, naive ``naive_p_x`` and
+    ``naive_partner``; the plan must not depend on how the package's walk
+    groups them.
+    """
+    if model == "qm":
+        state, plate = make_anticorrelated_pair(), hwp_jones(bench.plate_angle)
+
+        def turn(state):
+            return apply_element(state, Channel.A, plate)
+
+        def p_x(state, channel, setting):
+            return marginal(state, channel, setting)[0]
+
+        registered = project_channel
+    else:
+        state = (None, None)
+
+        def turn(photons):
+            return naive_plate_action(photons[0]), photons[1]
+
+        def p_x(photons, channel, setting):
+            return naive_p_x(photons[0 if channel is Channel.A else 1], setting)
+
+        def registered(photons, channel, setting, outcome):
+            partner = naive_partner(setting, outcome)
+            return (photons[0], partner) if channel is Channel.A else (partner, photons[1])
+
+    events = [ev.event for ev in build_timeline(bench)]
+    while events[0] is BenchEvent.PLATE_A:
+        state = turn(state)
+        events.pop(0)
+    first = Channel.A if events.pop(0) is BenchEvent.DETECT_A else Channel.B
+    second = Channel.B if first is Channel.A else Channel.A
+    setting = {Channel.A: bench.alpha, Channel.B: bench.beta}
+    given = []
+    for outcome in (PolAxis.X, PolAxis.Y):
+        branch = registered(state, first, setting[first], outcome)
+        for event in events:
+            if event is BenchEvent.PLATE_A:
+                branch = turn(branch)
+        given.append(p_x(branch, second, setting[second]))
+    return first, p_x(state, first, setting[first]), *given
+
+
+def _plan_benches(n, seed):
+    """Benches with lattice or random settings, the plate on or off, and B's prism before, at or after the plate."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        lattice = bool(rng.integers(2))
+
+        def angle():
+            return int(rng.integers(-8, 17)) * math.pi / 8 if lattice else float(rng.uniform(-4.0, 4.0))
+
+        d_plate = float(rng.choice([0.0, 0.25, 0.5, 1.0]))
+        d_prism_b = d_plate + float(rng.choice([-0.25, 0.0, 0.25, 1.0]) if lattice else rng.uniform(-0.5, 0.5))
+        yield OpticalBench(
+            d_plate_a=d_plate,
+            d_prism_a=d_plate + float(rng.choice([0.0, 0.5])),
+            d_prism_b=max(d_prism_b, 0.0),
+            alpha=angle(),
+            beta=angle(),
+            plate_present=bool(rng.integers(2)),
+            plate_angle=angle(),
+        )
+
+
+def test_branch_plans_keep_their_bits():
+    # every probability of the plan, by float.hex, on 400 derandomized benches
+    def bits(plan):
+        first, *probabilities = plan
+        return first, [float(p).hex() for p in probabilities]
+
+    for bench in _plan_benches(400, seed=31):
+        for model in ("qm", "naive"):
+            assert bits(engine._branch_plan(model, bench)) == bits(_walked_plan(model, bench)), (model, bench)
 
 
 def test_certain_second_detection_has_no_rounding_residue(monkeypatch):

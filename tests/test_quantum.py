@@ -208,6 +208,57 @@ def test_jones_matrix_and_state_reject_non_finite_entries(bad, entry):
         TwoPhotonState(amps)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: apply_element(make_anticorrelated_pair(), Channel.A, [[10**400, 0], [0, 1]]),
+        lambda: JonesMatrix([[Fraction(10**400), 0], [0, 1]]),
+        lambda: JonesMatrix([[True, 0], [0, 1]]),
+        lambda: JonesMatrix([["1", 0], [0, 1]]),
+        lambda: JonesMatrix({"a": 1}),
+        lambda: JonesMatrix([[1, 0], [0]]),
+        lambda: TwoPhotonState(object()),
+        lambda: TwoPhotonState([0, 1, 0, 10**400]),
+        lambda: TwoPhotonState([0, True, 0, 0]),
+        lambda: TwoPhotonState([[0], [1], [0], [None]]),
+    ],
+    ids=[
+        "apply_element-int-beyond-range",
+        "jones-fraction-beyond-range",
+        "jones-bool",
+        "jones-str",
+        "jones-dict",
+        "jones-ragged",
+        "state-object",
+        "state-int-beyond-range",
+        "state-bool",
+        "state-none",
+    ],
+)
+def test_an_entry_that_is_not_a_finite_number_is_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+@pytest.mark.parametrize(
+    "amps, rows",
+    [
+        ([0, 1, 0, 0], [[0, 1], [1, 0]]),
+        (
+            [-0.0, Fraction(3, 5), 0, Fraction(4, 5)],
+            [[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]],
+        ),
+        (np.array([[0.0, -1.0], [0.0, -0.0]], dtype=np.float32), np.array([[-0.0, 1.0], [1.0, 0.0]], dtype=np.float32)),
+        ([np.complex64(1j), np.float64(-0.0), np.int64(0), 0j], [[np.complex64(1j), 0], [np.float64(-0.0), np.int64(1)]]),
+    ],
+    ids=["ints", "fractions-and-signed-zero", "float32", "numpy-scalars"],
+)
+def test_entries_keep_the_bits_numpy_gave_them(amps, rows):
+    # each entry converts to the complex that np.array(..., dtype=complex128) made of it
+    assert _bits(TwoPhotonState(amps).amps.tolist()) == _bits(np.array(amps, dtype=np.complex128).reshape(4).tolist())
+    assert _bits(JonesMatrix(rows).m.reshape(4).tolist()) == _bits(np.array(rows, dtype=np.complex128).reshape(4).tolist())
+
+
 def test_hwp_rejects_non_finite_angle():
     with pytest.raises(ValueError):
         hwp_jones(math.inf)
@@ -648,12 +699,17 @@ def _assert_same_bits_as_the_reference(state, channel, setting, beta, element):
     assert _bits(joint_probabilities(state, setting, beta).p.tolist()) == _bits(
         _reference_joint(values, setting, beta)
     )
-    for outcome in PolAxis:
+    # one detection's P(X), P(Y) and both states after it, from one set of analyzer rows
+    p_x, p_y, *after = quantum._detection(state, channel, setting, tuple(PolAxis))
+    assert _bits((p_x, p_y)) == _bits(_reference_marginal(values, channel, setting))
+    for outcome, got in zip(PolAxis, after):
         want = _reference_project(values, channel, setting, outcome)
         if want is None:
+            assert got is None
             with pytest.raises(ValueError, match="degenerate projection"):
                 project_channel(state, channel, setting, outcome)
         else:
+            assert _bits(got.amps.tolist()) == _bits(want)
             assert _bits(project_channel(state, channel, setting, outcome).amps.tolist()) == _bits(want)
 
 
