@@ -9,39 +9,45 @@ are broken by a fixed event precedence (plate, then B, then A).
 Every trial is driven by counter-based uniform draws keyed on
 (master_seed, trial_index, draw_counter), so a run is reproducible from
 its seed alone and any single trial can be replayed in isolation.  Each
-model compiles a bench once into a chunk kernel built from the per-event
-rules in ``quantum`` and ``local``; the ensembles apply it to chunks of
-trial indices and ``run_trial`` to a single index, so a replayed trial is
-its ensemble's trial by construction.  The quantum and naive models
-compile to a branch plan of outcome probabilities, made by one walk of
+call compiles its bench once, in ``_compile``, into one plan value, a
+``_Plan``, which does not depend on the seed.  Its fields: ``arcs``, each
+channel's arc ``(opens, closes)`` of X draws of draw 0, for a plan that
+reads one draw; ``branch``, qm's and naive's branch plan (first-detected
+channel, P(first = X), P(second = X | first = X), P(second = X | first =
+Y)), which ``analytic_joint_table`` multiplies out; and ``thresholds``,
+those three probabilities as integer draw thresholds.  ``_kernel(plan,
+master_seed)`` builds a chunk kernel from the plan alone; the ensembles
+apply it to chunks of trial indices and ``run_trial`` to a single index,
+so a replayed trial is its ensemble's trial by construction.  The
+quantum and naive models compile to a branch plan, made by one walk of
 the timeline through each model's four rules (the pair at emission, the
 plate, P(X) at one analyzer, and a detection: P(X) and the pair after
 each outcome, which qm reads from one set of analyzer rows); the
-hidden-angle model compiles to draw thresholds: a draw is k / 2^53, each
-channel is X on one arc of the circle of draws k mod 2^53, and the arc's
-two ends are pinned with the scalar rules of ``local``.  A plan that
-reads one draw is two arcs of it and runs one kernel, ``_arc_kernel``:
-lhv-sign's plan, and a branch plan whose second outcome is certain
-(naive's always, qm's where the first detection fixes the second), whose
-first channel is X below its threshold and whose second is X where the
-first is, where it is not, always or never.  Only an uncertain branch
-plan reads draw 1, on the two-draw kernel.  Either way a kernel compares
-the integer draws k from ``rng.uniform_array`` with integer thresholds
-(u < p is k < ceil(p * 2^53); an arc outcome compares k's offset from
-one arc end with the arc's width), in place, in
-buffers that each thread of an ensemble reuses from chunk to chunk, every
-row on a 64-byte boundary.  A kernel writes a chunk's two outcome rows,
-the ones it is handed, and returns nothing.  An ensemble's calling thread
-and its helper threads claim chunks from one shared sequence, each with
-one chunk in progress and one running total, and no executor is
-involved.  Draw discipline per trial, unchanged by the compilation: the
-hidden-angle model reads one draw (the shared angle at emission); the
-quantum and naive models read draw 0 for the first detection in time
-order and draw 1 for the second only if the first leaves it uncertain,
-which for the naive model it never does.  Planning reads enum members
-through module names (``_A``, ``_X``, ``_PLATE_A`` and the rest), which
-Python 3.11 looks up several times faster than ``Channel.A``, and starts
-every walk from one source pair, ``_PAIR``, an immutable value.
+hidden-angle model compiles to arcs: a draw is k / 2^53, each channel is
+X on one arc of the circle of draws k mod 2^53, and the arc's two ends
+are pinned with the scalar rules of ``local``.  A plan that reads one
+draw runs one kernel, ``_arc_kernel``: lhv-sign's plan, and a branch plan
+whose second outcome is certain (naive's always, qm's where the first
+detection fixes the second), whose first channel is X below its
+threshold and whose second is X where the first is, where it is not,
+always or never.  Only an uncertain branch plan reads draw 1, on the
+two-draw kernel.  Either way a kernel compares the integer draws k from
+``rng.uniform_array`` with integer thresholds (u < p is k < ceil(p *
+2^53); an arc outcome compares k's offset from one arc end with the
+arc's width), in place, in buffers that each thread of an ensemble
+reuses from chunk to chunk, every row on a 64-byte boundary.  A kernel
+writes a chunk's two outcome rows, the ones it is handed, and returns
+nothing.  An ensemble's calling thread and its helper threads claim
+chunks from one shared sequence, each with one chunk in progress and one
+running total, and no executor is involved.  Draw discipline per trial,
+unchanged by the compilation: the hidden-angle model reads one draw (the
+shared angle at emission); the quantum and naive models read draw 0 for
+the first detection in time order and draw 1 for the second only if the
+first leaves it uncertain, which for the naive model it never does.
+Planning reads enum members through module names (``_A``, ``_X``,
+``_PLATE_A`` and the rest), which Python 3.11 looks up several times
+faster than ``Channel.A``, and starts every walk from one source pair,
+``_PAIR``, an immutable value.
 """
 
 from __future__ import annotations
@@ -272,7 +278,7 @@ def _check_model(model: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# per-bench plans: each model compiles a bench into one chunk kernel
+# per-bench plans: each model compiles a bench into one plan value, which the chunk kernels read
 
 
 #: the pair at emission: an immutable value, made once
@@ -414,8 +420,46 @@ def _trial_indices(start: int, row):
     return np.add(_OFFSETS[:m], _u64(start), out=row) if start else _OFFSETS[:m]
 
 
-def _kernel(model, bench, master_seed):
-    """Plan the bench once and return its chunk kernel.
+class _Plan(NamedTuple):
+    """What the sampler does on one bench, at any seed: the value ``_compile`` returns."""
+
+    #: each channel's arc ``(opens, closes)`` of X draws of draw 0, A's first, when the
+    #: plan reads one draw; None when it reads two
+    arcs: "tuple[tuple[int, int], tuple[int, int]] | None"
+    #: qm and naive: (first-detected channel, P(first = X), P(second = X | first = X),
+    #: P(second = X | first = Y)), ``_branch_plan``'s value; None for lhv-sign
+    branch: "tuple | None" = None
+    #: qm and naive: each of the three probabilities as its integer draw threshold
+    thresholds: "tuple[int, int, int] | None" = None
+
+
+def _compile(model, bench):
+    """Compile the bench once into its ``_Plan``, which does not depend on the seed.
+
+    Its fields are ``arcs``, ``branch`` and ``thresholds``.  lhv-sign's plan
+    is one arc per channel (``_lhv_breakpoints``) and nothing else.  A
+    two-detection model's plan is its branch plan, the floats that
+    ``analytic_joint_table`` multiplies out, and each probability's draw
+    threshold: ``u < p`` is the integer ``k < _draw_threshold(p)``, and
+    draw 0 decides the first detection and draw 1 the second.  When the
+    second outcome is certain (naive's always) the plan also holds two
+    arcs of draw 0, which is all it reads then: the first channel is X
+    below the first threshold, and the second is X where the first is,
+    where it is not, or everywhere or nowhere.
+    """
+    if model == "lhv-sign":
+        return _Plan((_lhv_breakpoints(bench.alpha, bench.plate_present), _lhv_breakpoints(bench.beta, True)))
+    branch = _branch_plan(model, bench)
+    first_k, given_x, given_y = thresholds = tuple(map(_draw_threshold, branch[1:]))
+    if not {given_x, given_y} <= {0, _DRAWS}:
+        return _Plan(None, branch, thresholds)
+    first = (0, first_k)
+    second = first if given_x > given_y else (first_k, _DRAWS) if given_y > given_x else (0, given_x)
+    return _Plan((first, second) if branch[0] is _A else (second, first), branch, thresholds)
+
+
+def _kernel(plan, master_seed):
+    """The chunk kernel of a bench's ``_Plan`` under ``master_seed``.
 
     The kernel ``outcomes(start, words, a_is_x, b_is_x)`` takes the first
     trial index of a chunk, three uint64 word rows of the chunk's length
@@ -423,28 +467,16 @@ def _kernel(model, bench, master_seed):
     outcomes of channels A and B into those two rows and returns nothing.
     The trial indices are made in the word row that ``uniform_array``
     turns into ``h1``, the row of its last draw, which hashes them in
-    place.  A two-detection model samples its branch plan, ``u < p``
-    compared as the integer ``k < _draw_threshold(p)``: draw 0 decides
-    the first detection, and draw 1 the second when the plan leaves it
-    uncertain.  A plan whose second outcome is certain (naive's always)
-    reads draw 0 only, as two arcs of it on lhv-sign's ``_arc_kernel``:
-    the first is X below the first threshold, and the second is X where
-    the first is, where it is not, or everywhere or nowhere.
+    place.  A plan with arcs runs ``_arc_kernel``; one without compares
+    draw 0 with the first threshold and draw 1 with the second's.
     """
-    if model == "lhv-sign":
-        return _arc_kernel(_lhv_breakpoints(bench, _A), _lhv_breakpoints(bench, _B), master_seed)
-    first_ch, *probabilities = _branch_plan(model, bench)
-    first_k, given_x, given_y = map(_draw_threshold, probabilities)
-    a_first = first_ch is _A
-    if {given_x, given_y} <= {0, _DRAWS}:
-        first = (0, first_k)
-        second = first if given_x > given_y else (first_k, _DRAWS) if given_y > given_x else (0, given_x)
-        return _arc_kernel(*((first, second) if a_first else (second, first)), master_seed)
-    # the thresholds as 0-d uint64 arrays, which no call has to convert
-    first_k = _u64(first_k)
-    # where the first is X, the second's threshold is given_y plus this, mod 2^64
-    step = _u64(given_x - given_y)
-    given_y = _u64(given_y)
+    if plan.arcs:
+        return _arc_kernel(*plan.arcs, master_seed)
+    a_first = plan.branch[0] is _A
+    first_k, given_x, given_y = plan.thresholds
+    # the thresholds as 0-d uint64 arrays, which no call has to convert; where
+    # the first is X, the second's threshold is given_y plus step, mod 2^64
+    first_k, step, given_y = map(_u64, (first_k, given_x - given_y, given_y))
 
     def outcomes(start, words, a_is_x, b_is_x):
         first_is_x, second_is_x = (a_is_x, b_is_x) if a_first else (b_is_x, a_is_x)
@@ -474,22 +506,22 @@ _BREAKPOINT_REACH = 64
 _WRAP = _DRAWS // 2
 
 
-def _lhv_breakpoints(bench, channel):
+def _lhv_breakpoints(setting, turned):
     """One channel of lhv-sign as the draws (opens, closes) that end its arc of X.
 
-    From the draw where the photon's angle is 0, k going up mod 2^53 sweeps
-    the angle over [0, pi) once, so the channel is X on one arc of the draw
-    circle: it opens where the angle crosses the setting - pi/4 and closes
-    where it crosses the setting + pi/4, and it is X at k exactly when k is
-    in [opens, closes), read mod 2^53.  Photon A is the hidden angle and
-    photon B that angle turned by the plate rule, ``naive_plate_action``,
-    which a plate on channel A applies to photon A.  Each end is estimated
-    in closed form, then pinned to the draw where the scalar rules (the
-    photon, turned or not, then ``lhv_outcome``) flip, so ties keep their
-    bits.
+    ``setting`` is the channel's analyzer, and ``turned`` whether its photon
+    is the hidden angle turned by the plate rule, ``naive_plate_action``:
+    photon A is the hidden angle, photon B is that angle turned, and a plate
+    on channel A turns photon A.  So channel A's arc depends only on alpha
+    and the plate, and B's only on beta.  From the draw where the photon's
+    angle is 0, k going up mod 2^53 sweeps the angle over [0, pi) once, so
+    the channel is X on one arc of the draw circle: it opens where the
+    angle crosses the setting - pi/4 and closes where it crosses the
+    setting + pi/4, and it is X at k exactly when k is in [opens, closes),
+    read mod 2^53.  Each end is estimated in closed form, then pinned to
+    the draw where the scalar rules (the photon, turned or not, then
+    ``lhv_outcome``) flip, so ties keep their bits.
     """
-    setting = bench.alpha if channel is _A else bench.beta
-    turned = channel is _B or bench.plate_present
     start = _WRAP if turned else 0
     known = {}
 
@@ -562,15 +594,10 @@ def run_trial(model: str, bench: OpticalBench, master_seed: int, trial_index: in
     """
     _check_model(model)
     trial_index = _integer(trial_index, "trial_index")
-    words, (a_is_x, b_is_x) = _buffers(1)
-    _kernel(model, bench, master_seed)(trial_index, words, a_is_x, b_is_x)
-    return TrialRecord(
-        trial_index,
-        model,
-        _X if a_is_x[0] else _Y,
-        _X if b_is_x[0] else _Y,
-        detect_b_before_plate(bench),
-    )
+    words, flags = _buffers(1)
+    _kernel(_compile(model, bench), master_seed)(trial_index, words, *flags)
+    outcome_a, outcome_b = (_X if is_x[0] else _Y for is_x in flags)
+    return TrialRecord(trial_index, model, outcome_a, outcome_b, detect_b_before_plate(bench))
 
 
 def _positive_int(name, value):
@@ -689,8 +716,7 @@ def simulate_outcomes(
     row = (n_trials + 63) & -64
     block, at = _block(2 * row)
     a_is_x, b_is_x = np.ndarray((2, n_trials), _FLAG, block, at, (row, 1))
-    kernel = _kernel(model, bench, master_seed)
-    _map_chunks(kernel, n_trials, workers, lambda *chunk: (), (a_is_x, b_is_x))
+    _map_chunks(_kernel(_compile(model, bench), master_seed), n_trials, workers, lambda *chunk: (), (a_is_x, b_is_x))
     return a_is_x, b_is_x
 
 
@@ -715,7 +741,7 @@ def run_ensemble(
         xx = int(np.count_nonzero(np.logical_and(a, b, out=a)))
         return xx, a_x - xx, b_x - xx, len(a) - a_x - b_x + xx
 
-    totals = _map_chunks(_kernel(model, bench, master_seed), n_trials, workers, count)
+    totals = _map_chunks(_kernel(_compile(model, bench), master_seed), n_trials, workers, count)
     return EnsembleStats(*map(sum, zip(*totals)))
 
 
@@ -802,9 +828,11 @@ def write_trials_csv(f, bench: OpticalBench, a_is_x, b_is_x) -> None:
 def analytic_joint_table(model: str, bench: OpticalBench) -> ProbTable:
     """Model-exact joint probabilities on a bench, no sampling.
 
-    The quantum and naive tables multiply out their branch plans,
-    P(first) * P(second | first), ordered channel A first; the hidden-angle
-    table comes from the sawtooth correlator with uniform marginals.
+    The quantum and naive tables multiply out the branch plan of the
+    bench's compiled plan, the one their kernels sample, P(first) *
+    P(second | first), ordered channel A first; the hidden-angle table
+    comes from the sawtooth correlator with uniform marginals, which
+    does not read the plan.
     """
     _check_model(model)
     if model == "lhv-sign":
@@ -812,7 +840,7 @@ def analytic_joint_table(model: str, bench: OpticalBench) -> ProbTable:
         same = (1.0 + e) / 4.0
         diff = (1.0 - e) / 4.0
         return ProbTable([same, diff, diff, same])
-    first_ch, p1x, p2x_given_x, p2x_given_y = _branch_plan(model, bench)
+    first_ch, p1x, p2x_given_x, p2x_given_y = _compile(model, bench).branch
     p1y = 1.0 - p1x
     # first outcome, then second: XX, XY, YX, YY
     xx, xy = p1x * p2x_given_x, p1x * (1.0 - p2x_given_x)

@@ -12,6 +12,7 @@ import tracemalloc
 import warnings
 from collections import deque
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -237,7 +238,7 @@ CRAFTED_DRAWS = [0, 1, 2**50, 2**51 - 1, 2**51, 2**51 + 1, 2**52, 3 * 2**51, 2**
 
 
 def _lhv_plans(bench):
-    return [engine._lhv_breakpoints(bench, channel) for channel in (Channel.A, Channel.B)]
+    return engine._compile("lhv-sign", bench).arcs
 
 
 def _breakpoint_draws(bench):
@@ -517,8 +518,9 @@ def test_certain_plan_runs_the_arc_kernel_on_draw_0(monkeypatch, model, bench):
     # a plan whose second outcome is certain is two arcs of draw 0; on draws
     # either side of the first threshold its outcomes are the two-draw rule's,
     # with k_second = 0 standing in for draw 1
-    first_ch, *probabilities = engine._branch_plan(model, bench)
-    first_k, given_x, given_y = map(engine._draw_threshold, probabilities)
+    plan = engine._compile(model, bench)
+    first_ch = plan.branch[0]
+    first_k, given_x, given_y = plan.thresholds
     assert {given_x, given_y} <= {0, 2**53}
     draws = [0, first_k - 1, first_k, 2**53 - 1]
     table = np.array(draws, dtype=np.uint64)
@@ -529,7 +531,7 @@ def test_certain_plan_runs_the_arc_kernel_on_draw_0(monkeypatch, model, bench):
         return np.array([table[trial_indices] for _ in draw_counters])
 
     monkeypatch.setattr(engine, "uniform_array", crafted)
-    assert engine._kernel(model, bench, 0).__qualname__ == "_arc_kernel.<locals>.outcomes"
+    assert engine._kernel(plan, 0).__qualname__ == "_arc_kernel.<locals>.outcomes"
     a_vec, b_vec = simulate_outcomes(model, bench, len(draws), master_seed=0)
     for k, a_is_x, b_is_x in zip(draws, a_vec, b_vec):
         first = k < first_k
@@ -581,8 +583,8 @@ def test_lhv_plan_pins_take_few_scalar_evaluations(monkeypatch):
     for alpha in np.random.default_rng(18).uniform(-math.pi, 2 * math.pi, 200):
         for plate in (False, True):
             bench = OpticalBench(alpha=float(alpha), beta=float(alpha), plate_present=plate)
-            for channel in (Channel.A, Channel.B):
-                engine._lhv_breakpoints(bench, channel)
+            for setting, turned in ((bench.alpha, plate), (bench.beta, True)):
+                engine._lhv_breakpoints(setting, turned)
                 plans += 1
     assert len(evaluations) / plans <= 6.0
 
@@ -609,9 +611,9 @@ def test_qm_plan_makes_each_analyzer_and_plate_once(monkeypatch, plate, cos_call
     counting = _CountingMath()
     monkeypatch.setattr(quantum, "math", counting)
     bench = OpticalBench(alpha=0.3, beta=1.1, plate_angle=0.2, plate_present=plate)
-    engine._kernel("qm", bench, 5)
+    engine._compile("qm", bench)
     assert counting.cos_calls == cos_calls
-    engine._kernel("qm", bench, 6)
+    engine._compile("qm", bench)
     assert counting.cos_calls == cos_calls + plate
 
 
@@ -742,7 +744,7 @@ def test_chunks_in_flight_stay_bounded(monkeypatch):
 
     lock = threading.Lock()
     in_progress, most, starts = [0], [0], []
-    kernel = engine._kernel("lhv-sign", ROTATED, 5)
+    kernel = engine._kernel(engine._compile("lhv-sign", ROTATED), 5)
 
     def tracked(start, words, a_is_x, b_is_x):
         with lock:
@@ -845,7 +847,7 @@ def test_a_stalled_chunk_does_not_hold_up_the_queued_ones(monkeypatch):
                 others_done.set()
         return (1,)
 
-    totals = engine._map_chunks(engine._kernel("lhv-sign", ROTATED, 5), n, 2, consume)
+    totals = engine._map_chunks(engine._kernel(engine._compile("lhv-sign", ROTATED), 5), n, 2, consume)
     assert waited == [True]
     assert sorted([0, *consumed]) == list(range(0, n, CHUNK))
     assert sum(t[0] for t in totals) == math.ceil(n / CHUNK)
@@ -873,7 +875,7 @@ def test_an_exception_on_a_helper_reaches_the_caller(monkeypatch):
 
     before = threading.active_count()
     with pytest.raises(Boom):
-        engine._map_chunks(engine._kernel("naive", ROTATED, 6), 16 * CHUNK, 2, consume)
+        engine._map_chunks(engine._kernel(engine._compile("naive", ROTATED), 6), 16 * CHUNK, 2, consume)
     assert threading.active_count() == before
     assert 1 <= len(consumed) <= 2
 
@@ -900,7 +902,7 @@ def test_an_interrupt_of_the_caller_stops_the_helpers(monkeypatch):
 
     before = threading.active_count()
     with pytest.raises(KeyboardInterrupt):
-        engine._map_chunks(engine._kernel("qm", ROTATED, 6), 16 * CHUNK, 2, consume)
+        engine._map_chunks(engine._kernel(engine._compile("qm", ROTATED), 6), 16 * CHUNK, 2, consume)
     assert threading.active_count() == before
     assert len(consumed) < 16
 
@@ -1188,15 +1190,71 @@ def _naive_sign_rule_table(bench):
     return (table if a_first else table.T).reshape(4)
 
 
-def _lhv_sampler_table(bench):
-    """The exact lhv-sign sampler table: lengths of the compiled draw intervals over 2^53."""
-    plans = _lhv_plans(bench)
-    edges = sorted({0, 2**53}.union(*plans))
-    counts = [0, 0, 0, 0]
-    for lo, hi in zip(edges, edges[1:]):
-        a_x, b_x = ((lo - opens) % 2**53 < (closes - opens) % 2**53 for opens, closes in plans)
-        counts[2 * (not a_x) + (not b_x)] += hi - lo
-    return np.array(counts) / 2**53
+def sampler_table(plan):
+    """The exact [XX, XY, YX, YY] that a compiled plan's kernel samples, as ``Fraction``s.
+
+    A plan with arcs reads one draw k in [0, 2^53): each channel is X on
+    its arc as ``_arc_kernel`` reads it, [opens, closes) when opens <=
+    closes and outside [closes, opens) when not, so each cell is a count
+    of draws over 2^53.  A plan without reads two: the first detection is
+    X when k0 < K_first, and the second when k1 is below the threshold of
+    the first's outcome, so each cell is a count of draw pairs over 2^106.
+    """
+    if plan.arcs:
+        edges = sorted({0, 2**53}.union(*plan.arcs))
+        counts = [0, 0, 0, 0]
+        for lo, hi in zip(edges, edges[1:]):
+            # no arc end lies inside [lo, hi), so draw lo stands for all of it
+            a_x, b_x = (opens <= lo < closes if opens <= closes else not closes <= lo < opens
+                        for opens, closes in plan.arcs)
+            counts[2 * (not a_x) + (not b_x)] += hi - lo
+        return [Fraction(c, 2**53) for c in counts]
+    first_k, given_x, given_y = plan.thresholds
+    # first outcome, then second: XX, XY, YX, YY
+    xx, xy = first_k * given_x, first_k * (2**53 - given_x)
+    yx, yy = (2**53 - first_k) * given_y, (2**53 - first_k) * (2**53 - given_y)
+    counts = [xx, xy, yx, yy] if plan.branch[0] is Channel.A else [xx, yx, xy, yy]
+    return [Fraction(c, 2**106) for c in counts]
+
+
+#: how far an exact sampler table may sit from its model's independent oracle:
+#: the plan's probabilities are floats rounded up to whole draws, a few 2^-53
+#: at most (measured: qm 4 on ORACLE_BENCHES and 4.27 on the tied benches,
+#: naive 0, lhv-sign 3, each x 2^-53); a plan 2^12 draws off reads 2^-41
+SAMPLER_TABLE_BOUND = Fraction(8, 2**53)
+
+
+def _qm_sampled_born_table(bench):
+    """The Born table with ``marginal``'s residue rule applied to the second detection.
+
+    Given the first detection's outcome, the second's P(X) or P(Y) below
+    ``quantum.ATOL`` is read as 0: so where the Born rule gives a cell a
+    conditional probability below ATOL (at a plate angle of 2^-24 with both
+    analyzers at 0, 7.1e-15 of a cell), the sampler gives it none.
+    """
+    table = _qm_born_table(bench).reshape(2, 2).copy()
+    detections = [event for _, event in build_timeline(bench) if event is not BenchEvent.PLATE_A]
+    # one row per outcome of the first detection, as views of the table
+    for row in table if detections[0] is BenchEvent.DETECT_A else table.T:
+        total = row.sum()
+        if min(row / total) < quantum.ATOL:
+            row[:] = (total, 0.0) if row[0] > row[1] else (0.0, total)
+    return table.reshape(4)
+
+
+#: each model's independent oracle: the Born rule, the sign rule and the sawtooth
+ORACLES = {
+    "qm": _qm_sampled_born_table,
+    "naive": _naive_sign_rule_table,
+    "lhv-sign": lambda bench: analytic_joint_table("lhv-sign", bench).p,
+}
+
+
+def _assert_sampler_table_matches_oracle(model, bench):
+    got = sampler_table(engine._compile(model, bench))
+    assert sum(got) == 1, (model, bench)
+    for want, cell in zip(ORACLES[model](bench), got):
+        assert abs(Fraction(float(want)) - cell) <= SAMPLER_TABLE_BOUND, (model, bench, float(want), cell)
 
 
 ORACLE_BENCHES = _random_benches(300, seed=77)
@@ -1212,9 +1270,14 @@ def test_qm_and_naive_tables_match_independent_oracles():
 
 def test_lhv_sampler_table_matches_sawtooth():
     for bench in ORACLE_BENCHES:
-        np.testing.assert_allclose(
-            _lhv_sampler_table(bench), analytic_joint_table("lhv-sign", bench).p, rtol=0, atol=2**-50
-        )
+        _assert_sampler_table_matches_oracle("lhv-sign", bench)
+
+
+def test_qm_and_naive_sampler_tables_match_independent_oracles():
+    # the exact distribution each kernel samples, with no sampling noise
+    for bench in ORACLE_BENCHES:
+        for model in ("qm", "naive"):
+            _assert_sampler_table_matches_oracle(model, bench)
 
 
 _BENCH_ANGLES = st.one_of(_ANGLES, st.integers(-24, 48).map(lambda j: j * math.pi / 12))
@@ -1250,6 +1313,13 @@ def test_tables_sum_to_one_and_marginals_are_fair(bench):
         p = analytic_joint_table(model, bench).p
         assert abs(float(p[XX] + p[XY]) - 0.5) <= 2**-50, model
         assert abs(float(p[XX] + p[YX]) - 0.5) <= 2**-50, model
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(bench=_tied_benches())
+def test_sampler_tables_match_independent_oracles_on_tied_benches(bench):
+    for model in MODELS:
+        _assert_sampler_table_matches_oracle(model, bench)
 
 
 def test_qm_analytic_table_is_timeline_independent():
