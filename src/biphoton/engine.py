@@ -9,23 +9,25 @@ are broken by a fixed event precedence (plate, then B, then A).
 Every trial is driven by counter-based uniform draws keyed on
 (master_seed, trial_index, draw_counter), so a run is reproducible from
 its seed alone and any single trial can be replayed in isolation.  Each
-call compiles its bench once, in ``_compile``, into one plan value, a
+sampler call (``run_trial``, ``simulate_outcomes``, ``run_ensemble``)
+compiles its bench once, in ``_compile``, into one plan value, a
 ``_Plan``, which does not depend on the seed.  Its fields: ``arcs``, each
 channel's arc ``(opens, closes)`` of X draws of draw 0, for a plan that
 reads one draw; ``branch``, qm's and naive's branch plan (first-detected
 channel, P(first = X), P(second = X | first = X), P(second = X | first =
-Y)), which ``analytic_joint_table`` multiplies out; and ``thresholds``,
-those three probabilities as integer draw thresholds.  ``_kernel(plan,
-master_seed)`` builds a chunk kernel from the plan alone; the ensembles
-apply it to chunks of trial indices and ``run_trial`` to a single index,
-so a replayed trial is its ensemble's trial by construction.  The
-quantum and naive models compile to a branch plan, made by one walk of
-the timeline through each model's four rules (the pair at emission, the
-plate, P(X) at one analyzer, and a detection: P(X) and the pair after
-each outcome, which qm reads from one set of analyzer rows); the
-hidden-angle model compiles to arcs: a draw is k / 2^53, each channel is
-X on one arc of the circle of draws k mod 2^53, and the arc's two ends
-are pinned with the scalar rules of ``local``.  A plan that reads one
+Y)); and ``thresholds``, those three probabilities as integer draw
+thresholds.  ``_kernel(plan, master_seed)`` builds a chunk kernel from
+the plan alone; the ensembles apply it to chunks of trial indices and
+``run_trial`` to a single index, so a replayed trial is its ensemble's
+trial by construction.  The quantum and naive models compile to a branch
+plan, made by one walk of the timeline through each model's four rules
+(the pair at emission, the plate, P(X) at one analyzer, and a detection:
+P(X) and the pair after each outcome, which qm reads from one set of
+analyzer rows), ``_branch_plan``; their exact tables multiply out the
+same walk's value and compile no ``_Plan``.  The hidden-angle model
+compiles to arcs: a draw is k / 2^53, each channel is X on one arc of
+the circle of draws k mod 2^53, and the arc's two ends are pinned with
+the scalar rules of ``local``.  A plan that reads one
 draw runs one kernel, ``_arc_kernel``: lhv-sign's plan, and a branch plan
 whose second outcome is certain (naive's always, qm's where the first
 detection fixes the second), whose first channel is X below its
@@ -436,16 +438,19 @@ class _Plan(NamedTuple):
 def _compile(model, bench):
     """Compile the bench once into its ``_Plan``, which does not depend on the seed.
 
-    Its fields are ``arcs``, ``branch`` and ``thresholds``.  lhv-sign's plan
-    is one arc per channel (``_lhv_breakpoints``) and nothing else.  A
-    two-detection model's plan is its branch plan, the floats that
-    ``analytic_joint_table`` multiplies out, and each probability's draw
-    threshold: ``u < p`` is the integer ``k < _draw_threshold(p)``, and
-    draw 0 decides the first detection and draw 1 the second.  When the
-    second outcome is certain (naive's always) the plan also holds two
-    arcs of draw 0, which is all it reads then: the first channel is X
-    below the first threshold, and the second is X where the first is,
-    where it is not, or everywhere or nowhere.
+    Only the sampler entry points, ``run_trial``, ``simulate_outcomes``
+    and ``run_ensemble``, compile; the exact tables read the models' rules.
+    The plan's fields are ``arcs``, ``branch`` and ``thresholds``.
+    lhv-sign's plan is one arc per channel (``_lhv_breakpoints``) and
+    nothing else.  A two-detection model's plan is its branch plan,
+    ``_branch_plan``'s floats, which ``analytic_joint_table`` multiplies
+    out without compiling, and each probability's draw threshold: ``u <
+    p`` is the integer ``k < _draw_threshold(p)``, and draw 0 decides the
+    first detection and draw 1 the second.  When the second outcome is
+    certain (naive's always) the plan also holds two arcs of draw 0, which
+    is all it reads then: the first channel is X below the first
+    threshold, and the second is X where the first is, where it is not,
+    or everywhere or nowhere.
     """
     if model == "lhv-sign":
         return _Plan((_lhv_breakpoints(bench.alpha, bench.plate_present), _lhv_breakpoints(bench.beta, True)))
@@ -828,11 +833,11 @@ def write_trials_csv(f, bench: OpticalBench, a_is_x, b_is_x) -> None:
 def analytic_joint_table(model: str, bench: OpticalBench) -> ProbTable:
     """Model-exact joint probabilities on a bench, no sampling.
 
-    The quantum and naive tables multiply out the branch plan of the
-    bench's compiled plan, the one their kernels sample, P(first) *
-    P(second | first), ordered channel A first; the hidden-angle table
-    comes from the sawtooth correlator with uniform marginals, which
-    does not read the plan.
+    The quantum and naive tables multiply out the bench's branch plan,
+    walked from the model's rules by ``_branch_plan``, the value that
+    their kernels' thresholds are compiled from, P(first) * P(second |
+    first), ordered channel A first; the hidden-angle table comes from
+    the sawtooth correlator with uniform marginals, which reads no plan.
     """
     _check_model(model)
     if model == "lhv-sign":
@@ -840,7 +845,7 @@ def analytic_joint_table(model: str, bench: OpticalBench) -> ProbTable:
         same = (1.0 + e) / 4.0
         diff = (1.0 - e) / 4.0
         return ProbTable([same, diff, diff, same])
-    first_ch, p1x, p2x_given_x, p2x_given_y = _compile(model, bench).branch
+    first_ch, p1x, p2x_given_x, p2x_given_y = _branch_plan(model, bench)
     p1y = 1.0 - p1x
     # first outcome, then second: XX, XY, YX, YY
     xx, xy = p1x * p2x_given_x, p1x * (1.0 - p2x_given_x)
@@ -855,14 +860,11 @@ def analytic_E(model: str, bench: OpticalBench) -> float:
 
 
 def analytic_chsh(model: str, angles: ChshAngles, plate_present: bool = True) -> ChshReport:
-    """CHSH report from the model's exact correlator (zero standard errors)."""
-    benches = {(bench.alpha, bench.beta): bench for bench in _chsh_benches(angles, plate_present)}
-    return chsh_S(lambda alpha, beta: analytic_E(model, benches[alpha, beta]), angles)
+    """CHSH report from the model's exact correlator (zero standard errors).
 
-
-def _chsh_benches(angles: ChshAngles, plate_present: bool) -> list[OpticalBench]:
-    """The default bench at each CHSH setting pair, in report order."""
-    return [OpticalBench(alpha=a, beta=b, plate_present=plate_present) for a, b in angles.pairs()]
+    Each term is ``analytic_E`` on the default bench at its setting pair.
+    """
+    return chsh_S(lambda a, b: analytic_E(model, OpticalBench(alpha=a, beta=b, plate_present=plate_present)), angles)
 
 
 # ---------------------------------------------------------------------------
@@ -955,6 +957,6 @@ def chsh_experiment(
     and individually reproducible.
     """
     _check_model(model)
-    benches = _chsh_benches(angles, plate_present)
+    benches = (OpticalBench(alpha=a, beta=b, plate_present=plate_present) for a, b in angles.pairs())
     stats = [st for _, st in _ensembles(model, benches, n_per_setting, master_seed, workers)]
     return ChshReport(*(st.e_hat for st in stats), *(st.stderr_e for st in stats))

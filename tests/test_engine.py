@@ -1280,6 +1280,22 @@ def test_qm_and_naive_sampler_tables_match_independent_oracles():
             _assert_sampler_table_matches_oracle(model, bench)
 
 
+def test_exact_tables_compile_no_sampler_plan(monkeypatch):
+    # the exact side reads each model's rules: it makes no draw threshold
+    # and pins no lhv-sign arc, which only the sampler's plan holds
+    def refuse(*args):
+        raise AssertionError("an exact table compiled a sampler plan")
+
+    monkeypatch.setattr(engine, "_draw_threshold", refuse)
+    monkeypatch.setattr(engine, "_lhv_breakpoints", refuse)
+    for model in MODELS:
+        for bench in ORACLE_BENCHES:
+            assert analytic_joint_table(model, bench).p.shape == (4,)
+            assert -1.0 <= analytic_E(model, bench) <= 1.0
+        for plate in (True, False):
+            assert math.isfinite(analytic_chsh(model, CANONICAL_CHSH_ANGLES, plate).s)
+
+
 _BENCH_ANGLES = st.one_of(_ANGLES, st.integers(-24, 48).map(lambda j: j * math.pi / 12))
 _DISTANCES = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])
 
@@ -1533,6 +1549,42 @@ def test_analytic_chsh_values():
     assert (lhv.e_ab, lhv.e_abp, lhv.e_apb, lhv.e_apbp) == (0.5, -0.5, 0.5, 0.5)
     degenerate = analytic_chsh("qm", ChshAngles(0.0, 0.0, 0.0, 0.0))
     assert abs(degenerate.s - 2.0) < 1e-12
+    for model in MODELS:
+        for plate in (1, None, "true"):
+            with pytest.raises(ValueError, match="plate_present"):
+                analytic_chsh(model, CANONICAL_CHSH_ANGLES, plate)
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def _branch_table(branch):
+    """[XX, XY, YX, YY] of a branch plan: P(first) * P(second | first), channel A's axis first."""
+    first_ch, p1x, given_x, given_y = branch
+    xx, xy = p1x * given_x, p1x * (1.0 - given_x)
+    yx, yy = (1.0 - p1x) * given_y, (1.0 - p1x) * (1.0 - given_y)
+    return [xx, xy, yx, yy] if first_ch is Channel.A else [xx, yx, xy, yy]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(quadruple=st.tuples(*[_BENCH_ANGLES] * 4))
+def test_exact_chsh_terms_are_their_benches_tables(quadruple):
+    # by float.hex, with the plate on and off: each analytic_chsh term is
+    # analytic_E of its bench, and each qm and naive table cell is the
+    # product of the branch plan the sampler compiles, so the tables and the
+    # kernels read one branch plan
+    angles = ChshAngles(*quadruple)
+    for plate in (True, False):
+        benches = [OpticalBench(alpha=a, beta=b, plate_present=plate) for a, b in angles.pairs()]
+        for model in MODELS:
+            report = analytic_chsh(model, angles, plate)
+            terms = (report.e_ab, report.e_abp, report.e_apb, report.e_apbp)
+            assert _hexes(terms) == _hexes(analytic_E(model, bench) for bench in benches), (model, plate)
+        for bench in benches:
+            for model in ("qm", "naive"):
+                want = _branch_table(engine._compile(model, bench).branch)
+                assert _hexes(analytic_joint_table(model, bench).p) == _hexes(want), (model, bench)
 
 
 def test_chsh_experiment_matches_analytic_qm():
