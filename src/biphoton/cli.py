@@ -36,10 +36,11 @@ import sys
 from dataclasses import replace
 
 from .engine import (
-    MODEL_NAMES,
     OpticalBench,
+    _check_model,
     _distance,
     _ensembles,
+    _positive_int,
     analytic_E,
     analytic_chsh,
     analytic_joint_table,
@@ -51,7 +52,7 @@ from .engine import (
     write_trials_csv,
 )
 from .local import ChshAngles
-from .quantum import XX, XY, YX, YY, AnalyzerSetting, _real
+from .quantum import AnalyzerSetting, _real
 
 _DEFAULT_TRIALS = 100_000
 #: most rows one sweep may plan; each row runs an ensemble
@@ -132,11 +133,6 @@ def _resolve_seed(args) -> int:
         return int(env)
     except ValueError:
         raise ValueError(f"{_SEED_ENV} must be an integer, got {env!r}") from None
-
-
-def _positive(value: int, flag: str) -> None:
-    if value < 1:
-        raise ValueError(f"{flag} must be at least 1, got {value}")
 
 
 def _load_config(path: str) -> dict:
@@ -228,7 +224,7 @@ def _cmd_pair(args):
         return lambda f: write_trials_csv(f, bench, a_is_x, b_is_x)
     stats = run_ensemble(args.model, bench, args.trials, args.seed, args.workers)
     table = [float(p) for p in analytic_joint_table(args.model, bench).p]
-    e_exact = table[XX] + table[YY] - table[XY] - table[YX]
+    e_exact = analytic_E(args.model, bench)
     if args.format == "json":
         doc = {
             "command": "pair",
@@ -597,16 +593,15 @@ def _out_file(path: str):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.model not in MODEL_NAMES:
-        print(
-            f"error: unknown model {args.model!r}; expected one of {', '.join(MODEL_NAMES)}",
-            file=sys.stderr,
-        )
+    try:
+        _check_model(args.model)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     try:
         args.seed = _resolve_seed(args)
-        _positive(args.trials, "--trials")
-        _positive(args.workers, "--workers")
+        _positive_int("--trials", args.trials)
+        _positive_int("--workers", args.workers)
         output = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -150,9 +150,10 @@ class OpticalBench:
 
     Distances are in meters from the source, the analyzer and plate angles
     in radians; the config file's keys and units (meters and degrees)
-    belong to the command line, ``cli``.  When the plate is present it must sit no farther out than channel A's
-    prism, so it always acts before A's detection.  Only the qm model reads
-    ``plate_angle``: the local models' plate turns a definite photon by pi/2.
+    belong to the command line, ``cli``.  When the plate is present it
+    must sit no farther out than channel A's prism, so it always acts
+    before A's detection.  Only the qm model reads ``plate_angle``: the
+    local models' plate turns a definite photon by pi/2.
     """
 
     d_plate_a: float = 0.5
@@ -276,7 +277,7 @@ class EnsembleStats:
 
 def _check_model(model: str) -> None:
     if model not in MODEL_NAMES:
-        raise ValueError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
+        raise ValueError(f"unknown model {model!r}; expected one of {', '.join(MODEL_NAMES)}")
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .quantum import _X, _Y, AnalyzerSetting, PolAxis, as_setting, reduce_mod_pi
+from .quantum import _X, _Y, ATOL, AnalyzerSetting, PolAxis, as_setting, reduce_mod_pi
 
 _HALF_PI = math.pi / 2.0
 _QUARTER_PI = math.pi / 4.0
@@ -182,7 +182,7 @@ def chsh_S(correlator: Callable[..., float], angles: ChshAngles) -> ChshReport:
     terms = []
     for alpha, beta in angles.pairs():
         e = float(correlator(alpha, beta))
-        if not (math.isfinite(e) and abs(e) <= 1.0 + 1e-12):
+        if not (math.isfinite(e) and abs(e) <= 1.0 + ATOL):
             raise ValueError(f"correlator returned {e!r}, outside [-1, 1]")
         terms.append(e)
     return ChshReport(*terms)

@@ -60,6 +60,11 @@ import numpy as np
 #: tolerance for exact-algebra checks (normalization, unitarity, probability tables)
 ATOL = 1e-12
 
+#: a detection probability below this is a rounding residue of an exact 0:
+#: the residues measured on plan-path states stay below 1e-29, while a
+#: genuine probability as small as 1e-14 (a plate turned by 2^-24 rad) is kept
+_RESIDUE = 2.0**-64
+
 #: amplitude / probability index order
 XX, XY, YX, YY = 0, 1, 2, 3
 
@@ -364,8 +369,8 @@ def _detection(state: TwoPhotonState, channel: Channel, setting, outcomes: tuple
     """``(p_x, p_y, *after)``: a detection on ``channel`` at ``setting``, from one set of analyzer rows.
 
     ``p_x`` and ``p_y`` are the squared norms of the analyzer's rows of the
-    state.  A probability below ``ATOL`` is a rounding residue: the pair is
-    then exactly (1, 0) or (0, 1).  ``after`` holds, for each of
+    state.  A probability below ``_RESIDUE`` (2^-64) is a rounding residue:
+    the pair is then exactly (1, 0) or (0, 1).  ``after`` holds, for each of
     ``outcomes``, the state projected onto that outcome's analyzer vector
     on the channel and renormalized, or None where the projection is zero.
     An outcome that is not a ``PolAxis`` raises ValueError.  ``marginal``,
@@ -376,7 +381,7 @@ def _detection(state: TwoPhotonState, channel: Channel, setting, outcomes: tuple
     x0, x1, y0, y1 = _act(state._values, channel, c, s, minus_s, c)
     p_x = (x0.real * x0.real + x0.imag * x0.imag) + (x1.real * x1.real + x1.imag * x1.imag)
     p_y = (y0.real * y0.real + y0.imag * y0.imag) + (y1.real * y1.real + y1.imag * y1.imag)
-    if min(p_x, p_y) < ATOL:
+    if min(p_x, p_y) < _RESIDUE:
         p_x, p_y = (1.0, 0.0) if p_x > p_y else (0.0, 1.0)
     result = [p_x, p_y]
     for outcome in outcomes:
@@ -402,8 +407,8 @@ def marginal(
 
     The rows of ``basis^H psi`` on the channel give the joint table at the
     other channel's setting 0, summed over it, bit for bit.  A probability
-    below ``ATOL`` is a rounding residue: the pair is then exactly (1, 0)
-    or (0, 1).
+    below ``_RESIDUE`` (2^-64) is a rounding residue: the pair is then
+    exactly (1, 0) or (0, 1).
     """
     return _detection(state, channel, setting)
 
@@ -424,8 +429,9 @@ def measure_channel(
     if not 0.0 <= draw < 1.0:
         raise ValueError(f"u must lie in [0, 1), got {u!r}")
     p_x, p_y, after_x, after_y = _detection(state, channel, setting, (_X, _Y))
-    # the selected state is never None: a rounding residue is an exact 0,
-    # which no u in [0, 1) selects (u < 0.0 is false, u < 1.0 true)
+    # the selected state is never None: a probability below _RESIDUE is an
+    # exact 0, which no u in [0, 1) selects (u < 0.0 is false, u < 1.0
+    # true), and one at or above it has a nonzero projection
     if draw < p_x:
         return MeasurementResult(_X, after_x, p_x)
     return MeasurementResult(_Y, after_y, p_y)

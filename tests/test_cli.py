@@ -40,19 +40,25 @@ def run_cli(capsys, *argv):
 # ---------------------------------------------------------------- exit codes
 
 def test_unknown_model_exits_3(capsys):
-    code, _, err = run_cli(capsys, "pair", "--model", "bohm", "--trials", "10")
-    assert code == 3
-    assert "unknown model" in err
+    code, out, err = run_cli(capsys, "pair", "--model", "bohm", "--trials", "10")
+    assert (code, out) == (3, "")
+    assert err == "error: unknown model 'bohm'; expected one of qm, lhv-sign, naive\n"
+    # the engine's own message, which the library raises too
+    with pytest.raises(ValueError) as exc:
+        engine.run_ensemble("bohm", engine.OpticalBench(), 10, 0)
+    assert err == f"error: {exc.value}\n"
 
 
 def test_zero_trials_exits_2(capsys):
-    code, _, err = run_cli(capsys, "pair", "--trials", "0")
-    assert code == 2 and "error" in err
+    for value in ("0", "-3"):
+        code, out, err = run_cli(capsys, "pair", f"--trials={value}")
+        assert (code, out, err) == (2, "", f"error: --trials must be a positive integer, got {value}\n")
 
 
 def test_bad_workers_exits_2(capsys):
-    code, _, _ = run_cli(capsys, "pair", "--trials", "10", "--workers", "0")
-    assert code == 2
+    for value in ("0", "-3"):
+        code, out, err = run_cli(capsys, "pair", "--trials", "10", f"--workers={value}")
+        assert (code, out, err) == (2, "", f"error: --workers must be a positive integer, got {value}\n")
 
 
 def test_bad_sweep_step_exits_2(capsys):
@@ -634,6 +640,39 @@ def test_pair_json_document(capsys):
     assert set(doc["stats"]) == {"n_xx", "n_xy", "n_yx", "n_yy", "e_hat", "stderr_e"}
     assert len(doc["analytic_table"]) == 4
     assert doc["bench"]["plate_present"] is True
+
+
+_DISTANCE_FLAGS = st.sampled_from((0.0, 0.25, 0.5, 1.0, 1.5))
+_DEGREE_FLAGS = st.one_of(st.floats(-720.0, 720.0), st.integers(-16, 32).map(lambda j: j * 22.5))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    distances=st.tuples(_DISTANCE_FLAGS, _DISTANCE_FLAGS, _DISTANCE_FLAGS),
+    degrees=st.tuples(_DEGREE_FLAGS, _DEGREE_FLAGS, _DEGREE_FLAGS),
+    plate=st.booleans(),
+)
+def test_pair_json_analytic_e_is_the_engines_correlator(distances, degrees, plate):
+    d_plate, d_prism_a, d_prism_b = distances
+    d_plate = min(d_plate, d_prism_a)
+    alpha, beta, plate_angle = degrees
+    bench = engine.OpticalBench(
+        d_plate, d_prism_a, d_prism_b, *map(math.radians, (alpha, beta)), plate, math.radians(plate_angle)
+    )
+    flags = [
+        f"--d-plate-a={d_plate!r}",
+        f"--d-prism-a={d_prism_a!r}",
+        f"--d-prism-b={d_prism_b!r}",
+        f"--alpha={alpha!r}",
+        f"--beta={beta!r}",
+        f"--plate-angle={plate_angle!r}",
+        "--plate" if plate else "--no-plate",
+    ]
+    for model in MODEL_NAMES:
+        code, out, err = _run_in_process(["pair", f"--model={model}", "--trials=1", "--seed=0", "--format=json", *flags])
+        assert (code, err) == (0, "")
+        got = json.loads(out, parse_int=float)["analytic_e"]
+        assert got.hex() == engine.analytic_E(model, bench).hex(), (model, bench)
 
 
 def test_chsh_json_has_exactly_the_report_keys(capsys):

@@ -52,6 +52,7 @@ from biphoton.quantum import (
     XX,
     XY,
     YX,
+    YY,
     Channel,
     PolAxis,
     apply_element,
@@ -1219,32 +1220,14 @@ def sampler_table(plan):
 
 #: how far an exact sampler table may sit from its model's independent oracle:
 #: the plan's probabilities are floats rounded up to whole draws, a few 2^-53
-#: at most (measured: qm 4 on ORACLE_BENCHES and 4.27 on the tied benches,
+#: at most (measured: qm 4 on ORACLE_BENCHES and 4.08 on the tied benches,
 #: naive 0, lhv-sign 3, each x 2^-53); a plan 2^12 draws off reads 2^-41
 SAMPLER_TABLE_BOUND = Fraction(8, 2**53)
 
 
-def _qm_sampled_born_table(bench):
-    """The Born table with ``marginal``'s residue rule applied to the second detection.
-
-    Given the first detection's outcome, the second's P(X) or P(Y) below
-    ``quantum.ATOL`` is read as 0: so where the Born rule gives a cell a
-    conditional probability below ATOL (at a plate angle of 2^-24 with both
-    analyzers at 0, 7.1e-15 of a cell), the sampler gives it none.
-    """
-    table = _qm_born_table(bench).reshape(2, 2).copy()
-    detections = [event for _, event in build_timeline(bench) if event is not BenchEvent.PLATE_A]
-    # one row per outcome of the first detection, as views of the table
-    for row in table if detections[0] is BenchEvent.DETECT_A else table.T:
-        total = row.sum()
-        if min(row / total) < quantum.ATOL:
-            row[:] = (total, 0.0) if row[0] > row[1] else (0.0, total)
-    return table.reshape(4)
-
-
 #: each model's independent oracle: the Born rule, the sign rule and the sawtooth
 ORACLES = {
-    "qm": _qm_sampled_born_table,
+    "qm": _qm_born_table,
     "naive": _naive_sign_rule_table,
     "lhv-sign": lambda bench: analytic_joint_table("lhv-sign", bench).p,
 }
@@ -1258,6 +1241,23 @@ def _assert_sampler_table_matches_oracle(model, bench):
 
 
 ORACLE_BENCHES = _random_benches(300, seed=77)
+
+#: every event at the source and a plate turned by 2^-24 rad: the Born rule
+#: gives XX and YY 7.1e-15 each, a genuine probability below quantum.ATOL
+TINY_PLATE = OpticalBench(d_plate_a=0.0, d_prism_a=0.0, d_prism_b=0.0, alpha=0.0, beta=0.0, plate_angle=2**-24)
+
+
+def test_qm_keeps_a_genuine_probability_below_atol():
+    # only a rounding residue of an exact 0 reads as 0; this conditional,
+    # 1.4e-14 given B's first outcome, is kept by the table and the sampler
+    born = _qm_born_table(TINY_PLATE)
+    assert 0.0 < born[XX] < quantum.ATOL and 0.0 < born[YY] < quantum.ATOL
+    exact = [Fraction(float(p)) for p in analytic_joint_table("qm", TINY_PLATE).p]
+    sampled = sampler_table(engine._compile("qm", TINY_PLATE))
+    for table in (exact, sampled):
+        assert table[XX] > 0 and table[YY] > 0
+        for want, cell in zip(born, table):
+            assert abs(Fraction(float(want)) - cell) <= SAMPLER_TABLE_BOUND, (want, cell)
 
 
 def test_qm_and_naive_tables_match_independent_oracles():

@@ -11,7 +11,6 @@ import pytest
 from biphoton import quantum
 from biphoton.local import ChshAngles
 from biphoton.quantum import (
-    ATOL,
     XX,
     XY,
     YX,
@@ -413,7 +412,7 @@ def _joint_row_sums(state, channel, setting):
     else:
         p = joint_probabilities(state, 0.0, setting).p
         p_x, p_y = float(p[XX] + p[YX]), float(p[XY] + p[YY])
-    if min(p_x, p_y) < ATOL:
+    if min(p_x, p_y) < quantum._RESIDUE:
         return (1.0, 0.0) if p_x > p_y else (0.0, 1.0)
     return p_x, p_y
 
@@ -654,7 +653,7 @@ def _reference_marginal(values, channel, setting):
     x0, x1, y0, y1 = _reference_rows(values, channel, setting)
     p_x = (x0.real * x0.real + x0.imag * x0.imag) + (x1.real * x1.real + x1.imag * x1.imag)
     p_y = (y0.real * y0.real + y0.imag * y0.imag) + (y1.real * y1.real + y1.imag * y1.imag)
-    if min(p_x, p_y) < ATOL:
+    if min(p_x, p_y) < quantum._RESIDUE:
         return (1.0, 0.0) if p_x > p_y else (0.0, 1.0)
     return p_x, p_y
 
